@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 
 class KfwerError(ValueError):
     """Base class for all validation and usage errors in this package."""
@@ -255,14 +257,27 @@ def order_pvalues(values: Iterable[float]) -> PValueVector:
     return PValueVector(values=vals, order=order)
 
 
+def _boundary_values(values: Iterable[Any], what: str) -> tuple[float, ...]:
+    """Entries of a caller's table with numpy real scalars (a float32 array's
+    elements, say) converted to float. Booleans are refused: ``bool`` is an
+    ``int`` subclass, so the range check alone would take True as 1."""
+    out = []
+    for pos, v in enumerate(values, start=1):
+        if isinstance(v, (bool, np.bool_)):
+            raise OutOfRangeError(pos, v, what)
+        out.append(float(v) if isinstance(v, (np.floating, np.integer)) else v)
+    return tuple(out)
+
+
 def validate_schedule(k: int, n: int, alphas: Iterable[float]) -> CriticalSchedule:
     """Build a :class:`CriticalSchedule`, rejecting ill-shaped or decreasing input."""
-    return CriticalSchedule(k=k, n=n, alphas=tuple(alphas))
+    return CriticalSchedule(k=k, n=n, alphas=_boundary_values(alphas, "critical value"))
 
 
 def validate_family(k: int, n: int, table: Iterable[Iterable[float]]) -> LocalTestFamily:
     """Build a :class:`LocalTestFamily` from a triangular table of rows m = k..n."""
-    return LocalTestFamily(k=k, n=n, rows=tuple(tuple(row) for row in table))
+    rows = tuple(_boundary_values(row, f"family value in row m={m}") for m, row in enumerate(table, start=k))
+    return LocalTestFamily(k=k, n=n, rows=rows)
 
 
 def check_theorem43_condition(family: LocalTestFamily) -> bool:

@@ -92,8 +92,8 @@ class SimulationConfig:
             raise ConfigError(f"unknown dependence {self.dependence!r}, expected one of {DEPENDENCE}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.delta < 0.0:
-            raise ConfigError(f"delta must be >= 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ConfigError(f"delta must be a finite number >= 0, got {self.delta}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

@@ -296,6 +296,16 @@ class TestCmdSimulate:
         )
         assert code == EXIT_BAD_FLAGS
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_3(self, delta, capsys):
+        code, out, err = run_main(
+            ["simulate", "--n", "4", "--true-nulls", "2", "--k", "1", "--alpha", "0.05",
+             "--reps", "10", "--delta", delta],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and "delta" in err
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         argv = ["simulate", "--n", "4", "--true-nulls", "4", "--k", "1", "--alpha", "0.05",
                 "--reps", "20"]

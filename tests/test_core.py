@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,17 @@ class TestValidateSchedule:
     def test_equalities_allowed(self):
         validate_schedule(1, 4, (0.0, 0.1, 0.1, 0.1))
 
+    def test_numpy_float32_entries_accepted(self):
+        s = validate_schedule(1, 2, np.array([0.1, 0.2], dtype=np.float32))
+        assert s.alphas == (float(np.float32(0.1)), float(np.float32(0.2)))
+        assert all(type(a) is float for a in s.alphas)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_entries_refused(self, flag):
+        with pytest.raises(OutOfRangeError) as exc:
+            validate_schedule(1, 2, [0.1, flag])
+        assert exc.value.position == 2
+
 
 class TestValidateFamily:
     def test_constant_family_shape(self):
@@ -144,6 +156,17 @@ class TestValidateFamily:
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRangeError):
             validate_family(4, 3, [])
+
+    def test_numpy_float32_rows_accepted(self):
+        table = [np.array(row, dtype=np.float32) for row in ([0.05], [0.04, 0.04])]
+        fam = validate_family(2, 3, table)
+        assert fam.rows == ((float(np.float32(0.05)),), (float(np.float32(0.04)),) * 2)
+
+    @pytest.mark.parametrize("flag", [False, np.False_])
+    def test_bool_entries_refused(self, flag):
+        with pytest.raises(OutOfRangeError, match="row m=3") as exc:
+            validate_family(2, 3, [[0.05], [flag, 0.04]])
+        assert exc.value.position == 1
 
 
 @given(

@@ -136,20 +136,46 @@ class TestClosedTesting:
         with pytest.raises(LengthMismatchError):
             closed_testing(order_pvalues([0.1, 0.2]), constant_family(2, 3, 0.05))
 
+    @staticmethod
+    def _random_case(rng, trial, n):
+        """A (p, family) pair at size n, cycling k through 1, n and a random
+        value, and the family through random, stepdown-as and stepup-as."""
+        k = (1, n, int(rng.integers(1, n + 1)))[trial % 3]
+        if trial % 4 == 0:
+            fam = stepdown_as_family(random_schedule(rng, k, n))
+        elif trial % 4 == 1:
+            fam = stepup_as_family(random_schedule(rng, k, n))
+        else:
+            fam = random_family(rng, k, n)
+        return random_pvalues(rng, n, [v for row in fam.rows for v in row]), fam
+
     def test_matches_combinations_oracle(self):
         rng = np.random.default_rng(17)
-        for _ in range(120):
-            n = int(rng.integers(1, 7))
-            k = int(rng.integers(1, n + 1))
-            fam = random_family(rng, k, n)
-            p = random_pvalues(rng, n, [v for row in fam.rows for v in row])
+        for trial in range(300):
+            p, fam = self._random_case(rng, trial, int(rng.integers(1, 10)))
             got = rejected_set(closed_testing(p, fam))
-            want = closed_testing_oracle(p.values, k, fam.rows)
+            want = closed_testing_oracle(p.values, fam.k, fam.rows)
             assert got == want
 
+    def test_sliced_and_grown_tables_match_oracle(self, monkeypatch):
+        """Sizes 10, 6, 12 in turn: the first builds the tables, the second
+        reads a slice of them, the third rebuilds them larger."""
+        import kfwer.procedures as procedures
+
+        monkeypatch.setattr(procedures, "_closure_tables", None)
+        rng = np.random.default_rng(29)
+        for n in (10, 6, 12):
+            # quadratically spaced p-values under Simes rows reject part of the set
+            cases = [(order_pvalues([0.004 * i * i for i in range(n, 0, -1)]), simes_family(2, n, 0.3))]
+            cases += [self._random_case(rng, trial, n) for trial in range(3)]
+            for p, fam in cases:
+                assert rejected_set(closed_testing(p, fam)) == closed_testing_oracle(p.values, fam.k, fam.rows)
+            assert procedures._closure_tables[1].shape[1] == max(10, n)
+
     def test_subset_decisions_agree_with_evaluate_local_test(self):
-        """The engine's inlined per-subset comparison is the same decision
-        evaluate_local_test makes on the materialized subset."""
+        """The engine's per-subset decision is the one evaluate_local_test
+        makes on the materialized subset, and the cardinalities it accepts
+        are the ones reported."""
         import itertools
 
         from kfwer import evaluate_local_test
@@ -161,15 +187,19 @@ class TestClosedTesting:
             fam = random_family(rng, k, n)
             p = random_pvalues(rng, n, [v for row in fam.rows for v in row])
             rejected = [True] * n
+            accepted_cards = set()
             ranked = sorted(range(n), key=lambda j: (p.values[j], j))
             for m in range(k, n + 1):
                 for subset in itertools.combinations(ranked, m):
                     members = [j for j in ranked if j in subset]
                     subset_p = [p.values[j] for j in members]
                     if not evaluate_local_test(subset_p, fam.row(m)):
+                        accepted_cards.add(m)
                         for j in members[k - 1 :]:
                             rejected[j] = False
-            assert tuple(rejected) == closed_testing(p, fam).rejection.rejected
+            res = closed_testing(p, fam)
+            assert tuple(rejected) == res.rejection.rejected
+            assert res.detail["accepted_cardinalities"] == tuple(sorted(accepted_cards))
 
 
 class TestGeneralizedHommel:

@@ -48,6 +48,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(**overrides)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ConfigError, match="delta"):
+            config(delta=delta)
+
     def test_rho_ignored_when_independent(self):
         cfg = config(dependence="independent", rho=0.7)
         assert cfg.effective_rho == 0.0
