@@ -4,7 +4,8 @@ The central inequality bounds the chance that the first m order
 statistics of t p-values all fall below a nondecreasing threshold
 sequence; everything else here is a reparameterization of it. Sums are
 accumulated strictly left to right so that the different entry points
-produce bitwise-identical floats.
+produce bitwise-identical floats; where numpy does the summing
+(``d1``), it is ``np.cumsum``, which also adds left to right.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     BadShapeError,
@@ -79,14 +82,26 @@ def d1(schedule: CriticalSchedule) -> float:
 
     Computed by exhaustively scanning every subset cardinality m = k..n;
     the scan is the definition, so there is no shortcut to get out of
-    sync with.
+    sync with. Each cardinality's terms ``m*alpha_{n-m+k}/k`` and
+    ``m*(alpha_{n-m+j} - alpha_{n-m+j-1})/j`` for j = k+1..m are formed as
+    one array and summed with ``np.cumsum``, which adds strictly left to
+    right, so the result is bitwise the float of a plain running sum
+    (``np.sum`` and ``math.fsum`` round differently and are not used).
+    Memory is O(n): one cardinality's terms at a time.
     """
     k, n = schedule.k, schedule.n
+    alphas = np.asarray(schedule.alphas, dtype=np.float64)
+    steps = np.diff(alphas)
+    divisors = np.arange(k + 1, n + 1, dtype=np.float64)
+    terms = np.empty(n - k + 1)
     best = -math.inf
     for m in range(k, n + 1):
-        term = m * schedule.alpha(n - m + k) / k
-        for j in range(k + 1, m + 1):
-            term += m * (schedule.alpha(n - m + j) - schedule.alpha(n - m + j - 1)) / j
+        lo, width = n - m, m - k  # alphas[lo] is alpha_{n-m+k}
+        terms[0] = m * alphas[lo] / k
+        tail = terms[1 : width + 1]
+        np.multiply(steps[lo : lo + width], m, out=tail)
+        np.divide(tail, divisors[:width], out=tail)
+        term = float(np.cumsum(terms[: width + 1])[-1])
         if term > best:
             best = term
     return best

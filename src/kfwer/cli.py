@@ -179,6 +179,8 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
         raise FlagError(f"--k {k} must lie in 1..n={n}")
     if not 0.0 < alpha < 1.0:
         raise FlagError(f"--alpha {alpha} must lie strictly between 0 and 1")
+    if args.procedure == "closed" and n > EXHAUSTIVE_LIMIT:
+        raise FlagError(f"--procedure closed supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got {n}")
     spec = args.schedule
     from_file = spec.startswith("file:")
 
@@ -207,8 +209,6 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
         )
     if args.procedure == "hommel":
         return generalized_hommel(p, fam)
-    if n > EXHAUSTIVE_LIMIT:
-        raise FlagError(f"--procedure closed supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got {n}")
     return closed_testing(p, fam)
 
 

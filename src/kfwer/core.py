@@ -1,7 +1,9 @@
 """Domain types for k-FWER multiple testing: p-value vectors, critical
 value schedules, local test families, and rejection sets.
 
-All types are immutable and validated at construction. Indices follow the
+All types are immutable and validated at construction; only
+``order_pvalues`` and the package's family constructors, whose output is
+valid by construction, skip the repeat checks. Indices follow the
 statistical convention: hypotheses are 1-based in user-facing messages and
 in the CLI, while ``PValueVector.order`` stores 0-based positions for
 direct indexing.
@@ -100,8 +102,31 @@ class TooLargeError(KfwerError):
         super().__init__(f"exhaustive closed testing supports at most n={limit} hypotheses, got n={n}")
 
 
+class FamilyTooLargeError(KfwerError):
+    """A materialized local-test family would exceed the entry cap."""
+
+    def __init__(self, n: int, entries: int, cap: int):
+        self.n, self.entries, self.cap = n, entries, cap
+        super().__init__(
+            f"a local-test family for n={n} hypotheses needs {entries} table entries, "
+            f"above the cap of {cap}; use stepdown or stepup at this size"
+        )
+
+
 class DegenerateScheduleError(KfwerError):
     """A schedule normalization constant is zero (all-zero critical values)."""
+
+
+def _unvalidated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set and
+    ``__post_init__`` not run. Only for values that are valid by
+    construction: :func:`order_pvalues` and the package's own family
+    constructors. Everything built from a caller's data goes through the
+    class itself."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_unit_interval(values: Sequence[float], what: str) -> None:
@@ -248,13 +273,15 @@ def order_pvalues(values: Iterable[float]) -> PValueVector:
 
     Ties are broken by ascending original position, which makes every
     downstream procedure deterministic. Input values are not modified.
+    The range check here is the only one: the order is a stable sort, so
+    the result does not go through :class:`PValueVector`'s checks again.
     """
     vals = tuple(float(v) for v in values)
     if len(vals) == 0:
         raise EmptyInputError("need at least one p-value")
     _check_unit_interval(vals, "p-value")
     order = tuple(sorted(range(len(vals)), key=lambda j: vals[j]))  # stable: ties keep index order
-    return PValueVector(values=vals, order=order)
+    return _unvalidated(PValueVector, values=vals, order=order)
 
 
 def _boundary_values(values: Iterable[Any], what: str) -> tuple[float, ...]:

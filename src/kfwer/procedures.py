@@ -21,16 +21,24 @@ from .core import (
     AlphaOutOfRangeError,
     CriticalSchedule,
     DegenerateScheduleError,
+    FamilyTooLargeError,
     KOutOfRangeError,
     LengthMismatchError,
     LocalTestFamily,
     PValueVector,
     RejectionSet,
     TooLargeError,
+    _unvalidated,
 )
 
 # Exhaustive subset enumeration is exponential in n; refuse beyond this.
 EXHAUSTIVE_LIMIT = 18
+
+# Entries of a materialized local-test family table, (n-k+1)(n-k+2)/2, which
+# is n(n+1)/2 at k = 1. At up to about 32 bytes per entry (a float and its
+# slot in a row tuple) the cap keeps a table under 1 GB; at k = 1 it admits
+# n <= 7745. The family constructors refuse a larger table before building it.
+MAX_FAMILY_ENTRIES = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -299,11 +307,28 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     )
 
 
+def _check_family_size(k: int, n: int) -> None:
+    """Refuse a family table above ``MAX_FAMILY_ENTRIES`` before building it."""
+    width = n - k + 1
+    entries = width * (width + 1) // 2
+    if entries > MAX_FAMILY_ENTRIES:
+        raise FamilyTooLargeError(n, entries, MAX_FAMILY_ENTRIES)
+
+
+# The family constructors below skip LocalTestFamily's O(n^2) checks. Their
+# tables are valid by construction: each starts from a validated schedule or
+# from (k, n, alpha) checked by _check_level, and every entry is a product or
+# quotient of nonnegative values whose operands move monotonically with i and
+# m. Correctly rounded arithmetic is monotone in each operand, so rows stay
+# nondecreasing in i and columns nonincreasing in m.
+
+
 def constant_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     """Local tests with constant row values k*alpha/m for cardinality m."""
     _check_level(k, n, alpha)
-    rows = tuple(tuple(k * alpha / m for _ in range(k, m + 1)) for m in range(k, n + 1))
-    return LocalTestFamily(k=k, n=n, rows=rows)
+    _check_family_size(k, n)
+    rows = tuple((k * alpha / m,) * (m - k + 1) for m in range(k, n + 1))
+    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
 
 def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
@@ -311,8 +336,9 @@ def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     critical values, turning the Hommel shortcut into the classical
     Hommel procedure."""
     _check_level(k, n, alpha)
+    _check_family_size(k, n)
     rows = tuple(tuple(i * alpha / m for i in range(k, m + 1)) for m in range(k, n + 1))
-    return LocalTestFamily(k=k, n=n, rows=rows)
+    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
 
 def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
@@ -324,6 +350,7 @@ def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(alpha)
     k, n = base.k, base.n
+    _check_family_size(k, n)
     d = d1(base)
     if d == 0.0:
         raise DegenerateScheduleError("base schedule is identically zero")
@@ -331,7 +358,7 @@ def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
         tuple(_scaled(alpha, base.alpha(n - m + i), d) for i in range(k, m + 1))
         for m in range(k, n + 1)
     )
-    return LocalTestFamily(k=k, n=n, rows=rows)
+    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
 
 def stepdown_as_family(s: CriticalSchedule) -> LocalTestFamily:
@@ -339,12 +366,13 @@ def stepdown_as_family(s: CriticalSchedule) -> LocalTestFamily:
 
     Row m is constant at alpha_{n-m+k}: a size-m subset is tested against
     the schedule value its rank-k member would face globally in the worst
-    case. Materialized as a full table so it passes family validation and
-    exercises the same closed-testing path as user-supplied families.
+    case. Materialized as a full table so it exercises the same
+    closed-testing path as user-supplied families.
     """
     k, n = s.k, s.n
-    rows = tuple(tuple(s.alpha(n - m + k) for _ in range(k, m + 1)) for m in range(k, n + 1))
-    return LocalTestFamily(k=k, n=n, rows=rows)
+    _check_family_size(k, n)
+    rows = tuple((s.alpha(n - m + k),) * (m - k + 1) for m in range(k, n + 1))
+    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
 
 def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
@@ -355,5 +383,6 @@ def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
     testing collapses to a stepup scan.
     """
     k, n = s.k, s.n
+    _check_family_size(k, n)
     rows = tuple(tuple(s.alpha(n - m + i) for i in range(k, m + 1)) for m in range(k, n + 1))
-    return LocalTestFamily(k=k, n=n, rows=rows)
+    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)

@@ -31,6 +31,7 @@ from .core import (
     order_pvalues,
 )
 from .procedures import (
+    EXHAUSTIVE_LIMIT,
     ProcedureResult,
     closed_testing,
     constant_family,
@@ -84,6 +85,8 @@ class SimulationConfig:
             raise AlphaOutOfRangeError(self.alpha)
         if self.procedure not in PROCEDURES:
             raise ConfigError(f"unknown procedure {self.procedure!r}, expected one of {PROCEDURES}")
+        if self.procedure == "closed" and self.n > EXHAUSTIVE_LIMIT:
+            raise ConfigError(f"closed testing supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got n={self.n}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
         if self.reps < 1:

@@ -3,10 +3,13 @@
 Everything here is deliberately written with different machinery than
 the library (itertools.combinations instead of bitmasks, Fraction
 arithmetic instead of floats, forward scans instead of backward ones) so
-that agreement between the two is meaningful.
+that agreement between the two is meaningful. The one float reference,
+``d1_float_reference``, is the plain loop that the vectorized ``d1`` must
+reproduce bit for bit.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -42,6 +45,20 @@ def d1_oracle(k, n, alphas):
         if best is None or term > best:
             best, best_m = term, m
     return best, best_m
+
+
+def d1_float_reference(k, n, alphas):
+    """The D1 normalization as a plain float loop: each cardinality's terms
+    added one at a time, left to right. ``kfwer.bounds.d1`` must return
+    this float bit for bit."""
+    best = -math.inf
+    for m in range(k, n + 1):
+        term = m * alphas[n - m] / k
+        for j in range(k + 1, m + 1):
+            term += m * (alphas[n - m + j - k] - alphas[n - m + j - k - 1]) / j
+        if term > best:
+            best = term
+    return best
 
 
 def stepdown_oracle(values, k, alphas):

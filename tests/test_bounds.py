@@ -25,7 +25,7 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
-from oracles import d1_oracle, lemma31_oracle, type1_oracle
+from oracles import d1_float_reference, d1_oracle, lemma31_oracle, type1_oracle
 
 
 def sorted_betas(min_size=1, max_size=10):
@@ -174,6 +174,25 @@ class TestD1:
             s = validate_schedule(k, n, alphas)
             want, _ = d1_oracle(k, n, alphas)
             assert math.isclose(d1(s), float(want), rel_tol=1e-12, abs_tol=1e-15)
+
+    def test_bitwise_equal_to_float_loop(self):
+        """The per-cardinality cumsum returns the plain loop's float exactly,
+        with ties, runs of zeros, k = 1, k = n and n = 1 among the cases."""
+        rng = np.random.default_rng(20061)
+        for trial in range(300):
+            n = 1 if trial % 25 == 0 else int(rng.integers(1, 61))
+            k = (1, n, int(rng.integers(1, n + 1)))[trial % 3]
+            alphas = np.sort(rng.uniform(0.0, 1.0, n - k + 1))
+            if trial % 4 == 1:
+                alphas = np.round(alphas, 2)
+            if trial % 5 == 2:
+                alphas[: int(rng.integers(0, alphas.size + 1))] = 0.0
+            alphas = alphas.tolist()
+            assert d1(validate_schedule(k, n, alphas)) == d1_float_reference(k, n, alphas)
+
+    def test_bitwise_equal_to_float_loop_at_n_2000(self):
+        s = lehmann_romano_schedule(2, 2000, 0.05)
+        assert d1(s) == d1_float_reference(s.k, s.n, s.alphas)
 
 
 class TestScaledFamilyCertification:

@@ -154,6 +154,34 @@ class TestCmdTest:
         assert code == EXIT_BAD_FLAGS
         assert "18" in err
 
+    @pytest.mark.parametrize("schedule", ["constant", "romano-shaikh", "file:{tmp}/missing.csv"])
+    def test_closed_size_limit_checked_before_family(self, schedule, tmp_path, capsys):
+        """At n = 19 the closed-testing limit is refused (exit 3) before any
+        family is built or read, so a missing family file or base schedule
+        is never reached."""
+        path = tmp_path / "nineteen.txt"
+        path.write_text("".join("0.5\n" for _ in range(19)))
+        code, out, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "closed",
+             "--schedule", schedule.format(tmp=tmp_path), "--input", str(path),
+             "--base-schedule", str(tmp_path / "missing-base.txt")],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and "at most n=18" in err and "got 19" in err
+
+    def test_oversized_family_exits_3(self, pfile, capsys, monkeypatch):
+        from kfwer import procedures
+
+        monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 14)
+        code, out, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "hommel",
+             "--schedule", "constant", "--input", pfile],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and "n=5" in err and "14" in err
+
     def test_k_larger_than_n_exits_3(self, pfile, capsys):
         code, _, _ = run_main(
             ["test", "--k", "9", "--alpha", "0.05", "--procedure", "stepdown",
@@ -287,6 +315,15 @@ class TestCmdSimulate:
             capsys,
         )
         assert code == EXIT_BAD_FLAGS
+
+    def test_closed_above_limit_exits_3(self, capsys):
+        code, out, err = run_main(
+            ["simulate", "--n", "19", "--true-nulls", "19", "--k", "1", "--alpha", "0.05",
+             "--procedure", "closed", "--schedule", "constant", "--reps", "10"],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and "at most n=18" in err
 
     def test_bad_rho_exits_3(self, capsys):
         code, _, _ = run_main(

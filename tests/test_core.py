@@ -11,16 +11,19 @@ from kfwer import (
     BadShapeError,
     EmptyInputError,
     KOutOfRangeError,
+    LocalTestFamily,
     NotMonotoneError,
     NotMonotoneInIError,
     NotMonotoneInMError,
     OutOfRangeError,
+    PValueVector,
     RejectionSet,
     check_theorem43_condition,
     constant_family,
     lehmann_romano_schedule,
     order_pvalues,
     scaled_family,
+    simes_family,
     stepdown_as_family,
     stepup_as_family,
     validate_family,
@@ -28,6 +31,7 @@ from kfwer import (
 )
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
 
 
 class TestOrderPValues:
@@ -72,9 +76,15 @@ class TestOrderPValues:
         rnd.shuffle(shuffled)
         assert order_pvalues(shuffled).sorted_values() == order_pvalues(values).sorted_values()
 
-    def test_rejects_unsorted_order(self):
-        from kfwer import PValueVector
+    @given(st.lists(TIED_PVALS, min_size=1, max_size=30))
+    @settings(max_examples=100)
+    def test_result_passes_pvalue_vector_checks(self, values):
+        """order_pvalues skips PValueVector's checks; rebuilding through
+        them must succeed, ties included."""
+        p = order_pvalues(values)
+        assert PValueVector(values=p.values, order=p.order) == p
 
+    def test_rejects_unsorted_order(self):
         with pytest.raises(BadShapeError):
             PValueVector(values=(0.2, 0.1), order=(0, 1))
         with pytest.raises(BadShapeError):
@@ -172,20 +182,24 @@ class TestValidateFamily:
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=0, max_value=7),
-    st.floats(min_value=0.001, max_value=0.99),
+    st.floats(min_value=0.001, max_value=1.0, exclude_max=True),
+    st.data(),
 )
-@settings(max_examples=60)
-def test_constructors_produce_valid_families(k, extra, alpha):
-    """Every named constructor yields a table that passes validation."""
+@settings(max_examples=100)
+def test_constructors_produce_valid_families(k, extra, alpha, data):
+    """Every named constructor yields a table that passes validation. The
+    constructors skip LocalTestFamily's checks, so rebuilding each table
+    through it must succeed, over Lehmann-Romano and random bases with
+    ties and zeros."""
     n = k + extra
-    base = lehmann_romano_schedule(k, n, alpha)
-    for fam in (
-        constant_family(k, n, alpha),
-        stepdown_as_family(base),
-        stepup_as_family(base),
-        scaled_family(base, alpha),
-    ):
-        validate_family(fam.k, fam.n, fam.rows)
+    raw = data.draw(st.lists(TIED_PVALS, min_size=n - k + 1, max_size=n - k + 1))
+    families = [constant_family(k, n, alpha), simes_family(k, n, alpha)]
+    for base in (lehmann_romano_schedule(k, n, alpha), validate_schedule(k, n, sorted(raw))):
+        families += [stepdown_as_family(base), stepup_as_family(base)]
+        if base.alphas[-1] > 0.0:
+            families.append(scaled_family(base, alpha))
+    for fam in families:
+        assert LocalTestFamily(k=fam.k, n=fam.n, rows=fam.rows) == fam
 
 
 class TestTheorem43Condition:

@@ -3,6 +3,7 @@ equivalence/dominance relations that tie the shortcuts to the
 exhaustive closed-testing engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfwer import (
+    MAX_FAMILY_ENTRIES,
     DegenerateScheduleError,
+    FamilyTooLargeError,
     LengthMismatchError,
     TooLargeError,
     closed_testing,
@@ -29,6 +32,7 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
+from kfwer import procedures
 from kfwer.verify import random_family, random_pvalues, random_schedule
 from oracles import closed_testing_oracle, hommel_oracle, stepdown_oracle, stepup_oracle
 
@@ -346,6 +350,43 @@ class TestFamilyConstructors:
     def test_simes_family_values(self):
         fam = simes_family(1, 4, 0.04)
         assert fam.row(4) == (0.01, 0.02, 0.03, 0.04)
+
+    FAMILY_BUILDERS = {
+        "constant": lambda base: constant_family(base.k, base.n, 0.05),
+        "simes": lambda base: simes_family(base.k, base.n, 0.05),
+        "scaled": lambda base: scaled_family(base, 0.05),
+        "stepdown-as": stepdown_as_family,
+        "stepup-as": stepup_as_family,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_oversized_table_refused_before_building(self, name, monkeypatch):
+        """With the cap lowered to 100,000 entries, n = 447 (100,128 entries,
+        about 3 MB if built) is refused before d1 or any row runs, and
+        n = 446 (99,681 entries) is built."""
+        build = self.FAMILY_BUILDERS[name]
+        d1_calls = []
+        real_d1 = procedures.d1
+        monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 100_000)
+        monkeypatch.setattr(procedures, "d1", lambda s: d1_calls.append(s.n) or real_d1(s))
+        over = lehmann_romano_schedule(1, 447, 0.05)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FamilyTooLargeError) as exc:
+                build(over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.n, exc.value.entries, exc.value.cap) == (447, 100_128, 100_000)
+        assert "n=447" in str(exc.value) and "100000" in str(exc.value)
+        assert d1_calls == [] and peak < 64_000
+        assert build(lehmann_romano_schedule(1, 446, 0.05)).n == 446
+
+    def test_entry_cap_sizing(self):
+        """About 32 bytes per entry keeps the largest table under 1 GB; at
+        k = 1 the cap admits n = 7745, far above n = 1000."""
+        assert MAX_FAMILY_ENTRIES * 32 < 2**30
+        assert 7745 * 7746 // 2 <= MAX_FAMILY_ENTRIES < 7746 * 7747 // 2
 
 
 size_and_k = st.integers(min_value=1, max_value=8).flatmap(

@@ -42,6 +42,7 @@ class TestConfigValidation:
             dict(schedule="simes"),
             dict(dependence="arbitrary"),
             dict(seed=-1),
+            dict(procedure="closed", schedule="constant", n=19),
         ],
     )
     def test_rejects_invalid(self, overrides):
