@@ -27,17 +27,16 @@ from .core import (
 )
 from .procedures import (
     EXHAUSTIVE_LIMIT,
+    FAMILY_PROCEDURES,
+    PROCEDURES,
+    SCHEDULES,
     ProcedureResult,
-    closed_testing,
-    constant_family,
-    generalized_hommel,
-    lehmann_romano_schedule,
-    romano_shaikh_schedule,
-    scaled_family,
-    stepdown,
-    stepup,
+    bind_procedure,
+    check_procedure,
+    critical_values,
+    rescales_base,
 )
-from .simulation import SimulationConfig, estimate_kfwer
+from .simulation import DEPENDENCE, SimulationConfig, estimate_kfwer
 from .verify import THEOREMS, run_theorem_trials
 
 EXIT_OK = 0
@@ -174,48 +173,23 @@ def _emit(payload: dict, output: Optional[str]) -> None:
 
 
 def _run_procedure(args, p: PValueVector) -> ProcedureResult:
-    n, k, alpha = p.n, args.k, args.alpha
-    if not 1 <= k <= n:
-        raise FlagError(f"--k {k} must lie in 1..n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise FlagError(f"--alpha {alpha} must lie strictly between 0 and 1")
-    if args.procedure == "closed" and n > EXHAUSTIVE_LIMIT:
-        raise FlagError(f"--procedure closed supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got {n}")
-    spec = args.schedule
-    from_file = spec.startswith("file:")
-
-    if args.procedure in ("stepdown", "stepup"):
-        if from_file:
-            sched = _read_schedule_file(spec[len("file:"):], k, n)
-        elif spec == "lehmann-romano":
-            sched = lehmann_romano_schedule(k, n, alpha)
-        elif spec == "romano-shaikh":
-            sched = romano_shaikh_schedule(_require_base(args, k, n), alpha)
-        else:  # constant: single-step generalized Bonferroni value
-            sched = validate_schedule(k, n, [k * alpha / n] * (n - k + 1))
-        fn = stepdown if args.procedure == "stepdown" else stepup
-        return fn(p, sched)
-
-    if from_file:
-        fam = _read_family_file(spec[len("file:"):], k, n)
-    elif spec == "constant":
-        fam = constant_family(k, n, alpha)
-    elif spec == "romano-shaikh":
-        fam = scaled_family(_require_base(args, k, n), alpha)
+    """Check the flags, read any ``file:`` or ``--base-schedule`` file, and
+    run the procedure; names resolve in :mod:`kfwer.procedures`."""
+    proc, spec, k, n, alpha = args.procedure, args.schedule, args.k, p.n, args.alpha
+    path = spec[len("file:"):] if spec.startswith("file:") else None
+    check_procedure(proc, None if path else spec, k, n, alpha)
+    if rescales_base(spec) and not args.base_schedule:
+        raise FlagError(f"--schedule {spec} requires --base-schedule PATH")
+    if args.base_schedule and not rescales_base(spec):
+        raise FlagError(f"--base-schedule applies only to --schedule romano-shaikh, not --schedule {spec}")
+    if path is None:
+        critical = critical_values(proc, spec, k, n, alpha,
+                                   base=lambda: _read_schedule_file(args.base_schedule, k, n))
+    elif proc in FAMILY_PROCEDURES:
+        critical = _read_family_file(path, k, n)
     else:
-        raise FlagError(
-            f"--schedule {spec} is single-indexed and has no local-test family constructor; "
-            f"--procedure {args.procedure} needs 'constant', 'romano-shaikh', or 'file:PATH'"
-        )
-    if args.procedure == "hommel":
-        return generalized_hommel(p, fam)
-    return closed_testing(p, fam)
-
-
-def _require_base(args, k: int, n: int) -> CriticalSchedule:
-    if not args.base_schedule:
-        raise FlagError("--schedule romano-shaikh requires --base-schedule PATH")
-    return _read_schedule_file(args.base_schedule, k, n)
+        critical = _read_schedule_file(path, k, n)
+    return bind_procedure(proc, critical)(p)
 
 
 def cmd_test(args) -> int:
@@ -230,9 +204,9 @@ def cmd_test(args) -> int:
     p = order_pvalues(values)
     result = _run_procedure(args, p)
     if result.schedule is not None:
-        critical_values = list(result.schedule.alphas)
+        critical = list(result.schedule.alphas)
     else:
-        critical_values = [list(row) for row in result.family.rows]
+        critical = [list(row) for row in result.family.rows]
     if result.procedure in ("stepdown", "stepup"):
         detail = {"r": result.detail["r"]}
     elif result.procedure == "generalized_hommel":
@@ -244,7 +218,7 @@ def cmd_test(args) -> int:
         "k": args.k,
         "alpha": args.alpha,
         "procedure": args.procedure,
-        "critical_values": critical_values,
+        "critical_values": critical,
         "rejected": [j + 1 for j in result.rejection.rejected_indices()],
         "detail": detail,
     }
@@ -320,15 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="apply a procedure to p-values from a file or stdin")
     t.add_argument("--k", type=int, required=True, help="tolerated false rejections minus one, 1 <= k <= n")
     t.add_argument("--alpha", type=float, required=True, help="target error level in (0, 1)")
-    t.add_argument("--procedure", required=True, choices=["stepdown", "stepup", "hommel", "closed"])
+    t.add_argument("--procedure", required=True, choices=PROCEDURES)
     t.add_argument(
         "--schedule",
         required=True,
-        help="lehmann-romano | romano-shaikh | constant | file:PATH "
-        "(schedule file: one value per line; family file: CSV m,i,alpha)",
+        help=" | ".join(SCHEDULES + ("file:PATH",))
+        + " (schedule file: one value per line; family file: CSV m,i,alpha)",
     )
     t.add_argument("--input", help="p-value file (one per line, or CSV id,p); stdin when omitted or '-'")
-    t.add_argument("--base-schedule", help="base schedule file for romano-shaikh (one value per line)")
+    t.add_argument("--base-schedule", help="base schedule file for romano-shaikh, and only for it (one value per line)")
     t.add_argument("--output", help="write the JSON report here instead of stdout")
     t.set_defaults(fn=cmd_test)
 
@@ -337,10 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--true-nulls", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--procedure", default="stepdown", choices=["stepdown", "stepup", "hommel", "closed"])
-    s.add_argument("--schedule", default="lehmann-romano", choices=["lehmann-romano", "romano-shaikh", "constant"])
+    s.add_argument("--procedure", default="stepdown", choices=PROCEDURES)
+    s.add_argument("--schedule", default="lehmann-romano", choices=SCHEDULES,
+                   help="romano-shaikh rescales the lehmann-romano values")
     s.add_argument("--reps", type=int, default=10_000)
-    s.add_argument("--dependence", default="independent", choices=["independent", "equicorrelated"])
+    s.add_argument("--dependence", default="independent", choices=DEPENDENCE)
     s.add_argument("--rho", type=float, default=0.0)
     s.add_argument("--delta", type=float, default=0.0)
     s.add_argument("--seed", type=int, help="defaults to KFWER_SEED, then 0")

@@ -2,8 +2,9 @@
 value schedules, local test families, and rejection sets.
 
 All types are immutable and validated at construction; only
-``order_pvalues`` and the package's family constructors, whose output is
-valid by construction, skip the repeat checks. Indices follow the
+``order_pvalues``, the Lehmann-Romano and single-step constant schedules
+and the package's family constructors, whose output is valid by
+construction, skip the repeat checks. Indices follow the
 statistical convention: hypotheses are 1-based in user-facing messages and
 in the CLI, while ``PValueVector.order`` stores 0-based positions for
 direct indexing.
@@ -117,12 +118,17 @@ class DegenerateScheduleError(KfwerError):
     """A schedule normalization constant is zero (all-zero critical values)."""
 
 
+class ConfigError(KfwerError):
+    """An invalid request: an unknown procedure or schedule name, a pairing
+    of the two that has no meaning, or a simulation setting out of range."""
+
+
 def _unvalidated(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` set and
     ``__post_init__`` not run. Only for values that are valid by
-    construction: :func:`order_pvalues` and the package's own family
-    constructors. Everything built from a caller's data goes through the
-    class itself."""
+    construction: :func:`order_pvalues` and the package's own schedule
+    and family constructors. Everything built from a caller's data goes
+    through the class itself."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

@@ -12,13 +12,14 @@ against which the shortcuts are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from .bounds import d1
 from .core import (
     AlphaOutOfRangeError,
+    ConfigError,
     CriticalSchedule,
     DegenerateScheduleError,
     FamilyTooLargeError,
@@ -172,9 +173,7 @@ def _tables_for(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return card[:rows], rank[:rows, :n], idx[:rows, :n], rank.shape[1]
 
 
-def closed_testing(
-    p: PValueVector, f: LocalTestFamily, exhaustive_limit: int = EXHAUSTIVE_LIMIT
-) -> ProcedureResult:
+def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     """Generalized closed testing by exhaustive subset enumeration.
 
     A hypothesis is rejected iff every subset that contains it at rank k
@@ -189,14 +188,13 @@ def closed_testing(
     by array operations on precomputed tables of subset cardinalities and
     member ranks over the sorted positions. One read-only table set, sized
     for the largest n seen so far in the process, is kept and sliced for
-    smaller n. It takes about 24 MB at n = ``EXHAUSTIVE_LIMIT`` = 18, and
-    more than doubles with each hypothesis beyond that which a larger
-    ``exhaustive_limit`` admits.
+    smaller n. It takes about 24 MB at n = ``EXHAUSTIVE_LIMIT`` = 18; a
+    larger n raises :class:`TooLargeError`.
     """
     _require_same_n(p, f.n, "family")
     n, k = f.n, f.k
-    if n > exhaustive_limit:
-        raise TooLargeError(n, exhaustive_limit)
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooLargeError(n, EXHAUSTIVE_LIMIT)
     card, rank, idx, width = _tables_for(n)
     # hit[m, r, pos]: the sorted p-value at pos clears the rank-r value of
     # a size-m local test. Ranks below k compare against -inf, so they
@@ -277,10 +275,13 @@ def _check_level(k: int, n: int, alpha: float) -> None:
 def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
     """Stepdown critical values k*alpha/(n - i + k) for i = k..n.
 
-    At k = 1 this is Holm's schedule alpha/(n - i + 1).
+    At k = 1 this is Holm's schedule alpha/(n - i + 1). The values lie in
+    (0, alpha] and rise with i, so the schedule skips CriticalSchedule's
+    checks.
     """
     _check_level(k, n, alpha)
-    return CriticalSchedule(k=k, n=n, alphas=tuple(k * alpha / (n - i + k) for i in range(k, n + 1)))
+    alphas = tuple(k * alpha / (n - i + k) for i in range(k, n + 1))
+    return _unvalidated(CriticalSchedule, k=k, n=n, alphas=alphas)
 
 
 def _scaled(alpha: float, base_value: float, d: float) -> float:
@@ -386,3 +387,69 @@ def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
     _check_family_size(k, n)
     rows = tuple(tuple(s.alpha(n - m + i) for i in range(k, m + 1)) for m in range(k, n + 1))
     return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
+
+
+# The resolver: the one place that maps the procedure and schedule names of
+# `kfwer test` and `kfwer simulate` to critical values and a decision rule.
+# Stepdown and stepup take a single-indexed schedule; Hommel and closed
+# testing take a local-test family, which Lehmann-Romano does not have.
+# Constructors and deciders are looked up by name at call time, never
+# captured at import, so a rebound module name takes effect.
+PROCEDURES = ("stepdown", "stepup", "hommel", "closed")
+SCHEDULES = ("lehmann-romano", "romano-shaikh", "constant")
+FAMILY_PROCEDURES = ("hommel", "closed")
+
+CriticalValues = Union[CriticalSchedule, LocalTestFamily]
+
+
+def check_procedure(procedure: str, schedule: Optional[str], k: int, n: int, alpha: float) -> None:
+    """Refuse a request before anything is built or read: k and alpha out
+    of range, an unknown name, closed testing above ``EXHAUSTIVE_LIMIT``,
+    or a schedule with no form for the procedure. ``schedule`` is None
+    when the caller supplies the critical values itself."""
+    _check_level(k, n, alpha)
+    if procedure not in PROCEDURES:
+        raise ConfigError(f"unknown procedure {procedure!r}, expected one of {PROCEDURES}")
+    if procedure == "closed" and n > EXHAUSTIVE_LIMIT:
+        raise ConfigError(f"closed testing supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got {n}")
+    if schedule is not None and schedule not in SCHEDULES:
+        raise ConfigError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES}")
+    if schedule == "lehmann-romano" and procedure in FAMILY_PROCEDURES:
+        raise ConfigError(
+            f"schedule 'lehmann-romano' is single-indexed and has no local-test family form; "
+            f"{procedure!r} needs 'constant' or 'romano-shaikh'"
+        )
+
+
+def rescales_base(schedule: str) -> bool:
+    """Whether the named schedule is a rescaled base schedule (Romano-Shaikh)."""
+    return schedule == "romano-shaikh"
+
+
+def critical_values(
+    procedure: str, schedule: str, k: int, n: int, alpha: float, base: Callable[[], CriticalSchedule]
+) -> CriticalValues:
+    """The schedule or family that ``schedule`` names for ``procedure``, for
+    a request :func:`check_procedure` accepted.
+
+    ``base`` supplies the schedule that Romano-Shaikh rescales by ``d1``
+    and is called for that schedule only. ``constant`` is the single-step
+    value k*alpha/n for stepdown and stepup, and rows k*alpha/m as a family.
+    """
+    family = procedure in FAMILY_PROCEDURES
+    if rescales_base(schedule):
+        return scaled_family(base(), alpha) if family else romano_shaikh_schedule(base(), alpha)
+    if schedule == "lehmann-romano" and not family:
+        return lehmann_romano_schedule(k, n, alpha)
+    if schedule == "constant":
+        if family:
+            return constant_family(k, n, alpha)
+        # One value in (0, 1), repeated: valid by construction, so no re-check.
+        return _unvalidated(CriticalSchedule, k=k, n=n, alphas=(k * alpha / n,) * (n - k + 1))
+    raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
+
+
+def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValueVector], ProcedureResult]:
+    """The named decision rule with its critical values bound."""
+    rule = {"stepdown": stepdown, "stepup": stepup, "hommel": generalized_hommel, "closed": closed_testing}[procedure]
+    return lambda p: rule(p, critical)

@@ -21,35 +21,16 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (
-    KfwerError,
-    KOutOfRangeError,
-    AlphaOutOfRangeError,
-    CriticalSchedule,
-    PValueVector,
-    RejectionSet,
-    order_pvalues,
-)
+from .core import ConfigError, PValueVector, RejectionSet, order_pvalues
 from .procedures import (
-    EXHAUSTIVE_LIMIT,
     ProcedureResult,
-    closed_testing,
-    constant_family,
-    generalized_hommel,
+    bind_procedure,
+    check_procedure,
+    critical_values,
     lehmann_romano_schedule,
-    romano_shaikh_schedule,
-    scaled_family,
-    stepdown,
-    stepup,
 )
 
-PROCEDURES = ("stepdown", "stepup", "hommel", "closed")
-SCHEDULES = ("lehmann-romano", "romano-shaikh", "constant")
 DEPENDENCE = ("independent", "equicorrelated")
-
-
-class ConfigError(KfwerError):
-    """An invalid simulation configuration."""
 
 
 @dataclass(frozen=True)
@@ -79,16 +60,7 @@ class SimulationConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.n_true <= self.n:
             raise ConfigError(f"n_true must lie in 0..n={self.n}, got {self.n_true}")
-        if not 1 <= self.k <= self.n:
-            raise KOutOfRangeError(self.k, self.n)
-        if not 0.0 < self.alpha < 1.0:
-            raise AlphaOutOfRangeError(self.alpha)
-        if self.procedure not in PROCEDURES:
-            raise ConfigError(f"unknown procedure {self.procedure!r}, expected one of {PROCEDURES}")
-        if self.procedure == "closed" and self.n > EXHAUSTIVE_LIMIT:
-            raise ConfigError(f"closed testing supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got n={self.n}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}, expected one of {SCHEDULES}")
+        check_procedure(self.procedure, self.schedule, self.k, self.n, self.alpha)
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.dependence not in DEPENDENCE:
@@ -166,36 +138,12 @@ def generate_pvalues(
 
 
 def build_procedure(config: SimulationConfig) -> Callable[[PValueVector], ProcedureResult]:
-    """Resolve the configured procedure and schedule/family constructor.
-
-    The Romano-Shaikh variants use the Lehmann-Romano values as the base
-    schedule that D1 rescales. Stepwise procedures need a single-indexed
-    schedule ("lehmann-romano" or "romano-shaikh"; "constant" maps to the
-    single-step value k*alpha/n). Closed testing and Hommel need a family
-    ("constant" or "romano-shaikh"); "lehmann-romano" has no family form.
-    """
-    n, k, alpha = config.n, config.k, config.alpha
-    if config.procedure in ("stepdown", "stepup"):
-        if config.schedule == "lehmann-romano":
-            sched = lehmann_romano_schedule(k, n, alpha)
-        elif config.schedule == "romano-shaikh":
-            sched = romano_shaikh_schedule(lehmann_romano_schedule(k, n, alpha), alpha)
-        else:
-            sched = CriticalSchedule(k=k, n=n, alphas=(k * alpha / n,) * (n - k + 1))
-        fn = stepdown if config.procedure == "stepdown" else stepup
-        return lambda p: fn(p, sched)
-    if config.schedule == "constant":
-        fam = constant_family(k, n, alpha)
-    elif config.schedule == "romano-shaikh":
-        fam = scaled_family(lehmann_romano_schedule(k, n, alpha), alpha)
-    else:
-        raise ConfigError(
-            f"schedule {config.schedule!r} has no local-test family form; "
-            f"use 'constant' or 'romano-shaikh' with {config.procedure!r}"
-        )
-    if config.procedure == "hommel":
-        return lambda p: generalized_hommel(p, fam)
-    return lambda p: closed_testing(p, fam)
+    """The configured decision rule bound to its critical values (see
+    :func:`kfwer.procedures.critical_values`). Romano-Shaikh rescales the
+    Lehmann-Romano schedule."""
+    proc, k, n, alpha = config.procedure, config.k, config.n, config.alpha
+    return bind_procedure(proc, critical_values(proc, config.schedule, k, n, alpha,
+                                                base=lambda: lehmann_romano_schedule(k, n, alpha)))
 
 
 def estimate_kfwer(

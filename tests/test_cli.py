@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from kfwer import ConfigError, SimulationConfig, lehmann_romano_schedule, order_pvalues
 from kfwer.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
@@ -14,6 +15,8 @@ from kfwer.cli import (
     EXIT_OK,
     main,
 )
+from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES
+from kfwer.simulation import build_procedure
 
 FIVE_PVALUES = "0.2\n0.015\n0.8\n0.001\n0.03\n"
 
@@ -271,6 +274,29 @@ class TestCmdTest:
         report = json.loads(out)
         assert len(report["critical_values"]) == 5
 
+    @pytest.mark.parametrize("procedure", ["stepdown", "hommel"])
+    def test_base_schedule_refused_without_romano_shaikh(self, procedure, pfile, tmp_path, capsys):
+        """--base-schedule is used only by romano-shaikh; any other schedule
+        refuses it instead of ignoring it."""
+        base = tmp_path / "base.txt"
+        base.write_text("0.2\n0.4\n0.6\n0.8\n1.0\n")
+        code, out, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", procedure,
+             "--schedule", "constant", "--base-schedule", str(base), "--input", pfile],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and "--base-schedule" in err and "constant" in err
+
+    def test_unknown_schedule_name_exits_3(self, pfile, capsys):
+        code, out, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "stepdown",
+             "--schedule", "holm", "--input", pfile],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and "holm" in err
+
     def test_output_file(self, pfile, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out, _ = run_main(
@@ -280,6 +306,44 @@ class TestCmdTest:
         )
         assert code == EXIT_OK and out == ""
         assert json.loads(out_path.read_text())["rejected"] == [2, 4]
+
+
+PARITY_PVALUES = [0.003, 0.04, 0.011, 0.2, 0.0004, 0.6]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("procedure", PROCEDURES)
+def test_test_and_simulate_resolve_alike(procedure, schedule, k, tmp_path, capsys):
+    """`kfwer test` and `build_procedure` pair names with critical values by
+    one rule: given the Lehmann-Romano base that simulate rescales, they
+    build the same critical values and reject the same hypotheses, and
+    both refuse lehmann-romano for a family procedure."""
+    n, alpha = len(PARITY_PVALUES), 0.05
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PARITY_PVALUES))
+    argv = ["test", "--k", str(k), "--alpha", str(alpha), "--procedure", procedure,
+            "--schedule", schedule, "--input", str(pfile)]
+    if schedule == "romano-shaikh":
+        base = tmp_path / "base.txt"
+        base.write_text("".join(f"{v!r}\n" for v in lehmann_romano_schedule(k, n, alpha).alphas))
+        argv += ["--base-schedule", str(base)]
+    code, out, err = run_main(argv, capsys)
+    config = dict(n=n, n_true=n, k=k, alpha=alpha, procedure=procedure, schedule=schedule)
+    if schedule == "lehmann-romano" and procedure in FAMILY_PROCEDURES:
+        assert code == EXIT_BAD_FLAGS and out == "" and "family" in err
+        with pytest.raises(ConfigError, match="family"):
+            SimulationConfig(**config)
+        return
+    assert code == EXIT_OK
+    report = json.loads(out)
+    result = build_procedure(SimulationConfig(**config))(order_pvalues(PARITY_PVALUES))
+    if result.schedule is not None:
+        expected = list(result.schedule.alphas)
+    else:
+        expected = [list(row) for row in result.family.rows]
+    assert report["critical_values"] == expected
+    assert report["rejected"] == [j + 1 for j in result.rejection.rejected_indices()]
 
 
 class TestCmdSimulate:

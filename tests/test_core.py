@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kfwer import (
     BadShapeError,
+    CriticalSchedule,
     EmptyInputError,
     KOutOfRangeError,
     LocalTestFamily,
@@ -29,6 +30,7 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
+from kfwer.procedures import critical_values
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
@@ -190,8 +192,13 @@ def test_constructors_produce_valid_families(k, extra, alpha, data):
     """Every named constructor yields a table that passes validation. The
     constructors skip LocalTestFamily's checks, so rebuilding each table
     through it must succeed, over Lehmann-Romano and random bases with
-    ties and zeros."""
+    ties and zeros. The same holds for the Lehmann-Romano and single-step
+    constant schedules, which skip CriticalSchedule's checks."""
     n = k + extra
+    single_step = critical_values("stepdown", "constant", k, n, alpha, base=None)
+    assert single_step.alphas == (k * alpha / n,) * (n - k + 1)
+    for sched in (lehmann_romano_schedule(k, n, alpha), single_step):
+        assert CriticalSchedule(k=sched.k, n=sched.n, alphas=sched.alphas) == sched
     raw = data.draw(st.lists(TIED_PVALS, min_size=n - k + 1, max_size=n - k + 1))
     families = [constant_family(k, n, alpha), simes_family(k, n, alpha)]
     for base in (lehmann_romano_schedule(k, n, alpha), validate_schedule(k, n, sorted(raw))):

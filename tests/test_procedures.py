@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kfwer import (
     MAX_FAMILY_ENTRIES,
+    ConfigError,
     DegenerateScheduleError,
     FamilyTooLargeError,
     LengthMismatchError,
@@ -132,9 +133,14 @@ class TestClosedTesting:
         with pytest.raises(TooLargeError):
             closed_testing(order_pvalues([0.5] * n), constant_family(1, n, 0.05))
 
-    def test_respects_custom_limit(self):
-        with pytest.raises(TooLargeError):
-            closed_testing(order_pvalues([0.5] * 5), constant_family(1, 5, 0.05), exhaustive_limit=4)
+    def test_respects_custom_limit(self, monkeypatch):
+        """The limit is read when closed_testing runs, not when it is defined."""
+        with pytest.raises(TooLargeError) as exc:
+            closed_testing(order_pvalues([0.5] * 19), constant_family(1, 19, 0.05))
+        assert (exc.value.n, exc.value.limit) == (19, procedures.EXHAUSTIVE_LIMIT)
+        monkeypatch.setattr(procedures, "EXHAUSTIVE_LIMIT", 4)
+        with pytest.raises(TooLargeError, match="at most n=4"):
+            closed_testing(order_pvalues([0.5] * 5), constant_family(1, 5, 0.05))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -303,6 +309,15 @@ class TestScheduleConstructors:
             romano_shaikh_schedule(validate_schedule(1, 3, (0.0, 0.0, 0.0)), 0.05)
         with pytest.raises(DegenerateScheduleError):
             scaled_family(validate_schedule(1, 3, (0.0, 0.0, 0.0)), 0.05)
+
+    @pytest.mark.parametrize(
+        "procedure, schedule", [("hommel", "lehmann-romano"), ("closed", "simes"), ("stepdown", None)]
+    )
+    def test_resolver_builds_only_named_pairs(self, procedure, schedule):
+        """critical_values never falls back to another schedule for a pair
+        check_procedure would refuse or a schedule it was not given."""
+        with pytest.raises(ConfigError, match=repr(schedule)):
+            procedures.critical_values(procedure, schedule, 1, 4, 0.05, base=None)
 
 
 class TestFamilyConstructors:
