@@ -25,7 +25,6 @@ from .core import (
     NotMonotoneInMError,
     OutOfRangeError,
     PValueVector,
-    RejectionSet,
     TooLargeError,
     check_theorem43_condition,
     order_pvalues,
@@ -39,7 +38,6 @@ from .procedures import (
     ProcedureResult,
     closed_testing,
     constant_family,
-    estimate_true_nulls,
     generalized_hommel,
     lehmann_romano_schedule,
     romano_shaikh_schedule,
@@ -81,7 +79,6 @@ __all__ = [
     "OutOfRangeError",
     "ProcedureResult",
     "PValueVector",
-    "RejectionSet",
     "SimulationConfig",
     "SimulationResult",
     "TooLargeError",
@@ -90,7 +87,6 @@ __all__ = [
     "constant_family",
     "d1",
     "estimate_kfwer",
-    "estimate_true_nulls",
     "evaluate_local_test",
     "generalized_hommel",
     "generate_pvalues",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -20,6 +19,7 @@ from .core import (
     CriticalSchedule,
     KfwerError,
     LocalTestFamily,
+    OutOfRangeError,
     PValueVector,
     order_pvalues,
     validate_family,
@@ -61,8 +61,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_FLAGS)
 
 
-def _read_pvalues(stream: TextIO, name: str) -> list[float]:
-    """Parse p-values: one float per line, or CSV with header id,p."""
+def _read_pvalues(stream: TextIO, name: str) -> tuple[list[float], list[int]]:
+    """Parse p-values: one float per line, or CSV with header id,p.
+
+    Returns the numbers and the line each came from. The range check is
+    :func:`order_pvalues`'s; :func:`cmd_test` maps its position to a line.
+    """
     lines = stream.read().splitlines()
     numbered = [(idx, line.strip()) for idx, line in enumerate(lines, start=1)]
     numbered = [(idx, line) for idx, line in numbered if line]
@@ -70,7 +74,8 @@ def _read_pvalues(stream: TextIO, name: str) -> list[float]:
         raise InputDataError(f"{name}: no p-values found")
     values: list[float] = []
     if numbered[0][1].lower().replace(" ", "") == "id,p":
-        for idx, line in numbered[1:]:
+        numbered = numbered[1:]
+        for idx, line in numbered:
             row = next(csv.reader([line]))
             if len(row) != 2:
                 raise InputDataError(f"{name}: line {idx}: expected two fields 'id,p', got {line!r}")
@@ -80,17 +85,14 @@ def _read_pvalues(stream: TextIO, name: str) -> list[float]:
     else:
         for idx, line in numbered:
             values.append(_parse_pvalue(line, name, idx))
-    return values
+    return values, [idx for idx, _ in numbered]
 
 
 def _parse_pvalue(token: str, name: str, idx: int) -> float:
     try:
-        v = float(token)
+        return float(token)
     except ValueError:
         raise InputDataError(f"{name}: line {idx}: {token!r} is not a number") from None
-    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-        raise InputDataError(f"{name}: line {idx}: p-value {v!r} outside [0, 1]")
-    return v
 
 
 def _read_schedule_file(path: str, k: int, n: int) -> CriticalSchedule:
@@ -194,55 +196,51 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
 
 def cmd_test(args) -> int:
     if args.input and args.input != "-":
+        name = args.input
         try:
-            with open(args.input) as fh:
-                values = _read_pvalues(fh, args.input)
+            with open(name) as fh:
+                values, lines = _read_pvalues(fh, name)
         except OSError as exc:
-            raise InputDataError(f"{args.input}: {exc.strerror}") from None
+            raise InputDataError(f"{name}: {exc.strerror}") from None
     else:
-        values = _read_pvalues(sys.stdin, "stdin")
-    p = order_pvalues(values)
+        name = "stdin"
+        values, lines = _read_pvalues(sys.stdin, name)
+    try:
+        p = order_pvalues(values)
+    except OutOfRangeError as exc:
+        raise InputDataError(f"{name}: line {lines[exc.position - 1]}: p-value {exc.value!r} outside [0, 1]") from None
     result = _run_procedure(args, p)
     if result.schedule is not None:
         critical = list(result.schedule.alphas)
     else:
         critical = [list(row) for row in result.family.rows]
-    if result.procedure in ("stepdown", "stepup"):
-        detail = {"r": result.detail["r"]}
-    elif result.procedure == "generalized_hommel":
-        detail = {"j_hat": result.detail["j_hat"]}
-    else:
-        detail = None
     payload = {
         "n": p.n,
         "k": args.k,
         "alpha": args.alpha,
         "procedure": args.procedure,
         "critical_values": critical,
-        "rejected": [j + 1 for j in result.rejection.rejected_indices()],
-        "detail": detail,
+        "rejected": [j + 1 for j in result.rejected_indices()],
+        "detail": None if result.procedure == "closed_testing" else result.detail,
     }
     _emit(payload, args.output)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = SimulationConfig(
-            n=args.n,
-            n_true=args.true_nulls,
-            k=args.k,
-            alpha=args.alpha,
-            procedure=args.procedure,
-            schedule=args.schedule,
-            reps=args.reps,
-            dependence=args.dependence,
-            rho=args.rho,
-            delta=args.delta,
-            seed=_resolve_seed(args.seed),
-        )
-    except KfwerError as exc:
-        raise FlagError(str(exc)) from None
+    config = SimulationConfig(
+        n=args.n,
+        n_true=args.true_nulls,
+        k=args.k,
+        alpha=args.alpha,
+        procedure=args.procedure,
+        schedule=args.schedule,
+        reps=args.reps,
+        dependence=args.dependence,
+        rho=args.rho,
+        delta=args.delta,
+        seed=_resolve_seed(args.seed),
+    )
     result = estimate_kfwer(config)
     payload = {
         "kfwer_estimate": result.kfwer_estimate,

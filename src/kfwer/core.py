@@ -1,5 +1,5 @@
 """Domain types for k-FWER multiple testing: p-value vectors, critical
-value schedules, local test families, and rejection sets.
+value schedules and local test families.
 
 All types are immutable and validated at construction; only
 ``order_pvalues``, the Lehmann-Romano and single-step constant schedules
@@ -13,7 +13,7 @@ direct indexing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -246,32 +246,6 @@ class LocalTestFamily:
     def row(self, m: int) -> tuple[float, ...]:
         """Critical values for subsets of cardinality m."""
         return self.rows[m - self.k]
-
-
-@dataclass(frozen=True)
-class RejectionSet:
-    """Per-hypothesis decisions plus a procedure-specific audit value.
-
-    ``rejected`` is indexed by original hypothesis position. ``detail``
-    carries the stepwise cutoff index (``{"r": ...}``), the Hommel
-    true-null estimate (``{"j_hat": ...}``, ``None`` marking the
-    reject-all branch), or the accepted intersection cardinalities for
-    closed testing.
-    """
-
-    rejected: tuple[bool, ...]
-    num_rejected: int
-    detail: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.num_rejected != sum(self.rejected):
-            raise BadShapeError(
-                f"num_rejected={self.num_rejected} disagrees with {sum(self.rejected)} true flags"
-            )
-
-    def rejected_indices(self) -> tuple[int, ...]:
-        """0-based original positions of rejected hypotheses, ascending."""
-        return tuple(j for j, flag in enumerate(self.rejected) if flag)
 
 
 def order_pvalues(values: Iterable[float]) -> PValueVector:

@@ -27,7 +27,6 @@ from .core import (
     LengthMismatchError,
     LocalTestFamily,
     PValueVector,
-    RejectionSet,
     TooLargeError,
     _unvalidated,
 )
@@ -44,33 +43,37 @@ MAX_FAMILY_ENTRIES = 30_000_000
 
 @dataclass(frozen=True)
 class ProcedureResult:
-    """A rejection set together with the procedure tag and the critical
-    values it ran with, for audit and serialization."""
+    """Per-hypothesis decisions of one procedure, its audit value, and the
+    critical values it ran with.
 
-    rejection: RejectionSet
+    ``rejected`` is indexed by original hypothesis position. ``detail``
+    carries the stepwise cutoff index (``{"r": ...}``), the Hommel
+    true-null estimate (``{"j_hat": ...}``, ``None`` marking the
+    reject-all branch), or the accepted intersection cardinalities for
+    closed testing.
+    """
+
+    rejected: tuple[bool, ...]
+    detail: dict[str, Any]
     procedure: str
     schedule: Optional[CriticalSchedule] = None
     family: Optional[LocalTestFamily] = None
 
     @property
-    def rejected(self) -> tuple[bool, ...]:
-        return self.rejection.rejected
-
-    @property
     def num_rejected(self) -> int:
-        return self.rejection.num_rejected
+        return sum(self.rejected)
 
-    @property
-    def detail(self) -> dict[str, Any]:
-        return self.rejection.detail
+    def rejected_indices(self) -> tuple[int, ...]:
+        """0-based original positions of rejected hypotheses, ascending."""
+        return tuple(j for j, flag in enumerate(self.rejected) if flag)
 
 
-def _prefix_rejection(p: PValueVector, count: int, detail: dict[str, Any]) -> RejectionSet:
-    """Reject the ``count`` most significant hypotheses (tie-broken order)."""
+def _prefix_flags(p: PValueVector, count: int) -> tuple[bool, ...]:
+    """Flags rejecting the ``count`` most significant hypotheses (tie-broken order)."""
     flags = [False] * p.n
     for j in p.order[:count]:
         flags[j] = True
-    return RejectionSet(rejected=tuple(flags), num_rejected=count, detail=detail)
+    return tuple(flags)
 
 
 def _require_same_n(p: PValueVector, n: int, what: str) -> None:
@@ -99,11 +102,7 @@ def stepdown(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
             else:
                 break
     count = r if r is not None else k - 1
-    return ProcedureResult(
-        rejection=_prefix_rejection(p, count, {"r": r}),
-        procedure="stepdown",
-        schedule=s,
-    )
+    return ProcedureResult(_prefix_flags(p, count), {"r": r}, "stepdown", schedule=s)
 
 
 def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
@@ -123,11 +122,7 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
             r = i
             break
     count = r if r is not None else k - 1
-    return ProcedureResult(
-        rejection=_prefix_rejection(p, count, {"r": r}),
-        procedure="stepup",
-        schedule=s,
-    )
+    return ProcedureResult(_prefix_flags(p, count), {"r": r}, "stepup", schedule=s)
 
 
 # Closure tables over every nonempty subset (bitmask) of the sorted
@@ -212,11 +207,7 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     for pos in np.flatnonzero(blocked).tolist():
         rejected[p.order[pos]] = False
     detail = {"accepted_cardinalities": tuple(np.unique(card[accepted]).tolist())}
-    return ProcedureResult(
-        rejection=RejectionSet(tuple(rejected), sum(rejected), detail),
-        procedure="closed_testing",
-        family=f,
-    )
+    return ProcedureResult(tuple(rejected), detail, "closed_testing", family=f)
 
 
 def _hommel_j_hat(sorted_vals: tuple[float, ...], f: LocalTestFamily) -> Optional[int]:
@@ -249,20 +240,7 @@ def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
         while below < n and sorted_vals[below] <= threshold:
             below += 1
         count = max(k - 1, below)
-    return ProcedureResult(
-        rejection=_prefix_rejection(p, count, {"j_hat": j_hat}),
-        procedure="generalized_hommel",
-        family=f,
-    )
-
-
-def estimate_true_nulls(p: PValueVector, f: LocalTestFamily) -> Optional[int]:
-    """The Hommel true-null count estimate, or None when every
-    cardinality's worst-case intersection is rejected (the reject-all
-    branch). Exposed as a heuristic; no distributional guarantee is
-    attached."""
-    _require_same_n(p, f.n, "family")
-    return _hommel_j_hat(p.sorted_values(), f)
+    return ProcedureResult(_prefix_flags(p, count), {"j_hat": j_hat}, "generalized_hommel", family=f)
 
 
 def _check_level(k: int, n: int, alpha: float) -> None:
@@ -284,12 +262,6 @@ def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
     return _unvalidated(CriticalSchedule, k=k, n=n, alphas=alphas)
 
 
-def _scaled(alpha: float, base_value: float, d: float) -> float:
-    # Shared by romano_shaikh_schedule and scaled_family so the m = n row
-    # of the family is bitwise-identical to the schedule.
-    return alpha * base_value / d
-
-
 def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSchedule:
     """Stepup critical values alpha * alpha_i / D1 from any base schedule.
 
@@ -304,7 +276,7 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     return CriticalSchedule(
         k=base.k,
         n=base.n,
-        alphas=tuple(_scaled(alpha, a, d) for a in base.alphas),
+        alphas=tuple(alpha * a / d for a in base.alphas),
     )
 
 
@@ -325,11 +297,11 @@ def _check_family_size(k: int, n: int) -> None:
 
 
 def constant_family(k: int, n: int, alpha: float) -> LocalTestFamily:
-    """Local tests with constant row values k*alpha/m for cardinality m."""
+    """Local tests with constant row values k*alpha/m for cardinality m:
+    the stepdown form of the Lehmann-Romano schedule."""
     _check_level(k, n, alpha)
     _check_family_size(k, n)
-    rows = tuple((k * alpha / m,) * (m - k + 1) for m in range(k, n + 1))
-    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
+    return stepdown_as_family(lehmann_romano_schedule(k, n, alpha))
 
 
 def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
@@ -345,21 +317,12 @@ def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
 def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
     """Local tests alpha * alpha_{n-m+i} / D1 built from a base schedule.
 
-    Row m = n reproduces :func:`romano_shaikh_schedule` exactly; every
-    row's Type-I bound is at most alpha by construction of D1.
+    It is the stepup form of :func:`romano_shaikh_schedule`, so row m = n
+    reproduces that schedule exactly; every row's Type-I bound is at most
+    alpha by construction of D1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRangeError(alpha)
-    k, n = base.k, base.n
-    _check_family_size(k, n)
-    d = d1(base)
-    if d == 0.0:
-        raise DegenerateScheduleError("base schedule is identically zero")
-    rows = tuple(
-        tuple(_scaled(alpha, base.alpha(n - m + i), d) for i in range(k, m + 1))
-        for m in range(k, n + 1)
-    )
-    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
+    _check_family_size(base.k, base.n)
+    return stepup_as_family(romano_shaikh_schedule(base, alpha))
 
 
 def stepdown_as_family(s: CriticalSchedule) -> LocalTestFamily:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import ConfigError, PValueVector, RejectionSet, order_pvalues
+from .core import ConfigError, PValueVector, order_pvalues
 from .procedures import (
     ProcedureResult,
     bind_procedure,
@@ -148,7 +148,7 @@ def build_procedure(config: SimulationConfig) -> Callable[[PValueVector], Proced
 
 def estimate_kfwer(
     config: SimulationConfig,
-    procedure: Optional[Callable[[PValueVector], Union[ProcedureResult, RejectionSet]]] = None,
+    procedure: Optional[Callable[[PValueVector], ProcedureResult]] = None,
 ) -> SimulationResult:
     """Estimate P{V >= k} where V counts rejected true nulls.
 
@@ -166,8 +166,7 @@ def estimate_kfwer(
     power_sum = 0.0
     for rep in range(config.reps):
         p = generate_pvalues(config, rep, _rng=rng)
-        outcome = runner(p)
-        rejected = outcome.rejection.rejected if isinstance(outcome, ProcedureResult) else outcome.rejected
+        rejected = runner(p).rejected
         v = sum(rejected[:n_true])
         if v >= k:
             exceedances += 1

@@ -171,10 +171,6 @@ def schedule_from_family(f: LocalTestFamily) -> CriticalSchedule:
     return validate_schedule(k, n, [f.value(k, (n - i) + k) for i in range(k, n + 1)])
 
 
-def _rejected(result) -> tuple[int, ...]:
-    return result.rejection.rejected_indices()
-
-
 def _draw_size(rng: np.random.Generator, n_min: int, n_max: int) -> tuple[int, int]:
     n = int(rng.integers(n_min, n_max + 1))
     k = int(rng.integers(1, n + 1))
@@ -229,8 +225,8 @@ def check_theorem_41(trials: int, n_max: int, seed: int, n_min: int = 2) -> Theo
         sched = schedule_from_family(fam)
         pool = [v for row in fam.rows for v in row]
         p = random_pvalues(rng, n, pool)
-        down = set(_rejected(stepdown(p, sched)))
-        closed = set(_rejected(closed_testing(p, fam)))
+        down = set(stepdown(p, sched).rejected_indices())
+        closed = set(closed_testing(p, fam).rejected_indices())
         rows_constant = all(all(v == row[0] for v in row) for row in fam.rows)
         if rows_constant:
             equalities += 1
@@ -252,8 +248,8 @@ def check_theorem_42(trials: int, n_max: int, seed: int, n_min: int = 2) -> Theo
         n, k = _draw_size(rng, n_min, n_max)
         sched = random_schedule(rng, k, n)
         p = random_pvalues(rng, n, list(sched.alphas))
-        down = _rejected(stepdown(p, sched))
-        closed = _rejected(closed_testing(p, stepdown_as_family(sched)))
+        down = stepdown(p, sched).rejected_indices()
+        closed = closed_testing(p, stepdown_as_family(sched)).rejected_indices()
         if down != closed:
             _record(report.failures, "4.2", t, "equality", p, sched, stepdown_as_family(sched),
                     "stepdown", down, "closed_testing", closed)
@@ -282,8 +278,8 @@ def check_theorem_43(trials: int, n_max: int, seed: int, n_min: int = 2) -> Theo
         sched = schedule_from_family(fam)
         pool = [v for row in fam.rows for v in row]
         p = random_pvalues(rng, fam.n, pool)
-        up = set(_rejected(stepup(p, sched)))
-        closed = set(_rejected(closed_testing(p, fam)))
+        up = set(stepup(p, sched).rejected_indices())
+        closed = set(closed_testing(p, fam).rejected_indices())
         if not up <= closed:
             _record(report.failures, "4.3", t, "inclusion", p, sched, fam,
                     "stepup", tuple(sorted(up)), "closed_testing", tuple(sorted(closed)))
@@ -299,8 +295,8 @@ def check_theorem_44(trials: int, n_max: int, seed: int, n_min: int = 2) -> Theo
         n, k = _draw_size(rng, n_min, n_max)
         sched = random_schedule(rng, k, n)
         p = random_pvalues(rng, n, list(sched.alphas))
-        up = _rejected(stepup(p, sched))
-        closed = _rejected(closed_testing(p, stepup_as_family(sched)))
+        up = stepup(p, sched).rejected_indices()
+        closed = closed_testing(p, stepup_as_family(sched)).rejected_indices()
         if up != closed:
             _record(report.failures, "4.4", t, "equality", p, sched, stepup_as_family(sched),
                     "stepup", up, "closed_testing", closed)
@@ -328,9 +324,9 @@ def check_theorem_51(trials: int, n_max: int, seed: int, n_min: int = 2) -> Theo
         closed = closed_testing(p, fam)
         if hommel.detail["j_hat"] is None:
             reject_all_hits += 1
-        if _rejected(hommel) != _rejected(closed):
+        if hommel.rejected_indices() != closed.rejected_indices():
             _record(report.failures, "5.1", t, "equality", p, None, fam,
-                    "generalized_hommel", _rejected(hommel), "closed_testing", _rejected(closed))
+                    "generalized_hommel", hommel.rejected_indices(), "closed_testing", closed.rejected_indices())
     report.notes["reject_all_branch"] = reject_all_hits
     return report
 
@@ -350,8 +346,8 @@ def check_hommel_dominates_hochberg(trials: int, n_max: int, seed: int, n_min: i
         # boundary can flip one table's comparison by one ulp. That is a
         # float artifact, not a power ordering violation.
         p = random_pvalues(rng, n, None)
-        up = set(_rejected(stepup(p, hochberg)))
-        hommel = set(_rejected(generalized_hommel(p, fam)))
+        up = set(stepup(p, hochberg).rejected_indices())
+        hommel = set(generalized_hommel(p, fam).rejected_indices())
         if not up <= hommel:
             _record(report.failures, "hommel-hochberg", t, "inclusion", p, hochberg, fam,
                     "stepup", tuple(sorted(up)), "generalized_hommel", tuple(sorted(hommel)))

@@ -65,7 +65,7 @@ def criterion(number, description):
 
 
 def rejected(result):
-    return set(result.rejection.rejected_indices())
+    return set(result.rejected_indices())
 
 
 def test_criterion_1_constant_family_equals_stepdown():

@@ -2,11 +2,13 @@
 reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kfwer
 from kfwer import ConfigError, SimulationConfig, lehmann_romano_schedule, order_pvalues
 from kfwer.cli import (
     EXIT_BAD_DATA,
@@ -128,6 +130,30 @@ class TestCmdTest:
             capsys,
         )
         assert code == EXIT_BAD_DATA and "line 2" in err
+
+    def test_out_of_range_line_counts_header_and_blank_lines(self, tmp_path, capsys):
+        """The header and a blank line put the second p-value on line 4."""
+        path = tmp_path / "bad.csv"
+        path.write_text("id,p\n\na,0.1\nb,nan\n")
+        code, _, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "stepdown",
+             "--schedule", "lehmann-romano", "--input", str(path)],
+            capsys,
+        )
+        assert code == EXIT_BAD_DATA
+        assert "line 4: p-value nan outside [0, 1]" in err
+
+    def test_malformed_token_reported_before_out_of_range_value(self, tmp_path, capsys):
+        """Every token is parsed before any value is range-checked."""
+        path = tmp_path / "bad.txt"
+        path.write_text("0.1\n1.5\nabc\n")
+        code, _, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "stepdown",
+             "--schedule", "lehmann-romano", "--input", str(path)],
+            capsys,
+        )
+        assert code == EXIT_BAD_DATA
+        assert "line 3: 'abc' is not a number" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(
@@ -343,7 +369,7 @@ def test_test_and_simulate_resolve_alike(procedure, schedule, k, tmp_path, capsy
     else:
         expected = [list(row) for row in result.family.rows]
     assert report["critical_values"] == expected
-    assert report["rejected"] == [j + 1 for j in result.rejection.rejected_indices()]
+    assert report["rejected"] == [j + 1 for j in result.rejected_indices()]
 
 
 class TestCmdSimulate:
@@ -453,11 +479,15 @@ class TestCmdVerify:
 
 
 def test_console_entry_point_runs():
-    """Smoke the installed module entry end to end in a subprocess."""
+    """Smoke the module entry end to end in a subprocess, which imports the
+    same kfwer package as the tests, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "kfwer", "verify", "--theorem", "4.2", "--trials", "10", "--seed", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "theorem 4.2" in proc.stdout

@@ -18,7 +18,6 @@ from kfwer import (
     NotMonotoneInMError,
     OutOfRangeError,
     PValueVector,
-    RejectionSet,
     check_theorem43_condition,
     constant_family,
     lehmann_romano_schedule,
@@ -228,13 +227,3 @@ class TestTheorem43Condition:
         assert check_theorem43_condition(constant_family(2, 4, 0.05)) is False
         assert check_theorem43_condition(constant_family(1, 2, 0.05)) is False
         assert check_theorem43_condition(constant_family(3, 3, 0.05)) is True
-
-
-class TestRejectionSet:
-    def test_count_must_match_flags(self):
-        with pytest.raises(BadShapeError):
-            RejectionSet(rejected=(True, False), num_rejected=2, detail={})
-
-    def test_indices_ascend(self):
-        rs = RejectionSet(rejected=(True, False, True), num_rejected=2, detail={"r": 2})
-        assert rs.rejected_indices() == (0, 2)

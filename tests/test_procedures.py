@@ -16,10 +16,11 @@ from kfwer import (
     DegenerateScheduleError,
     FamilyTooLargeError,
     LengthMismatchError,
+    ProcedureResult,
     TooLargeError,
     closed_testing,
     constant_family,
-    estimate_true_nulls,
+    d1,
     generalized_hommel,
     lehmann_romano_schedule,
     order_pvalues,
@@ -41,7 +42,14 @@ LR_2_5 = lehmann_romano_schedule(2, 5, 0.05)
 
 
 def rejected_set(result):
-    return set(result.rejection.rejected_indices())
+    return set(result.rejected_indices())
+
+
+class TestProcedureResult:
+    def test_indices_ascend(self):
+        res = ProcedureResult((True, False, True), {"r": 2}, "stepdown")
+        assert res.rejected_indices() == (0, 2)
+        assert res.num_rejected == 2
 
 
 class TestStepdown:
@@ -208,7 +216,7 @@ class TestClosedTesting:
                         for j in members[k - 1 :]:
                             rejected[j] = False
             res = closed_testing(p, fam)
-            assert tuple(rejected) == res.rejection.rejected
+            assert tuple(rejected) == res.rejected
             assert res.detail["accepted_cardinalities"] == tuple(sorted(accepted_cards))
 
 
@@ -248,16 +256,20 @@ class TestGeneralizedHommel:
             assert got.detail["j_hat"] == want_j
 
 
+def j_hat(p, f):
+    return generalized_hommel(p, f).detail["j_hat"]
+
+
 class TestEstimateTrueNulls:
     def test_all_ones_estimates_n(self):
-        assert estimate_true_nulls(order_pvalues([1.0] * 4), constant_family(2, 4, 0.05)) == 4
+        assert j_hat(order_pvalues([1.0] * 4), constant_family(2, 4, 0.05)) == 4
 
     def test_all_zeros_gives_marker(self):
-        assert estimate_true_nulls(order_pvalues([0.0] * 4), constant_family(2, 4, 0.05)) is None
+        assert j_hat(order_pvalues([0.0] * 4), constant_family(2, 4, 0.05)) is None
 
     def test_simes_worked_example(self):
         fam = simes_family(1, 4, 0.05)
-        assert estimate_true_nulls(order_pvalues([0.01, 0.02, 0.06, 0.2]), fam) == 3
+        assert j_hat(order_pvalues([0.01, 0.02, 0.06, 0.2]), fam) == 3
 
     def test_constant_family_closed_form(self):
         """With constant rows the estimate is n - j~ + k, where j~ is the
@@ -268,12 +280,12 @@ class TestEstimateTrueNulls:
             k = int(rng.integers(1, n + 1))
             alpha = float(rng.uniform(0.01, 0.5))
             p = random_pvalues(rng, n, list(lehmann_romano_schedule(k, n, alpha).alphas))
-            j_hat = estimate_true_nulls(p, constant_family(k, n, alpha))
+            estimate = j_hat(p, constant_family(k, n, alpha))
             sorted_vals = p.sorted_values()
             j_tilde = next(
                 (j for j in range(k, n + 1) if sorted_vals[j - 1] > k * alpha / (n - j + k)), None
             )
-            assert j_hat == (n - j_tilde + k if j_tilde is not None else None)
+            assert estimate == (n - j_tilde + k if j_tilde is not None else None)
 
 
 class TestScheduleConstructors:
@@ -347,7 +359,7 @@ class TestFamilyConstructors:
                 continue
             fam = scaled_family(base, alpha)
             sched = romano_shaikh_schedule(base, alpha)
-            assert fam.row(n) == sched.alphas  # bitwise: both use the same scaling
+            assert fam.row(n) == sched.alphas  # bitwise: the family is built from the schedule
 
     def test_stepdown_as_family_rows_constant(self):
         fam = stepdown_as_family(LR_2_5)
@@ -407,6 +419,24 @@ class TestFamilyConstructors:
 size_and_k = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))
 )
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(size_and_k, open_unit, st.data())
+@settings(max_examples=150, deadline=None)
+def test_composed_families_match_closed_forms(nk, alpha, data):
+    """constant_family has rows k*alpha/m and scaled_family entries
+    alpha * base_{n-m+i} / d1(base), float for float."""
+    n, k = nk
+    fam = constant_family(k, n, alpha)
+    assert fam.rows == tuple((k * alpha / m,) * (m - k + 1) for m in range(k, n + 1))
+    base_values = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n - k + 1, max_size=n - k + 1)))
+    if base_values[-1] == 0.0:
+        return  # a zero base has no Romano-Shaikh rescaling
+    base = validate_schedule(k, n, base_values)
+    d = d1(base)
+    want = tuple(tuple(alpha * base.alpha(n - m + i) / d for i in range(k, m + 1)) for m in range(k, n + 1))
+    assert scaled_family(base, alpha).rows == want
 
 
 @given(
@@ -472,8 +502,8 @@ def test_permutation_equivariance_distinct_values():
             lambda q: closed_testing(q, fam),
             lambda q: generalized_hommel(q, fam),
         ):
-            base = run(order_pvalues(values)).rejection.rejected
-            moved = run(order_pvalues(permuted)).rejection.rejected
+            base = run(order_pvalues(values)).rejected
+            moved = run(order_pvalues(permuted)).rejected
             assert all(moved[j] == base[perm[j]] for j in range(n))
         # tied inputs: only cardinality is promised
         tied = [round(v, 1) for v in values]

@@ -9,7 +9,7 @@ from scipy import stats
 
 from kfwer import (
     ConfigError,
-    RejectionSet,
+    ProcedureResult,
     SimulationConfig,
     estimate_kfwer,
     generate_pvalues,
@@ -120,7 +120,7 @@ def reject_first(count):
         flags = [False] * p.n
         for j in p.order[:count]:
             flags[j] = True
-        return RejectionSet(tuple(flags), count, {})
+        return ProcedureResult(tuple(flags), {}, "reject_first")
 
     return run
 

@@ -110,8 +110,8 @@ def test_reports_catch_an_injected_defect():
         sched = random_schedule(rng, k, n)
         skewed = validate_schedule(k, n, [min(1.0, a + 0.2) for a in sched.alphas])
         p = random_pvalues(rng, n, list(sched.alphas))
-        down = stepdown(p, skewed).rejection.rejected
-        closed = closed_testing(p, stepdown_as_family(sched)).rejection.rejected
+        down = stepdown(p, skewed).rejected
+        closed = closed_testing(p, stepdown_as_family(sched)).rejected
         if down != closed:
             found += 1
     assert found > 0
