@@ -31,7 +31,7 @@ from .core import (
     validate_family,
     validate_schedule,
 )
-from .bounds import BoundInput, d1, evaluate_local_test, lemma31_bound, type1_bound
+from .bounds import BoundInput, d1, lemma31_bound, type1_bound
 from .procedures import (
     EXHAUSTIVE_LIMIT,
     MAX_FAMILY_ENTRIES,
@@ -87,7 +87,6 @@ __all__ = [
     "constant_family",
     "d1",
     "estimate_kfwer",
-    "evaluate_local_test",
     "generalized_hommel",
     "generate_pvalues",
     "lehmann_romano_schedule",

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .core import (
     BadShapeError,
     CardinalityOutOfRangeError,
     CriticalSchedule,
-    LengthMismatchError,
     LocalTestFamily,
     NotMonotoneError,
     _check_unit_interval,
@@ -106,23 +103,3 @@ def d1(schedule: CriticalSchedule) -> float:
             best = term
     return best
 
-
-def evaluate_local_test(subset_pvalues: Sequence[float], family_row: Sequence[float]) -> bool:
-    """Decide one intersection hypothesis from its sorted subset p-values.
-
-    ``subset_pvalues`` must be sorted ascending (length m); ``family_row``
-    holds the critical values for ranks k..m of a size-m subset. Returns
-    True (reject) iff some rank-j p-value with j >= k is at or below its
-    critical value.
-    """
-    m = len(subset_pvalues)
-    width = len(family_row)
-    if width < 1 or width > m:
-        raise LengthMismatchError(
-            f"family row of length {width} does not fit {m} subset p-values"
-        )
-    k = m - width + 1
-    for j in range(k, m + 1):
-        if subset_pvalues[j - 1] <= family_row[j - k]:
-            return True
-    return False

@@ -168,8 +168,11 @@ def _resolve_seed(seed: Optional[int]) -> int:
 def _emit(payload: dict, output: Optional[str]) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FlagError(f"{output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -221,7 +224,7 @@ def cmd_test(args) -> int:
         "procedure": args.procedure,
         "critical_values": critical,
         "rejected": [j + 1 for j in result.rejected_indices()],
-        "detail": None if result.procedure == "closed_testing" else result.detail,
+        "detail": None if args.procedure == "closed" else result.detail,
     }
     _emit(payload, args.output)
     return EXIT_OK
@@ -272,9 +275,15 @@ def _self_test(theorems: Sequence[str]) -> int:
 
 def cmd_verify(args) -> int:
     theorems = list(THEOREMS) if args.theorem == "all" else [args.theorem]
+    if not 2 <= args.n_max <= EXHAUSTIVE_LIMIT:
+        raise FlagError(f"--n-max must lie in 2..{EXHAUSTIVE_LIMIT}")
+    if args.trials < 1:
+        raise FlagError("--trials must be >= 1")
     if args.self_test:
         return _self_test(theorems)
     seed = _resolve_seed(args.seed)
+    if seed < 0:
+        raise FlagError(f"seed must be a nonnegative integer, got {seed}")
     failed = False
     for theorem in theorems:
         report = run_theorem_trials(theorem, args.trials, args.n_max, seed)
@@ -333,13 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n_max", None) is not None and args.command == "verify":
-        if args.n_max < 2 or args.n_max > EXHAUSTIVE_LIMIT:
-            print(f"--n-max must lie in 2..{EXHAUSTIVE_LIMIT}", file=sys.stderr)
-            return EXIT_BAD_FLAGS
-        if args.trials < 1:
-            print("--trials must be >= 1", file=sys.stderr)
-            return EXIT_BAD_FLAGS
     try:
         return args.fn(args)
     except InputDataError as exc:

@@ -4,9 +4,11 @@ Four procedures share one convention: the k-1 most significant
 hypotheses are always rejected, since fewer than k false rejections can
 never violate the error criterion. Stepdown and stepup consume a
 single-indexed critical schedule; closed testing and the generalized
-Hommel shortcut consume a double-indexed local test family. The closure
-engine enumerates every subset exhaustively and doubles as the oracle
-against which the shortcuts are checked.
+Hommel shortcut consume a double-indexed local test family. By Theorem
+5.1 the shortcut rejects exactly what closed testing rejects for every
+admissible family, so the named procedure ``closed`` decides through it
+at any n. ``closed_testing`` enumerates every subset exhaustively and
+stays the reference the shortcuts are checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .core import (
     _unvalidated,
 )
 
-# Exhaustive subset enumeration is exponential in n; refuse beyond this.
+# Exhaustive subset enumeration is exponential in n; closed_testing and the
+# verify harness refuse beyond this.
 EXHAUSTIVE_LIMIT = 18
 
 # Entries of a materialized local-test family table, (n-k+1)(n-k+2)/2, which
@@ -177,7 +180,9 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     k-1 members impose no constraint, which also makes the k-1 globally
     most significant hypotheses automatic rejections. Enumeration is
     deliberately unpruned: this function is the reference the shortcut
-    procedures are validated against.
+    procedures are validated against. ``kfwer test`` and ``kfwer
+    simulate`` never call it; their ``closed`` procedure is
+    :func:`generalized_hommel`, which Theorem 5.1 makes equal to it.
 
     Every one of the 2**n - 1 intersection hypotheses is decided at once
     by array operations on precomputed tables of subset cardinalities and
@@ -367,14 +372,13 @@ CriticalValues = Union[CriticalSchedule, LocalTestFamily]
 
 def check_procedure(procedure: str, schedule: Optional[str], k: int, n: int, alpha: float) -> None:
     """Refuse a request before anything is built or read: k and alpha out
-    of range, an unknown name, closed testing above ``EXHAUSTIVE_LIMIT``,
-    or a schedule with no form for the procedure. ``schedule`` is None
-    when the caller supplies the critical values itself."""
+    of range, an unknown name, or a schedule with no form for the
+    procedure. No procedure has a size limit of its own here; a family's
+    table size is checked by its constructor. ``schedule`` is None when
+    the caller supplies the critical values itself."""
     _check_level(k, n, alpha)
     if procedure not in PROCEDURES:
         raise ConfigError(f"unknown procedure {procedure!r}, expected one of {PROCEDURES}")
-    if procedure == "closed" and n > EXHAUSTIVE_LIMIT:
-        raise ConfigError(f"closed testing supports at most n={EXHAUSTIVE_LIMIT} hypotheses, got {n}")
     if schedule is not None and schedule not in SCHEDULES:
         raise ConfigError(f"unknown schedule {schedule!r}, expected one of {SCHEDULES}")
     if schedule == "lehmann-romano" and procedure in FAMILY_PROCEDURES:
@@ -413,6 +417,14 @@ def critical_values(
 
 
 def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValueVector], ProcedureResult]:
-    """The named decision rule with its critical values bound."""
-    rule = {"stepdown": stepdown, "stepup": stepup, "hommel": generalized_hommel, "closed": closed_testing}[procedure]
+    """The named decision rule with its critical values bound.
+
+    ``closed`` binds :func:`generalized_hommel`: every family the package
+    admits is nondecreasing in i and nonincreasing in m, and for such a
+    family Theorem 5.1 makes the shortcut reject exactly what closed
+    testing rejects, at any n and without enumerating subsets.
+    :func:`closed_testing` stays the exhaustive reference.
+    """
+    rule = {"stepdown": stepdown, "stepup": stepup,
+            "hommel": generalized_hommel, "closed": generalized_hommel}[procedure]
     return lambda p: rule(p, critical)

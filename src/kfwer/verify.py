@@ -29,7 +29,6 @@ from .procedures import (
     constant_family,
     generalized_hommel,
     lehmann_romano_schedule,
-    simes_family,
     stepdown,
     stepdown_as_family,
     stepup,
@@ -328,29 +327,6 @@ def check_theorem_51(trials: int, n_max: int, seed: int, n_min: int = 2) -> Theo
             _record(report.failures, "5.1", t, "equality", p, None, fam,
                     "generalized_hommel", hommel.rejected_indices(), "closed_testing", closed.rejected_indices())
     report.notes["reject_all_branch"] = reject_all_hits
-    return report
-
-
-def check_hommel_dominates_hochberg(trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
-    """At k = 1, Hommel with Simes values rejects everything Hochberg's
-    stepup with alpha/(n-i+1) rejects."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("hommel-hochberg", trials)
-    for t in range(trials):
-        n = int(rng.integers(n_min, n_max + 1))
-        alpha = float(rng.uniform(0.005, 0.5))
-        fam = simes_family(1, n, alpha)
-        hochberg = validate_schedule(1, n, [alpha / (n - i + 1) for i in range(1, n + 1)])
-        # Continuous p-values only: the two critical-value tables are
-        # rounded independently, so a p-value planted exactly on a shared
-        # boundary can flip one table's comparison by one ulp. That is a
-        # float artifact, not a power ordering violation.
-        p = random_pvalues(rng, n, None)
-        up = set(stepup(p, hochberg).rejected_indices())
-        hommel = set(generalized_hommel(p, fam).rejected_indices())
-        if not up <= hommel:
-            _record(report.failures, "hommel-hochberg", t, "inclusion", p, hochberg, fam,
-                    "stepup", tuple(sorted(up)), "generalized_hommel", tuple(sorted(hommel)))
     return report
 
 

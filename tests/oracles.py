@@ -5,7 +5,11 @@ the library (itertools.combinations instead of bitmasks, Fraction
 arithmetic instead of floats, forward scans instead of backward ones) so
 that agreement between the two is meaningful. The one float reference,
 ``d1_float_reference``, is the plain loop that the vectorized ``d1`` must
-reproduce bit for bit.
+reproduce bit for bit. Two helpers only the tests use live here too:
+``evaluate_local_test``, one intersection hypothesis decided on its
+materialized subset, and ``check_hommel_dominates_hochberg``, a power
+ordering checked with the library's own verify harness. They import
+``kfwer`` when called, so loading this module never needs it.
 """
 
 import itertools
@@ -148,3 +152,49 @@ def hommel_oracle(values, k, rows):
     rejected = {j for j in range(n) if values[j] <= threshold}
     rejected.update(ranked[: k - 1])
     return rejected, j_hat
+
+
+def evaluate_local_test(subset_pvalues, family_row):
+    """Decide one intersection hypothesis from its sorted subset p-values.
+
+    ``subset_pvalues`` must be sorted ascending (length m); ``family_row``
+    holds the critical values for ranks k..m of a size-m subset. Returns
+    True (reject) iff some rank-j p-value with j >= k is at or below its
+    critical value.
+    """
+    m = len(subset_pvalues)
+    width = len(family_row)
+    if width < 1 or width > m:
+        from kfwer import LengthMismatchError
+
+        raise LengthMismatchError(f"family row of length {width} does not fit {m} subset p-values")
+    k = m - width + 1
+    return any(subset_pvalues[j - 1] <= family_row[j - k] for j in range(k, m + 1))
+
+
+def check_hommel_dominates_hochberg(trials, n_max, seed, n_min=2):
+    """At k = 1, Hommel with Simes values rejects everything Hochberg's
+    stepup with alpha/(n-i+1) rejects. Returns a ``kfwer.verify.TheoremReport``."""
+    import numpy as np
+
+    from kfwer import generalized_hommel, simes_family, stepup, validate_schedule
+    from kfwer.verify import TheoremReport, _record, random_pvalues
+
+    rng = np.random.default_rng(seed)
+    report = TheoremReport("hommel-hochberg", trials)
+    for t in range(trials):
+        n = int(rng.integers(n_min, n_max + 1))
+        alpha = float(rng.uniform(0.005, 0.5))
+        fam = simes_family(1, n, alpha)
+        hochberg = validate_schedule(1, n, [alpha / (n - i + 1) for i in range(1, n + 1)])
+        # Continuous p-values only: the two critical-value tables are
+        # rounded independently, so a p-value planted exactly on a shared
+        # boundary can flip one table's comparison by one ulp. That is a
+        # float artifact, not a power ordering violation.
+        p = random_pvalues(rng, n, None)
+        up = set(stepup(p, hochberg).rejected_indices())
+        hommel = set(generalized_hommel(p, fam).rejected_indices())
+        if not up <= hommel:
+            _record(report.failures, "hommel-hochberg", t, "inclusion", p, hochberg, fam,
+                    "stepup", tuple(sorted(up)), "generalized_hommel", tuple(sorted(hommel)))
+    return report

@@ -33,7 +33,6 @@ from kfwer import (
     validate_schedule,
 )
 from kfwer.verify import (
-    check_hommel_dominates_hochberg,
     check_theorem_41,
     check_theorem_42,
     check_theorem_43,
@@ -43,6 +42,7 @@ from kfwer.verify import (
     schedule_from_family,
 )
 from oracles import (
+    check_hommel_dominates_hochberg,
     closed_testing_oracle,
     d1_oracle,
     hommel_oracle,

@@ -17,7 +17,6 @@ from kfwer import (
     NotMonotoneError,
     constant_family,
     d1,
-    evaluate_local_test,
     lehmann_romano_schedule,
     lemma31_bound,
     scaled_family,
@@ -25,7 +24,7 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
-from oracles import d1_float_reference, d1_oracle, lemma31_oracle, type1_oracle
+from oracles import d1_float_reference, d1_oracle, evaluate_local_test, lemma31_oracle, type1_oracle
 
 
 def sorted_betas(min_size=1, max_size=10):

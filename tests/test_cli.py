@@ -6,10 +6,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kfwer
-from kfwer import ConfigError, SimulationConfig, lehmann_romano_schedule, order_pvalues
+from kfwer import (
+    ConfigError,
+    SimulationConfig,
+    closed_testing,
+    constant_family,
+    lehmann_romano_schedule,
+    order_pvalues,
+    scaled_family,
+)
 from kfwer.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
@@ -19,6 +28,8 @@ from kfwer.cli import (
 )
 from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES
 from kfwer.simulation import build_procedure
+from kfwer.verify import random_family, random_pvalues
+from oracles import closed_testing_oracle
 
 FIVE_PVALUES = "0.2\n0.015\n0.8\n0.001\n0.03\n"
 
@@ -172,32 +183,29 @@ class TestCmdTest:
         assert code == EXIT_BAD_FLAGS
         assert "family" in err
 
-    def test_closed_with_too_many_hypotheses_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "many.txt"
-        path.write_text("".join("0.5\n" for _ in range(20)))
-        code, _, err = run_main(
-            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "closed",
-             "--schedule", "constant", "--input", str(path)],
-            capsys,
-        )
-        assert code == EXIT_BAD_FLAGS
-        assert "18" in err
-
-    @pytest.mark.parametrize("schedule", ["constant", "romano-shaikh", "file:{tmp}/missing.csv"])
-    def test_closed_size_limit_checked_before_family(self, schedule, tmp_path, capsys):
-        """At n = 19 the closed-testing limit is refused (exit 3) before any
-        family is built or read, so a missing family file or base schedule
-        is never reached."""
-        path = tmp_path / "nineteen.txt"
-        path.write_text("".join("0.5\n" for _ in range(19)))
-        code, out, err = run_main(
-            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "closed",
-             "--schedule", schedule.format(tmp=tmp_path), "--input", str(path),
-             "--base-schedule", str(tmp_path / "missing-base.txt")],
-            capsys,
-        )
-        assert code == EXIT_BAD_FLAGS
-        assert out == "" and "at most n=18" in err and "got 19" in err
+    @pytest.mark.parametrize("n", [19, 1000])
+    def test_closed_has_no_enumeration_limit(self, n, tmp_path, capsys):
+        """`--procedure closed` decides through the Hommel shortcut, which
+        Theorem 5.1 makes equal to closed testing, so it runs past the
+        enumeration limit and reports Hommel's critical values and
+        rejections with a null detail."""
+        rng = np.random.default_rng(n)
+        values = np.where(rng.random(n) < 0.2, rng.uniform(0.0, 1e-4, n), rng.uniform(0.0, 1.0, n))
+        path = tmp_path / "p.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        reports = {}
+        for procedure in ("closed", "hommel"):
+            code, out, _ = run_main(
+                ["test", "--k", "2", "--alpha", "0.05", "--procedure", procedure,
+                 "--schedule", "constant", "--input", str(path)],
+                capsys,
+            )
+            assert code == EXIT_OK
+            reports[procedure] = json.loads(out)
+        closed, hommel = reports["closed"], reports["hommel"]
+        assert closed["rejected"] and closed["rejected"] == hommel["rejected"]
+        assert closed["critical_values"] == hommel["critical_values"]
+        assert closed["detail"] is None and hommel["detail"] is not None
 
     def test_oversized_family_exits_3(self, pfile, capsys, monkeypatch):
         from kfwer import procedures
@@ -333,6 +341,54 @@ class TestCmdTest:
         assert code == EXIT_OK and out == ""
         assert json.loads(out_path.read_text())["rejected"] == [2, 4]
 
+    def test_unwritable_output_exits_3(self, pfile, tmp_path, capsys):
+        out_path = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_main(
+            ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepdown",
+             "--schedule", "lehmann-romano", "--input", pfile, "--output", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err == f"error: {out_path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("schedule", ["constant", "romano-shaikh", "file"])
+def test_closed_agrees_with_exhaustive_closure(schedule, tmp_path, capsys):
+    """Within the enumeration limit, `kfwer test --procedure closed` rejects
+    exactly what the exhaustive engine and the itertools oracle reject, on
+    p-values with ties and exact hits on critical values."""
+    rng = np.random.default_rng(17)
+    alpha = 0.05
+    for _ in range(12):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        argv = ["test", "--k", str(k), "--alpha", str(alpha), "--procedure", "closed"]
+        if schedule == "constant":
+            fam = constant_family(k, n, alpha)
+            argv += ["--schedule", "constant"]
+        elif schedule == "romano-shaikh":
+            base = lehmann_romano_schedule(k, n, alpha)
+            fam = scaled_family(base, alpha)
+            base_path = tmp_path / "base.txt"
+            base_path.write_text("".join(f"{v!r}\n" for v in base.alphas))
+            argv += ["--schedule", "romano-shaikh", "--base-schedule", str(base_path)]
+        else:
+            fam = random_family(rng, k, n)
+            fam_path = tmp_path / "family.csv"
+            fam_path.write_text("m,i,alpha\n" + "".join(
+                f"{m},{i},{fam.value(i, m)!r}\n" for m in range(k, n + 1) for i in range(k, m + 1)))
+            argv += ["--schedule", f"file:{fam_path}"]
+        p = random_pvalues(rng, n, [v for row in fam.rows for v in row])
+        p_path = tmp_path / "p.txt"
+        p_path.write_text("".join(f"{v!r}\n" for v in p.values))
+        code, out, _ = run_main(argv + ["--input", str(p_path)], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["critical_values"] == [list(row) for row in fam.rows]
+        got = {j - 1 for j in report["rejected"]}
+        assert got == set(closed_testing(p, fam).rejected_indices())
+        assert got == closed_testing_oracle(p.values, k, fam.rows)
+
 
 PARITY_PVALUES = [0.003, 0.04, 0.011, 0.2, 0.0004, 0.6]
 
@@ -406,14 +462,24 @@ class TestCmdSimulate:
         )
         assert code == EXIT_BAD_FLAGS
 
-    def test_closed_above_limit_exits_3(self, capsys):
-        code, out, err = run_main(
-            ["simulate", "--n", "19", "--true-nulls", "19", "--k", "1", "--alpha", "0.05",
-             "--procedure", "closed", "--schedule", "constant", "--reps", "10"],
-            capsys,
-        )
+    def test_closed_runs_beyond_enumeration_limit(self, capsys):
+        argv = ["simulate", "--n", "19", "--true-nulls", "10", "--k", "1", "--alpha", "0.05",
+                "--schedule", "constant", "--reps", "20", "--delta", "3"]
+        reports = []
+        for procedure in ("closed", "hommel"):
+            code, out, _ = run_main(argv + ["--procedure", procedure], capsys)
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        closed, hommel = reports
+        assert closed.pop("config_echo")["procedure"] == "closed"
+        hommel.pop("config_echo")
+        assert closed == hommel and closed["avg_power"] > 0
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        out_path = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_main(self.BASE + ["--output", str(out_path)], capsys)
         assert code == EXIT_BAD_FLAGS
-        assert out == "" and "at most n=18" in err
+        assert out == "" and err == f"error: {out_path}: No such file or directory\n"
 
     def test_bad_rho_exits_3(self, capsys):
         code, _, _ = run_main(
@@ -473,6 +539,22 @@ class TestCmdVerify:
     def test_bad_n_max_exits_3(self, capsys):
         code, _, _ = run_main(["verify", "--theorem", "4.2", "--n-max", "25"], capsys)
         assert code == EXIT_BAD_FLAGS
+
+    @pytest.mark.parametrize("flags", [["--n-max", "1"], ["--trials", "0"]])
+    def test_bad_size_flags_exit_3_before_any_trial(self, flags, capsys):
+        code, out, err = run_main(["verify", "--theorem", "4.2", *flags], capsys)
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err.startswith(f"error: {flags[0]} must")
+
+    @pytest.mark.parametrize("flags, env", [(["--seed", "-1"], None), ([], "-1")])
+    def test_negative_seed_exits_3(self, flags, env, capsys, monkeypatch):
+        """From the flag or from KFWER_SEED, a negative seed is a flag error
+        (exit 3, not the counterexample code 1) before any trial runs."""
+        if env is not None:
+            monkeypatch.setenv("KFWER_SEED", env)
+        code, out, err = run_main(["verify", "--theorem", "4.2", "--trials", "5", *flags], capsys)
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_counterexample_exit_code_reserved(self):
         assert EXIT_COUNTEREXAMPLE == 1

@@ -36,7 +36,7 @@ from kfwer import (
 )
 from kfwer import procedures
 from kfwer.verify import random_family, random_pvalues, random_schedule
-from oracles import closed_testing_oracle, hommel_oracle, stepdown_oracle, stepup_oracle
+from oracles import closed_testing_oracle, evaluate_local_test, hommel_oracle, stepdown_oracle, stepup_oracle
 
 LR_2_5 = lehmann_romano_schedule(2, 5, 0.05)
 
@@ -195,8 +195,6 @@ class TestClosedTesting:
         makes on the materialized subset, and the cardinalities it accepts
         are the ones reported."""
         import itertools
-
-        from kfwer import evaluate_local_test
 
         rng = np.random.default_rng(43)
         for _ in range(60):

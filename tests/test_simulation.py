@@ -11,9 +11,13 @@ from kfwer import (
     ConfigError,
     ProcedureResult,
     SimulationConfig,
+    closed_testing,
+    constant_family,
     estimate_kfwer,
     generate_pvalues,
+    lehmann_romano_schedule,
     order_pvalues,
+    scaled_family,
 )
 from kfwer.simulation import _ReplicationRng, build_procedure
 
@@ -42,7 +46,6 @@ class TestConfigValidation:
             dict(schedule="simes"),
             dict(dependence="arbitrary"),
             dict(seed=-1),
-            dict(procedure="closed", schedule="constant", n=19),
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -194,3 +197,19 @@ def test_level_control_quick(overrides):
     cfg = config(**settings)
     res = estimate_kfwer(cfg)
     assert res.kfwer_estimate <= cfg.alpha + 3 * max(res.std_error, 1e-4)
+
+
+@pytest.mark.parametrize("signal", [dict(), dict(n_true=5, delta=2.0, reps=5_000)])
+@pytest.mark.parametrize("overrides", [c for c in LEVEL_CONFIGS if c["procedure"] == "closed"])
+def test_closed_estimates_equal_exhaustive_closure(overrides, signal):
+    """`closed` decides through the Hommel shortcut (Theorem 5.1); its seeded
+    estimates are float for float those of the exhaustive closure engine."""
+    settings = dict(n=8, n_true=8, k=2, reps=20_000, seed=1234)
+    settings.update(overrides, **signal)
+    cfg = config(**settings)
+    k, n, alpha = cfg.k, cfg.n, cfg.alpha
+    if cfg.schedule == "constant":
+        fam = constant_family(k, n, alpha)
+    else:
+        fam = scaled_family(lehmann_romano_schedule(k, n, alpha), alpha)
+    assert estimate_kfwer(cfg) == estimate_kfwer(cfg, procedure=lambda p: closed_testing(p, fam))

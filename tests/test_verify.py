@@ -9,7 +9,6 @@ from kfwer import check_theorem43_condition, stepdown, validate_family
 from kfwer.verify import (
     THEOREMS,
     TrialFailure,
-    check_hommel_dominates_hochberg,
     random_diagonal_family,
     random_family,
     random_pvalues,
@@ -17,6 +16,7 @@ from kfwer.verify import (
     run_theorem_trials,
     schedule_from_family,
 )
+from oracles import check_hommel_dominates_hochberg
 
 
 def test_generators_produce_valid_objects():
