@@ -41,7 +41,7 @@ class BoundInput:
         m = len(self.betas)
         if m < 1 or m > self.t:
             raise BadShapeError(f"need 1 <= m <= t={self.t} thresholds, got {m}")
-        _check_unit_interval(self.betas, "beta")
+        object.__setattr__(self, "betas", _check_unit_interval(self.betas, "beta"))
         for pos in range(1, m):
             if self.betas[pos] < self.betas[pos - 1]:
                 raise NotMonotoneError(pos + 1)

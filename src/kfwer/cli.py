@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from dataclasses import asdict
 from typing import Optional, Sequence, TextIO
 
 from .core import (
+    ConfigError,
     CriticalSchedule,
     KfwerError,
     LocalTestFamily,
@@ -47,10 +49,6 @@ EXIT_BAD_FLAGS = 3
 
 class InputDataError(Exception):
     """Malformed input file or stream; maps to exit code 2."""
-
-
-class FlagError(Exception):
-    """Invalid flag combination; maps to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,8 +159,26 @@ def _resolve_seed(seed: Optional[int]) -> int:
         try:
             return int(env)
         except ValueError:
-            raise FlagError(f"KFWER_SEED={env!r} is not an integer") from None
+            raise ConfigError(f"KFWER_SEED={env!r} is not an integer") from None
     return 0
+
+
+def _check_output(output: Optional[str]) -> None:
+    """Refuse an ``--output`` path that cannot be written before any work
+    runs: a directory, a missing parent directory, or no write access.
+    :func:`_emit` still reports a path that goes bad in the meantime."""
+    if not output:
+        return
+    parent = os.path.dirname(output) or "."
+    if os.path.isdir(output):
+        problem = errno.EISDIR
+    elif not os.path.isdir(parent):
+        problem = errno.ENOENT
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        problem = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"{output}: {os.strerror(problem)}")
 
 
 def _emit(payload: dict, output: Optional[str]) -> None:
@@ -172,7 +188,7 @@ def _emit(payload: dict, output: Optional[str]) -> None:
             with open(output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise FlagError(f"{output}: {exc.strerror}") from None
+            raise ConfigError(f"{output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -184,9 +200,9 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
     path = spec[len("file:"):] if spec.startswith("file:") else None
     check_procedure(proc, None if path else spec, k, n, alpha)
     if rescales_base(spec) and not args.base_schedule:
-        raise FlagError(f"--schedule {spec} requires --base-schedule PATH")
+        raise ConfigError(f"--schedule {spec} requires --base-schedule PATH")
     if args.base_schedule and not rescales_base(spec):
-        raise FlagError(f"--base-schedule applies only to --schedule romano-shaikh, not --schedule {spec}")
+        raise ConfigError(f"--base-schedule applies only to --schedule romano-shaikh, not --schedule {spec}")
     if path is None:
         critical = critical_values(proc, spec, k, n, alpha,
                                    base=lambda: _read_schedule_file(args.base_schedule, k, n))
@@ -198,6 +214,7 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
 
 
 def cmd_test(args) -> int:
+    _check_output(args.output)
     if args.input and args.input != "-":
         name = args.input
         try:
@@ -231,6 +248,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_output(args.output)
     config = SimulationConfig(
         n=args.n,
         n_true=args.true_nulls,
@@ -276,14 +294,14 @@ def _self_test(theorems: Sequence[str]) -> int:
 def cmd_verify(args) -> int:
     theorems = list(THEOREMS) if args.theorem == "all" else [args.theorem]
     if not 2 <= args.n_max <= EXHAUSTIVE_LIMIT:
-        raise FlagError(f"--n-max must lie in 2..{EXHAUSTIVE_LIMIT}")
+        raise ConfigError(f"--n-max must lie in 2..{EXHAUSTIVE_LIMIT}")
     if args.trials < 1:
-        raise FlagError("--trials must be >= 1")
+        raise ConfigError("--trials must be >= 1")
     if args.self_test:
         return _self_test(theorems)
     seed = _resolve_seed(args.seed)
     if seed < 0:
-        raise FlagError(f"seed must be a nonnegative integer, got {seed}")
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     failed = False
     for theorem in theorems:
         report = run_theorem_trials(theorem, args.trials, args.n_max, seed)
@@ -347,12 +365,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
-    except FlagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
     except KfwerError as exc:
-        # Errors raised while building schedules/families from flags are
-        # flag problems; file-sourced problems were wrapped above.
+        # ConfigError and the errors raised while building schedules or
+        # families from flags are flag problems; file-sourced problems
+        # were wrapped as InputDataError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
 

@@ -12,9 +12,8 @@ direct indexing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -120,7 +119,8 @@ class DegenerateScheduleError(KfwerError):
 
 class ConfigError(KfwerError):
     """An invalid request: an unknown procedure or schedule name, a pairing
-    of the two that has no meaning, or a simulation setting out of range."""
+    of the two that has no meaning, a simulation setting out of range, or a
+    command-line flag the CLI refuses (exit code 3)."""
 
 
 def _unvalidated(cls, **fields):
@@ -135,10 +135,27 @@ def _unvalidated(cls, **fields):
     return obj
 
 
-def _check_unit_interval(values: Sequence[float], what: str) -> None:
-    for pos, v in enumerate(values, start=1):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+def _check_unit_interval(values: Iterable[Any], what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each a finite number in [0, 1].
+
+    The one acceptance rule for a caller's numbers: Python ints and floats
+    and numpy real scalars (a float32 array's elements, say) are taken and
+    converted to float. Anything else is refused with
+    :class:`OutOfRangeError` naming the first bad entry: strings, and
+    ``bool`` and ``np.bool_``, which the range check alone would take as
+    0 or 1. A tuple of in-range Python floats is returned as it is.
+    """
+    vals = tuple(values)
+    if all(type(v) is float and 0.0 <= v <= 1.0 for v in vals):
+        return vals
+    out = []
+    for pos, v in enumerate(vals, start=1):
+        if isinstance(v, (np.floating, np.integer)):
+            v = float(v)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= 1:
             raise OutOfRangeError(pos, v, what)
+        out.append(float(v))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -158,7 +175,7 @@ class PValueVector:
         n = len(self.values)
         if n == 0:
             raise EmptyInputError("need at least one p-value")
-        _check_unit_interval(self.values, "p-value")
+        object.__setattr__(self, "values", _check_unit_interval(self.values, "p-value"))
         if sorted(self.order) != list(range(n)):
             raise BadShapeError(f"order must be a permutation of 0..{n - 1}")
         for a, b in zip(self.order, self.order[1:]):
@@ -195,7 +212,7 @@ class CriticalSchedule:
             raise BadShapeError(
                 f"schedule for k={self.k}, n={self.n} needs {self.n - self.k + 1} values, got {len(self.alphas)}"
             )
-        _check_unit_interval(self.alphas, "critical value")
+        object.__setattr__(self, "alphas", _check_unit_interval(self.alphas, "critical value"))
         for pos in range(1, len(self.alphas)):
             if self.alphas[pos] < self.alphas[pos - 1]:
                 raise NotMonotoneError(pos + 1)
@@ -226,14 +243,17 @@ class LocalTestFamily:
             raise KOutOfRangeError(k, n)
         if len(self.rows) != n - k + 1:
             raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(self.rows)}")
-        for m in range(k, n + 1):
-            row = self.rows[m - k]
+        rows = []
+        for m, row in enumerate(self.rows, start=k):
+            row = tuple(row)
             if len(row) != m - k + 1:
                 raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
-            _check_unit_interval(row, f"family value in row m={m}")
+            row = _check_unit_interval(row, f"family value in row m={m}")
             for i in range(k + 1, m + 1):
                 if row[i - k] < row[i - k - 1]:
                     raise NotMonotoneInIError(i, m)
+            rows.append(row)
+        object.__setattr__(self, "rows", tuple(rows))
         for i in range(k, n + 1):
             for m in range(max(i, k) + 1, n + 1):
                 if self.value(i, m) > self.value(i, m - 1):
@@ -256,35 +276,21 @@ def order_pvalues(values: Iterable[float]) -> PValueVector:
     The range check here is the only one: the order is a stable sort, so
     the result does not go through :class:`PValueVector`'s checks again.
     """
-    vals = tuple(float(v) for v in values)
+    vals = _check_unit_interval(values, "p-value")
     if len(vals) == 0:
         raise EmptyInputError("need at least one p-value")
-    _check_unit_interval(vals, "p-value")
     order = tuple(sorted(range(len(vals)), key=lambda j: vals[j]))  # stable: ties keep index order
     return _unvalidated(PValueVector, values=vals, order=order)
 
 
-def _boundary_values(values: Iterable[Any], what: str) -> tuple[float, ...]:
-    """Entries of a caller's table with numpy real scalars (a float32 array's
-    elements, say) converted to float. Booleans are refused: ``bool`` is an
-    ``int`` subclass, so the range check alone would take True as 1."""
-    out = []
-    for pos, v in enumerate(values, start=1):
-        if isinstance(v, (bool, np.bool_)):
-            raise OutOfRangeError(pos, v, what)
-        out.append(float(v) if isinstance(v, (np.floating, np.integer)) else v)
-    return tuple(out)
-
-
 def validate_schedule(k: int, n: int, alphas: Iterable[float]) -> CriticalSchedule:
     """Build a :class:`CriticalSchedule`, rejecting ill-shaped or decreasing input."""
-    return CriticalSchedule(k=k, n=n, alphas=_boundary_values(alphas, "critical value"))
+    return CriticalSchedule(k=k, n=n, alphas=tuple(alphas))
 
 
 def validate_family(k: int, n: int, table: Iterable[Iterable[float]]) -> LocalTestFamily:
     """Build a :class:`LocalTestFamily` from a triangular table of rows m = k..n."""
-    rows = tuple(_boundary_values(row, f"family value in row m={m}") for m, row in enumerate(table, start=k))
-    return LocalTestFamily(k=k, n=n, rows=rows)
+    return LocalTestFamily(k=k, n=n, rows=tuple(table))
 
 
 def check_theorem43_condition(family: LocalTestFamily) -> bool:

@@ -1,11 +1,13 @@
 """Randomized equivalence and dominance checking between procedures.
 
-Each checker draws random problem instances (sizes, p-values with and
-without ties, schedules, critical-value families satisfying the relevant
-hypotheses) and compares rejection sets exactly: closed testing, being
-an exhaustive enumeration, serves as the oracle for the stepwise and
-Hommel shortcuts. A failed trial is returned with everything needed to
-replay it.
+Each theorem has a trial that draws one random instance (sizes, p-values
+with and without ties, schedules, critical-value families satisfying
+the relevant hypotheses) and decides it with the theorem's shortcut:
+stepdown, stepup or generalized Hommel. :func:`run_theorem_trials` runs
+one loop for every theorem: it decides the same instance by closed
+testing, which as an exhaustive enumeration serves as the oracle, and
+compares the two rejection sets exactly, for equality or inclusion. A
+failed trial is returned with everything needed to replay it.
 """
 
 from __future__ import annotations
@@ -25,17 +27,15 @@ from .core import (
     validate_schedule,
 )
 from .procedures import (
+    ProcedureResult,
     closed_testing,
     constant_family,
     generalized_hommel,
-    lehmann_romano_schedule,
     stepdown,
     stepdown_as_family,
     stepup,
     stepup_as_family,
 )
-
-THEOREMS = ("4.1", "4.2", "4.3", "4.4", "5.1")
 
 
 @dataclass
@@ -170,179 +170,128 @@ def schedule_from_family(f: LocalTestFamily) -> CriticalSchedule:
     return validate_schedule(k, n, [f.value(k, (n - i) + k) for i in range(k, n + 1)])
 
 
-def _draw_size(rng: np.random.Generator, n_min: int, n_max: int) -> tuple[int, int]:
-    n = int(rng.integers(n_min, n_max + 1))
+def _draw_size(rng: np.random.Generator, n_max: int) -> tuple[int, int]:
+    n = int(rng.integers(2, n_max + 1))
     k = int(rng.integers(1, n + 1))
     return n, k
 
 
-def _record(
-    failures: list[TrialFailure],
-    theorem: str,
-    trial: int,
-    relation: str,
-    p: PValueVector,
-    schedule: Optional[CriticalSchedule],
-    family: Optional[LocalTestFamily],
-    left_name: str,
-    left: tuple[int, ...],
-    right_name: str,
-    right: tuple[int, ...],
-) -> None:
-    failures.append(
-        TrialFailure(
-            theorem=theorem,
-            trial=trial,
-            relation=relation,
-            k=schedule.k if schedule is not None else family.k,
-            pvalues=p.values,
-            schedule=schedule.alphas if schedule is not None else None,
-            family_rows=family.rows if family is not None else None,
-            left_name=left_name,
-            left_rejected=left,
-            right_name=right_name,
-            right_rejected=right,
-        )
-    )
+def _pool(fam: LocalTestFamily) -> list[float]:
+    """Every table entry, for p-values planted exactly on a threshold."""
+    return [v for row in fam.rows for v in row]
 
 
-def check_theorem_41(trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
+# A trial draws one instance, decides it with the theorem's shortcut and
+# returns (p-values, the family closed testing runs with, the shortcut's
+# result, the relation to check, the increment of the theorem's note).
+Trial = tuple[PValueVector, LocalTestFamily, ProcedureResult, str, int]
+
+
+def _trial_41(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     """Closed testing dominates the induced stepdown; equality when rows
     are constant."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("4.1", trials)
-    equalities = 0
-    for t in range(trials):
-        n, k = _draw_size(rng, n_min, n_max)
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            fam = random_family(rng, k, n)
-        elif kind == 1:
-            fam = random_family(rng, k, n, constant_rows=True)
-        else:
-            fam = constant_family(k, n, float(rng.uniform(0.005, 0.5)))
-        sched = schedule_from_family(fam)
-        pool = [v for row in fam.rows for v in row]
-        p = random_pvalues(rng, n, pool)
-        down = set(stepdown(p, sched).rejected_indices())
-        closed = set(closed_testing(p, fam).rejected_indices())
-        rows_constant = all(all(v == row[0] for v in row) for row in fam.rows)
-        if rows_constant:
-            equalities += 1
-            if down != closed:
-                _record(report.failures, "4.1", t, "equality", p, sched, fam,
-                        "stepdown", tuple(sorted(down)), "closed_testing", tuple(sorted(closed)))
-        elif not down <= closed:
-            _record(report.failures, "4.1", t, "inclusion", p, sched, fam,
-                    "stepdown", tuple(sorted(down)), "closed_testing", tuple(sorted(closed)))
-    report.notes["equality_trials"] = equalities
-    return report
+    n, k = _draw_size(rng, n_max)
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        fam = random_family(rng, k, n)
+    elif kind == 1:
+        fam = random_family(rng, k, n, constant_rows=True)
+    else:
+        fam = constant_family(k, n, float(rng.uniform(0.005, 0.5)))
+    sched = schedule_from_family(fam)
+    p = random_pvalues(rng, n, _pool(fam))
+    rows_constant = all(all(v == row[0] for v in row) for row in fam.rows)
+    return p, fam, stepdown(p, sched), "equality" if rows_constant else "inclusion", int(rows_constant)
 
 
-def check_theorem_42(trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
+def _trial_42(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     """Any stepdown procedure equals closed testing with its induced family."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("4.2", trials)
-    for t in range(trials):
-        n, k = _draw_size(rng, n_min, n_max)
-        sched = random_schedule(rng, k, n)
-        p = random_pvalues(rng, n, list(sched.alphas))
-        down = stepdown(p, sched).rejected_indices()
-        closed = closed_testing(p, stepdown_as_family(sched)).rejected_indices()
-        if down != closed:
-            _record(report.failures, "4.2", t, "equality", p, sched, stepdown_as_family(sched),
-                    "stepdown", down, "closed_testing", closed)
-    return report
+    n, k = _draw_size(rng, n_max)
+    sched = random_schedule(rng, k, n)
+    p = random_pvalues(rng, n, list(sched.alphas))
+    return p, stepdown_as_family(sched), stepdown(p, sched), "equality", 0
 
 
-def check_theorem_43(trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
+def _trial_43(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     """Closed testing dominates the induced stepup when the diagonal
     condition holds. Candidate families not satisfying the condition are
-    regenerated, never compared."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("4.3", trials)
+    regenerated, never compared; the note counts them."""
     filtered = 0
-    for t in range(trials):
-        fam = None
-        while fam is None:
-            n, k = _draw_size(rng, n_min, n_max)
-            if rng.random() < 0.2:
-                candidate = random_family(rng, k, n)  # rarely satisfies the condition
-                if check_theorem43_condition(candidate):
-                    fam = candidate
-                else:
-                    filtered += 1
+    fam = None
+    while fam is None:
+        n, k = _draw_size(rng, n_max)
+        if rng.random() < 0.2:
+            candidate = random_family(rng, k, n)  # rarely satisfies the condition
+            if check_theorem43_condition(candidate):
+                fam = candidate
             else:
-                fam = random_diagonal_family(rng, k, n)
-        sched = schedule_from_family(fam)
-        pool = [v for row in fam.rows for v in row]
-        p = random_pvalues(rng, fam.n, pool)
-        up = set(stepup(p, sched).rejected_indices())
-        closed = set(closed_testing(p, fam).rejected_indices())
-        if not up <= closed:
-            _record(report.failures, "4.3", t, "inclusion", p, sched, fam,
-                    "stepup", tuple(sorted(up)), "closed_testing", tuple(sorted(closed)))
-    report.notes["condition_filtered"] = filtered
-    return report
+                filtered += 1
+        else:
+            fam = random_diagonal_family(rng, k, n)
+    sched = schedule_from_family(fam)
+    p = random_pvalues(rng, fam.n, _pool(fam))
+    return p, fam, stepup(p, sched), "inclusion", filtered
 
 
-def check_theorem_44(trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
+def _trial_44(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     """Any stepup procedure equals closed testing with its induced family."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("4.4", trials)
-    for t in range(trials):
-        n, k = _draw_size(rng, n_min, n_max)
-        sched = random_schedule(rng, k, n)
-        p = random_pvalues(rng, n, list(sched.alphas))
-        up = stepup(p, sched).rejected_indices()
-        closed = closed_testing(p, stepup_as_family(sched)).rejected_indices()
-        if up != closed:
-            _record(report.failures, "4.4", t, "equality", p, sched, stepup_as_family(sched),
-                    "stepup", up, "closed_testing", closed)
-    return report
+    n, k = _draw_size(rng, n_max)
+    sched = random_schedule(rng, k, n)
+    p = random_pvalues(rng, n, list(sched.alphas))
+    return p, stepup_as_family(sched), stepup(p, sched), "equality", 0
 
 
-def check_theorem_51(trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
+def _trial_51(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     """The generalized Hommel shortcut equals closed testing for every
     doubly monotone family, including the reject-all branch."""
-    rng = np.random.default_rng(seed)
-    report = TheoremReport("5.1", trials)
-    reject_all_hits = 0
-    for t in range(trials):
-        n, k = _draw_size(rng, n_min, n_max)
-        fam = random_family(rng, k, n)
-        pool = [v for row in fam.rows for v in row]
-        if t % 5 == 0:
-            # Aim p-values below the smallest thresholds to exercise the
-            # branch where no cardinality survives.
-            floor = max(min(row[0] for row in fam.rows), 1e-6)
-            p = order_pvalues(rng.uniform(0.0, floor, n).tolist())
-        else:
-            p = random_pvalues(rng, n, pool)
-        hommel = generalized_hommel(p, fam)
-        closed = closed_testing(p, fam)
-        if hommel.detail["j_hat"] is None:
-            reject_all_hits += 1
-        if hommel.rejected_indices() != closed.rejected_indices():
-            _record(report.failures, "5.1", t, "equality", p, None, fam,
-                    "generalized_hommel", hommel.rejected_indices(), "closed_testing", closed.rejected_indices())
-    report.notes["reject_all_branch"] = reject_all_hits
-    return report
+    n, k = _draw_size(rng, n_max)
+    fam = random_family(rng, k, n)
+    pool = _pool(fam)
+    if t % 5 == 0:
+        # Aim p-values below the smallest thresholds to exercise the
+        # branch where no cardinality survives.
+        floor = max(min(row[0] for row in fam.rows), 1e-6)
+        p = order_pvalues(rng.uniform(0.0, floor, n).tolist())
+    else:
+        p = random_pvalues(rng, n, pool)
+    hommel = generalized_hommel(p, fam)
+    return p, fam, hommel, "equality", int(hommel.detail["j_hat"] is None)
 
 
-_CHECKERS = {
-    "4.1": check_theorem_41,
-    "4.2": check_theorem_42,
-    "4.3": check_theorem_43,
-    "4.4": check_theorem_44,
-    "5.1": check_theorem_51,
+# theorem id -> (trial, name of the note its increments add up to)
+_TRIALS = {
+    "4.1": (_trial_41, "equality_trials"),
+    "4.2": (_trial_42, None),
+    "4.3": (_trial_43, "condition_filtered"),
+    "4.4": (_trial_44, None),
+    "5.1": (_trial_51, "reject_all_branch"),
 }
+THEOREMS = tuple(_TRIALS)
 
 
-def run_theorem_trials(theorem: str, trials: int, n_max: int, seed: int, n_min: int = 2) -> TheoremReport:
-    """Run randomized trials for one theorem id from THEOREMS."""
+def run_theorem_trials(theorem: str, trials: int, n_max: int, seed: int) -> TheoremReport:
+    """Run randomized trials for one theorem id from THEOREMS: each trial's
+    shortcut is compared with exhaustive closed testing on its family."""
     try:
-        checker = _CHECKERS[theorem]
+        trial, note = _TRIALS[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}") from None
-    return checker(trials, n_max, seed, n_min=n_min)
+    rng = np.random.default_rng(seed)
+    report = TheoremReport(theorem, trials)
+    hits = 0
+    for t in range(trials):
+        p, fam, shortcut, relation, increment = trial(rng, t, n_max)
+        hits += increment
+        closed = closed_testing(p, fam)
+        left, right = shortcut.rejected_indices(), closed.rejected_indices()
+        held = left == right if relation == "equality" else set(left) <= set(right)
+        if not held:
+            report.failures.append(TrialFailure(
+                theorem=theorem, trial=t, relation=relation, k=fam.k, pvalues=p.values,
+                schedule=shortcut.schedule.alphas if shortcut.schedule is not None else None,
+                family_rows=fam.rows, left_name=shortcut.procedure, left_rejected=left,
+                right_name=closed.procedure, right_rejected=right,
+            ))
+    if note is not None:
+        report.notes[note] = hits
+    return report

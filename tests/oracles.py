@@ -172,18 +172,18 @@ def evaluate_local_test(subset_pvalues, family_row):
     return any(subset_pvalues[j - 1] <= family_row[j - k] for j in range(k, m + 1))
 
 
-def check_hommel_dominates_hochberg(trials, n_max, seed, n_min=2):
+def check_hommel_dominates_hochberg(trials, n_max, seed):
     """At k = 1, Hommel with Simes values rejects everything Hochberg's
     stepup with alpha/(n-i+1) rejects. Returns a ``kfwer.verify.TheoremReport``."""
     import numpy as np
 
     from kfwer import generalized_hommel, simes_family, stepup, validate_schedule
-    from kfwer.verify import TheoremReport, _record, random_pvalues
+    from kfwer.verify import TheoremReport, TrialFailure, random_pvalues
 
     rng = np.random.default_rng(seed)
     report = TheoremReport("hommel-hochberg", trials)
     for t in range(trials):
-        n = int(rng.integers(n_min, n_max + 1))
+        n = int(rng.integers(2, n_max + 1))
         alpha = float(rng.uniform(0.005, 0.5))
         fam = simes_family(1, n, alpha)
         hochberg = validate_schedule(1, n, [alpha / (n - i + 1) for i in range(1, n + 1)])
@@ -192,9 +192,12 @@ def check_hommel_dominates_hochberg(trials, n_max, seed, n_min=2):
         # boundary can flip one table's comparison by one ulp. That is a
         # float artifact, not a power ordering violation.
         p = random_pvalues(rng, n, None)
-        up = set(stepup(p, hochberg).rejected_indices())
-        hommel = set(generalized_hommel(p, fam).rejected_indices())
-        if not up <= hommel:
-            _record(report.failures, "hommel-hochberg", t, "inclusion", p, hochberg, fam,
-                    "stepup", tuple(sorted(up)), "generalized_hommel", tuple(sorted(hommel)))
+        up = stepup(p, hochberg).rejected_indices()
+        hommel = generalized_hommel(p, fam).rejected_indices()
+        if not set(up) <= set(hommel):
+            report.failures.append(TrialFailure(
+                theorem="hommel-hochberg", trial=t, relation="inclusion", k=1, pvalues=p.values,
+                schedule=hochberg.alphas, family_rows=fam.rows, left_name="stepup", left_rejected=up,
+                right_name="generalized_hommel", right_rejected=hommel,
+            ))
     return report

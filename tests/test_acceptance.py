@@ -32,15 +32,7 @@ from kfwer import (
     type1_bound,
     validate_schedule,
 )
-from kfwer.verify import (
-    check_theorem_41,
-    check_theorem_42,
-    check_theorem_43,
-    check_theorem_44,
-    check_theorem_51,
-    random_pvalues,
-    schedule_from_family,
-)
+from kfwer.verify import random_pvalues, run_theorem_trials, schedule_from_family
 from oracles import (
     check_hommel_dominates_hochberg,
     closed_testing_oracle,
@@ -88,24 +80,24 @@ def test_criterion_1_constant_family_equals_stepdown():
 
 def test_criterion_2_stepwise_closed_testing_equivalences():
     with criterion(2, "stepdown and stepup equal closed testing with their induced families (1000 trials each)"):
-        down = check_theorem_42(TRIALS, N_MAX, seed=202)
+        down = run_theorem_trials("4.2", TRIALS, N_MAX, 202)
         assert down.passed, down.failures[0].describe()
-        up = check_theorem_44(TRIALS, N_MAX, seed=203)
+        up = run_theorem_trials("4.4", TRIALS, N_MAX, 203)
         assert up.passed, up.failures[0].describe()
 
 
 def test_criterion_3_hommel_equals_closed_testing():
     with criterion(3, "generalized Hommel equals closed testing, reject-all branch included (1000 trials)"):
-        report = check_theorem_51(TRIALS, N_MAX, seed=303)
+        report = run_theorem_trials("5.1", TRIALS, N_MAX, 303)
         assert report.passed, report.failures[0].describe()
         assert report.notes["reject_all_branch"] >= 1, "reject-all branch never exercised"
 
 
 def test_criterion_4_dominance_relations():
     with criterion(4, "closed testing dominates induced stepdown and (diagonal condition) stepup (1000 trials each)"):
-        down = check_theorem_41(TRIALS, N_MAX, seed=404)
+        down = run_theorem_trials("4.1", TRIALS, N_MAX, 404)
         assert down.passed, down.failures[0].describe()
-        up = check_theorem_43(TRIALS, N_MAX, seed=405)
+        up = run_theorem_trials("4.3", TRIALS, N_MAX, 405)
         assert up.passed, up.failures[0].describe()
 
 

@@ -351,6 +351,20 @@ class TestCmdTest:
         assert code == EXIT_BAD_FLAGS
         assert out == "" and err == f"error: {out_path}: No such file or directory\n"
 
+    @pytest.mark.parametrize("target, reason", [("missing-dir/report.json", "No such file or directory"),
+                                                (".", "Is a directory")])
+    def test_output_checked_before_input_is_read(self, target, reason, tmp_path, capsys):
+        """A bad --output wins over a missing --input: it is refused first."""
+        out_path = tmp_path / target
+        code, out, err = run_main(
+            ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepdown",
+             "--schedule", "lehmann-romano", "--input", str(tmp_path / "absent.txt"),
+             "--output", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err == f"error: {out_path}: {reason}\n"
+
 
 @pytest.mark.parametrize("schedule", ["constant", "romano-shaikh", "file"])
 def test_closed_agrees_with_exhaustive_closure(schedule, tmp_path, capsys):
@@ -480,6 +494,18 @@ class TestCmdSimulate:
         code, out, err = run_main(self.BASE + ["--output", str(out_path)], capsys)
         assert code == EXIT_BAD_FLAGS
         assert out == "" and err == f"error: {out_path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("target, reason", [("missing-dir/report.json", "No such file or directory"),
+                                                (".", "Is a directory")])
+    def test_output_checked_before_any_replication(self, target, reason, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("simulation ran before --output was checked")
+
+        monkeypatch.setattr("kfwer.cli.estimate_kfwer", no_run)
+        out_path = tmp_path / target
+        code, out, err = run_main(self.BASE + ["--output", str(out_path)], capsys)
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err == f"error: {out_path}: {reason}\n"
 
     def test_bad_rho_exits_3(self, capsys):
         code, _, _ = run_main(

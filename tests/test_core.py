@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kfwer import (
     BadShapeError,
+    BoundInput,
     CriticalSchedule,
     EmptyInputError,
     KOutOfRangeError,
@@ -178,6 +179,43 @@ class TestValidateFamily:
         with pytest.raises(OutOfRangeError, match="row m=3") as exc:
             validate_family(2, 3, [[0.05], [flag, 0.04]])
         assert exc.value.position == 1
+
+
+# The five numeric entry points, each given the entries (0.1, x): one
+# acceptance rule holds at all of them.
+ENTRY_POINTS = {
+    "order_pvalues": lambda x: order_pvalues([0.1, x]).values,
+    "PValueVector": lambda x: PValueVector(values=(0.1, x), order=(0, 1)).values,
+    "CriticalSchedule": lambda x: CriticalSchedule(k=1, n=2, alphas=(0.1, x)).alphas,
+    "LocalTestFamily": lambda x: LocalTestFamily(k=1, n=2, rows=((0.2,), (0.1, x))).rows[1],
+    "BoundInput": lambda x: BoundInput(t=2, betas=(0.1, x)).betas,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_, "0.3", 0.3j, None],
+                         ids=["True", "False", "np.True_", "np.False_", "str", "complex", "None"])
+def test_every_entry_point_refuses_non_real_entries(entry, bad):
+    with pytest.raises(OutOfRangeError) as exc:
+        ENTRY_POINTS[entry](bad)
+    assert exc.value.position == 2
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("good", [np.float32(0.3), np.float64(0.3), np.int64(1), 1],
+                         ids=["np.float32", "np.float64", "np.int64", "int"])
+def test_every_entry_point_stores_plain_floats(entry, good):
+    stored = ENTRY_POINTS[entry](good)
+    assert stored == (0.1, float(good))
+    assert all(type(v) is float for v in stored)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.float32("nan"), np.float32(1.5), 10**400],
+                         ids=["np.float32-nan", "np.float32-1.5", "huge-int"])
+def test_every_entry_point_range_checks_converted_entries(entry, bad):
+    with pytest.raises(OutOfRangeError):
+        ENTRY_POINTS[entry](bad)
 
 
 @given(

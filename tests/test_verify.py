@@ -2,10 +2,23 @@
 valid instances, checkers pass on correct code, and failures carry a
 replayable counterexample."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kfwer import check_theorem43_condition, stepdown, validate_family
+import kfwer.verify
+from kfwer import (
+    check_theorem43_condition,
+    closed_testing,
+    generalized_hommel,
+    order_pvalues,
+    stepdown,
+    stepup,
+    validate_family,
+    validate_schedule,
+)
+from kfwer.cli import main
 from kfwer.verify import (
     THEOREMS,
     TrialFailure,
@@ -115,3 +128,53 @@ def test_reports_catch_an_injected_defect():
         if down != closed:
             found += 1
     assert found > 0
+
+
+def test_draw_order_is_pinned(capsys):
+    """The instances each theorem draws for a seed are part of the
+    harness's output: these notes count branches of the draws, so a
+    change in draw order shows here."""
+    assert main(["verify", "--theorem", "all", "--n-max", "10", "--trials", "200", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "theorem 4.1: 200 trials, ok, equality_trials=163\n"
+        "theorem 4.2: 200 trials, ok\n"
+        "theorem 4.3: 200 trials, ok, condition_filtered=24\n"
+        "theorem 4.4: 200 trials, ok\n"
+        "theorem 5.1: 200 trials, ok, reject_all_branch=66\n"
+    )
+
+
+SHORTCUTS = {"4.1": "stepdown", "4.2": "stepdown", "4.3": "stepup", "4.4": "stepup",
+             "5.1": "generalized_hommel"}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_counterexamples_name_the_relation_and_replay(theorem, monkeypatch):
+    """A closure that drops its last rejection must be caught, and each
+    counterexample must carry what it takes to replay both sides."""
+    def drop_last(p, fam):
+        result = closed_testing(p, fam)
+        flags = list(result.rejected)
+        if any(flags):
+            flags[result.rejected_indices()[-1]] = False
+        return dataclasses.replace(result, rejected=tuple(flags))
+
+    monkeypatch.setattr(kfwer.verify, "closed_testing", drop_last)
+    report = run_theorem_trials(theorem, trials=60, n_max=8, seed=31)
+    assert not report.passed
+    for f in report.failures:
+        rows_constant = all(all(v == row[0] for v in row) for row in f.family_rows)
+        relation = {"4.1": "equality" if rows_constant else "inclusion", "4.3": "inclusion"}
+        assert f.relation == relation.get(theorem, "equality")
+        assert (f.left_name, f.right_name) == (SHORTCUTS[theorem], "closed_testing")
+        assert (f.schedule is None) == (theorem == "5.1")
+        p = order_pvalues(f.pvalues)
+        fam = validate_family(f.k, len(f.pvalues), f.family_rows)
+        assert f.right_rejected == closed_testing(p, fam).rejected_indices()[:-1]
+        if f.schedule is None:
+            left = generalized_hommel(p, fam)
+        else:
+            decide = stepdown if f.left_name == "stepdown" else stepup
+            left = decide(p, validate_schedule(f.k, len(f.pvalues), f.schedule))
+        assert f.left_rejected == left.rejected_indices()
+        assert f"theorem {theorem}, trial {f.trial}" in f.describe()
