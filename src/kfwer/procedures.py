@@ -416,15 +416,79 @@ def critical_values(
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 
-def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValueVector], ProcedureResult]:
-    """The named decision rule with its critical values bound.
+# Batch kernels: the stepwise and Hommel rules over a matrix of sorted
+# p-values, one replication per row, returning each row's count of rejected
+# most significant hypotheses. They share no code with the scalar rules,
+# which stay the reference they are tested against: on a single row the
+# kernels are slower than the scalar rules.
 
-    ``closed`` binds :func:`generalized_hommel`: every family the package
-    admits is nondecreasing in i and nonincreasing in m, and for such a
-    family Theorem 5.1 makes the shortcut reject exactly what closed
-    testing rejects, at any n and without enumerating subsets.
+
+def _stepdown_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
+    """k - 1 plus each row's leading run of ranks k.. at or below their value."""
+    hits = sorted_p[:, s.k - 1:] <= np.asarray(s.alphas)
+    return s.k - 1 + np.logical_and.accumulate(hits, axis=1).sum(axis=1)
+
+
+def _stepup_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
+    """Each row's last rank at or below its value, or k - 1 without one."""
+    hits = sorted_p[:, s.k - 1:] <= np.asarray(s.alphas)
+    return np.where(hits.any(axis=1), s.n - hits[:, ::-1].argmax(axis=1), s.k - 1)
+
+
+def _hommel_j_hats(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
+    """Each row's Hommel ``j_hat``, 0 where no cardinality survives.
+
+    Cardinalities are scanned downward over the rows still open only,
+    and the scan stops once every row has its survivor.
+    """
+    n, k = f.n, f.k
+    j_hat = np.zeros(len(sorted_p), dtype=np.intp)
+    open_rows = np.arange(len(sorted_p))
+    for i in range(n, k - 1, -1):
+        survives = (sorted_p[open_rows, n - i + k - 1:] > np.asarray(f.row(i))).all(axis=1)
+        j_hat[open_rows[survives]] = i
+        open_rows = open_rows[~survives]
+        if open_rows.size == 0:
+            break
+    return j_hat
+
+
+def _hommel_counts(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
+    """n where no cardinality survives; else at least k - 1, and every
+    p-value at or below the rank-k value of the size-``j_hat`` test."""
+    n, k = f.n, f.k
+    j_hat = _hommel_j_hats(sorted_p, f)
+    rank_k = np.array([f.value(k, m) for m in range(k, n + 1)])
+    # A row without a survivor reads any threshold; its count is n regardless.
+    below = (sorted_p <= rank_k[np.maximum(j_hat, k) - k, None]).sum(axis=1)
+    return np.where(j_hat == 0, n, np.maximum(k - 1, below))
+
+
+def _rules(procedure: str) -> tuple[Callable, Callable]:
+    """The scalar decision rule and the batch kernel of a procedure name.
+
+    ``closed`` maps to generalized Hommel: every family the package admits
+    is nondecreasing in i and nonincreasing in m, and for such a family
+    Theorem 5.1 makes the shortcut reject exactly what closed testing
+    rejects, at any n and without enumerating subsets.
     :func:`closed_testing` stays the exhaustive reference.
     """
-    rule = {"stepdown": stepdown, "stepup": stepup,
-            "hommel": generalized_hommel, "closed": generalized_hommel}[procedure]
+    return {"stepdown": (stepdown, _stepdown_counts), "stepup": (stepup, _stepup_counts),
+            "hommel": (generalized_hommel, _hommel_counts),
+            "closed": (generalized_hommel, _hommel_counts)}[procedure]
+
+
+def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValueVector], ProcedureResult]:
+    """The named decision rule with its critical values bound."""
+    rule = _rules(procedure)[0]
     return lambda p: rule(p, critical)
+
+
+def bind_batch(procedure: str, critical: CriticalValues) -> Callable[[np.ndarray], np.ndarray]:
+    """The named rule's batch kernel with its critical values bound: it
+    maps a ``(rows, n)`` array of p-values, each row sorted ascending, to
+    each row's number of rejected hypotheses, which are that row's most
+    significant ones. Counts equal :func:`bind_procedure`'s
+    ``num_rejected`` row by row."""
+    kernel = _rules(procedure)[1]
+    return lambda sorted_p: kernel(sorted_p, critical)

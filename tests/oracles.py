@@ -3,9 +3,11 @@
 Everything here is deliberately written with different machinery than
 the library (itertools.combinations instead of bitmasks, Fraction
 arithmetic instead of floats, forward scans instead of backward ones) so
-that agreement between the two is meaningful. The one float reference,
-``d1_float_reference``, is the plain loop that the vectorized ``d1`` must
-reproduce bit for bit. Two helpers only the tests use live here too:
+that agreement between the two is meaningful. Two float references are
+plain loops the library must reproduce bit for bit: ``d1_float_reference``
+for the vectorized ``d1``, and ``estimate_kfwer_oracle``, one replication
+at a time over fresh random streams and the oracle deciders, for the
+chunked ``estimate_kfwer``. Two helpers only the tests use live here too:
 ``evaluate_local_test``, one intersection hypothesis decided on its
 materialized subset, and ``check_hommel_dominates_hochberg``, a power
 ordering checked with the library's own verify harness. They import
@@ -152,6 +154,51 @@ def hommel_oracle(values, k, rows):
     rejected = {j for j in range(n) if values[j] <= threshold}
     rejected.update(ranked[: k - 1])
     return rejected, j_hat
+
+
+def estimate_kfwer_oracle(config, table):
+    """Reference for ``kfwer.estimate_kfwer``: one replication at a time.
+
+    Each replication draws from a freshly constructed Philox stream keyed
+    (seed, rep), applies the Gaussian-copula model, and is decided by the
+    oracle rules above with ``table``: the schedule's critical values for
+    stepdown and stepup, the family's rows for hommel and closed. V and
+    the power fraction are accumulated replication by replication, power
+    as a running float sum. Returns a ``kfwer.SimulationResult``.
+    """
+    import numpy as np
+    from scipy.special import ndtr
+
+    from kfwer import SimulationResult
+
+    decide = {
+        "stepdown": stepdown_oracle,
+        "stepup": stepup_oracle,
+        "hommel": lambda values, k, rows: hommel_oracle(values, k, rows)[0],
+        "closed": lambda values, k, rows: hommel_oracle(values, k, rows)[0],
+    }[config.procedure]
+    n, n_true, k, reps = config.n, config.n_true, config.k, config.reps
+    n_false = n - n_true
+    rho = config.effective_rho
+    exceed, power_sum = 0, 0.0
+    for rep in range(reps):
+        draws = np.random.Generator(np.random.Philox(key=(config.seed << 64) | rep)).standard_normal(n + 1)
+        z = math.sqrt(rho) * draws[0] + math.sqrt(1.0 - rho) * draws[1:]
+        if n_true < n and config.delta != 0.0:
+            z[n_true:] += config.delta
+        rejected = decide(ndtr(-z).tolist(), k, table)
+        v = sum(1 for j in rejected if j < n_true)
+        if v >= k:
+            exceed += 1
+        if n_false:
+            power_sum += (len(rejected) - v) / n_false
+    estimate = exceed / reps
+    return SimulationResult(
+        kfwer_estimate=estimate,
+        std_error=math.sqrt(estimate * (1.0 - estimate) / reps),
+        avg_power=power_sum / reps if n_false else None,
+        reps_run=reps,
+    )
 
 
 def evaluate_local_test(subset_pvalues, family_row):

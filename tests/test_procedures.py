@@ -575,3 +575,52 @@ def test_constant_family_three_way_equivalence():
         b = rejected_set(closed_testing(p, fam))
         c = rejected_set(generalized_hommel(p, fam))
         assert a == b == c
+
+
+def sorted_pvalue_rows(rng, rows, n, pool):
+    """Rows of sorted p-values with ties, exact zeros and ones, and exact
+    hits on the critical values in ``pool``."""
+    p = rng.uniform(0.0, 1.0, (rows, n)) * rng.choice([1.0, 0.3, 0.05], size=(rows, 1))
+    tied = rng.random(rows) < 0.3
+    p[tied] = np.round(p[tied], 1)
+    p[rng.random((rows, n)) < 0.15] = 0.0
+    p[rng.random((rows, n)) < 0.05] = 1.0
+    hits = rng.random((rows, n)) < 0.2
+    p[hits] = rng.choice(pool, size=int(hits.sum()))
+    p[0], p[1] = 0.0, 1.0
+    return np.sort(p, axis=1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_kernels_match_scalar_rules(seed):
+    """Row by row, each batch kernel's count is the scalar rule's number of
+    rejections, the rejections are the row's first ``count`` positions,
+    and ``r`` and ``j_hat`` follow: stepwise ``r`` is the count unless
+    only the automatic k - 1 are rejected, and Hommel's ``j_hat`` is the
+    kernel's (0 standing for None)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        alpha = float(rng.uniform(0.01, 0.5))
+        lr = lehmann_romano_schedule(k, n, alpha)
+        cases = [("stepdown", lr), ("stepup", romano_shaikh_schedule(lr, alpha)),
+                 ("stepdown", validate_schedule(k, n, [k * alpha / n] * (n - k + 1))),
+                 ("stepup", random_schedule(rng, k, n)), ("stepdown", random_schedule(rng, k, n)),
+                 ("hommel", constant_family(k, n, alpha)), ("closed", scaled_family(lr, alpha)),
+                 ("hommel", random_family(rng, k, n)), ("closed", random_family(rng, k, n, constant_rows=True))]
+        for name, critical in cases:
+            family = name in procedures.FAMILY_PROCEDURES
+            pool = [v for row in critical.rows for v in row] if family else list(critical.alphas)
+            sorted_p = sorted_pvalue_rows(rng, 30, n, pool)
+            counts = procedures.bind_batch(name, critical)(sorted_p).tolist()
+            j_hats = procedures._hommel_j_hats(sorted_p, critical).tolist() if family else None
+            rule = procedures.bind_procedure(name, critical)
+            for row, values in enumerate(sorted_p.tolist()):
+                result = rule(order_pvalues(values))
+                count = counts[row]
+                assert result.rejected == tuple(j < count for j in range(n))
+                if family:
+                    assert result.detail["j_hat"] == (j_hats[row] or None)
+                else:
+                    assert result.detail["r"] == (count if count >= k else None)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from kfwer import (
     ConfigError,
@@ -19,7 +20,9 @@ from kfwer import (
     order_pvalues,
     scaled_family,
 )
-from kfwer.simulation import _ReplicationRng, build_procedure
+from kfwer.procedures import FAMILY_PROCEDURES
+from kfwer.simulation import CHUNK_ELEMENTS, _critical_values, _ReplicationRng, build_procedure
+from oracles import estimate_kfwer_oracle
 
 
 def config(**overrides):
@@ -87,10 +90,12 @@ class TestGeneratePValues:
         """The re-keyed stream must be indistinguishable from building a
         fresh counter-based generator keyed by (seed, replication)."""
         rng = _ReplicationRng()
-        for seed, rep in [(0, 0), (3, 91), (2**63, 5), (12345, 2**40)]:
-            fresh = np.random.Generator(np.random.Philox(key=(seed << 64) | rep)).standard_normal(8)
-            reused = rng.standard_normal(seed, rep, 8)
-            assert np.array_equal(fresh, reused)
+        reused = np.empty((3, 8))
+        for seed, rep in [(0, 0), (3, 91), (2**63, 5), (12345, 2**40), (2**64 - 1, 2**64 - 3)]:
+            rng.fill(seed, rep, reused)
+            for row in range(3):
+                fresh = np.random.Generator(np.random.Philox(key=(seed << 64) | (rep + row)))
+                assert np.array_equal(fresh.standard_normal(8), reused[row])
 
     def test_large_shift_drives_false_null_pvalues_to_zero(self):
         cfg = config(n=6, n_true=2, delta=12.0)
@@ -100,10 +105,7 @@ class TestGeneratePValues:
     def test_true_nulls_uniform(self):
         """Pooled true-null p-values pass a goodness-of-fit check."""
         cfg = config(n=5, n_true=5, reps=10_000, dependence="independent")
-        rng = _ReplicationRng()
-        pooled = np.concatenate(
-            [generate_pvalues(cfg, rep, _rng=rng).values for rep in range(cfg.reps)]
-        )
+        pooled = np.concatenate([generate_pvalues(cfg, rep).values for rep in range(cfg.reps)])
         assert stats.kstest(pooled, "uniform").pvalue > 1e-3
 
     def test_correlated_nulls_still_uniform_marginally(self):
@@ -114,6 +116,15 @@ class TestGeneratePValues:
     def test_negative_replication_rejected(self):
         with pytest.raises(ConfigError):
             generate_pvalues(config(), -1)
+
+    def test_replication_index_beyond_64_bits_rejected(self):
+        """The stream key holds the index in 64 bits; 2**64 must not wrap
+        around to replication 0."""
+        cfg = config()
+        with pytest.raises(ConfigError, match="replication_index"):
+            generate_pvalues(cfg, 2**64)
+        last = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | (2**64 - 1))).standard_normal(6)
+        assert generate_pvalues(cfg, 2**64 - 1).values == tuple(ndtr(-last[1:]).tolist())
 
 
 def reject_first(count):
@@ -213,3 +224,52 @@ def test_closed_estimates_equal_exhaustive_closure(overrides, signal):
     else:
         fam = scaled_family(lehmann_romano_schedule(k, n, alpha), alpha)
     assert estimate_kfwer(cfg) == estimate_kfwer(cfg, procedure=lambda p: closed_testing(p, fam))
+
+
+def oracle_estimate(cfg):
+    critical = _critical_values(cfg)
+    return estimate_kfwer_oracle(cfg, critical.rows if cfg.procedure in FAMILY_PROCEDURES else critical.alphas)
+
+
+@pytest.mark.parametrize("overrides", LEVEL_CONFIGS)
+def test_chunked_estimates_equal_one_replication_loop(overrides):
+    """The chunked engine reproduces the one-replication-at-a-time
+    reference float for float; 6,000 replications at n = 8 span four chunks."""
+    settings = dict(n=8, n_true=8, k=2, reps=6_000, seed=1234)
+    settings.update(overrides)
+    cfg = config(**settings)
+    assert estimate_kfwer(cfg) == oracle_estimate(cfg)
+
+
+CHUNK_ROWS_N10 = CHUNK_ELEMENTS // 11
+EDGE_CONFIGS = [
+    dict(n=5, n_true=3, k=2, reps=1, delta=1.0),
+    *(dict(n=10, n_true=5, k=2, procedure="hommel", schedule="constant", reps=reps, delta=2.0,
+           dependence="equicorrelated", rho=0.5) for reps in (CHUNK_ROWS_N10 - 1, CHUNK_ROWS_N10,
+                                                               CHUNK_ROWS_N10 + 1)),
+    dict(n=1, n_true=1, k=1, reps=300),
+    dict(n=1, n_true=0, k=1, procedure="closed", schedule="romano-shaikh", reps=300, delta=1.0),
+    dict(n=6, n_true=3, k=6, procedure="stepup", schedule="romano-shaikh", reps=400, delta=2.0),
+    dict(n=6, n_true=0, k=2, procedure="stepup", schedule="constant", reps=400, delta=1.0),
+    dict(n=6, n_true=6, k=1, procedure="hommel", schedule="romano-shaikh", reps=400, alpha=0.3),
+    dict(n=7, n_true=4, k=2, procedure="closed", schedule="constant", reps=400, delta=1.0,
+         dependence="equicorrelated", rho=0.9),
+    dict(n=6, n_true=2, k=2, procedure="hommel", schedule="constant", reps=300, delta=45.0),
+    dict(n=6, n_true=2, k=3, procedure="stepdown", schedule="constant", reps=300, delta=40.0),
+    dict(n=CHUNK_ELEMENTS // 2, n_true=CHUNK_ELEMENTS // 4, k=3, reps=3, delta=3.0),
+]
+
+
+@pytest.mark.parametrize("settings", EDGE_CONFIGS)
+def test_chunked_estimates_equal_one_replication_loop_at_edges(settings):
+    """One replication, chunk boundaries, n = 1, k = n, no or only true
+    nulls, strong correlation, false-null p-values underflowing to tied
+    zeros, and a chunk of a single row."""
+    cfg = config(seed=77, **settings)
+    assert estimate_kfwer(cfg) == oracle_estimate(cfg)
+
+
+def test_edge_configs_reach_their_edges():
+    assert CHUNK_ELEMENTS // (EDGE_CONFIGS[-1]["n"] + 1) == 1
+    zeros = generate_pvalues(config(**EDGE_CONFIGS[-3], seed=77), 0).values[2:]
+    assert zeros == (0.0,) * 4
