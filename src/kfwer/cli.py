@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import os
 import sys
@@ -357,9 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building a new one on every call grew the peak
+# RSS of a process that calls main many times.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputDataError as exc:

@@ -9,6 +9,12 @@ Hommel shortcut consume a double-indexed local test family. By Theorem
 admissible family, so the named procedure ``closed`` decides through it
 at any n. ``closed_testing`` enumerates every subset exhaustively and
 stays the reference the shortcuts are checked against.
+
+Stepdown, stepup and Hommel each have one implementation: a batch kernel
+that decides a matrix of sorted p-values, one row per replication.
+``kfwer simulate`` runs it over chunks of replications; the public
+functions :func:`stepdown`, :func:`stepup` and :func:`generalized_hommel`
+run it over the one row of a single p-value vector.
 """
 
 from __future__ import annotations
@@ -94,18 +100,8 @@ def stepdown(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
     the cutoff is recorded as absent.
     """
     _require_same_n(p, s.n, "schedule")
-    k = s.k
-    sorted_vals = p.sorted_values()
-    r: Optional[int] = None
-    if sorted_vals[k - 1] <= s.alphas[0]:
-        r = k
-        for i in range(k + 1, s.n + 1):
-            if sorted_vals[i - 1] <= s.alpha(i):
-                r = i
-            else:
-                break
-    count = r if r is not None else k - 1
-    return ProcedureResult(_prefix_flags(p, count), {"r": r}, "stepdown", schedule=s)
+    count = int(_stepdown_counts(_one_row(p), s)[0])
+    return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, "stepdown", schedule=s)
 
 
 def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
@@ -117,15 +113,8 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
     p-value clears its critical value is the r = n case.
     """
     _require_same_n(p, s.n, "schedule")
-    k = s.k
-    sorted_vals = p.sorted_values()
-    r: Optional[int] = None
-    for i in range(s.n, k - 1, -1):
-        if sorted_vals[i - 1] <= s.alpha(i):
-            r = i
-            break
-    count = r if r is not None else k - 1
-    return ProcedureResult(_prefix_flags(p, count), {"r": r}, "stepup", schedule=s)
+    count = int(_stepup_counts(_one_row(p), s)[0])
+    return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, "stepup", schedule=s)
 
 
 # Closure tables over every nonempty subset (bitmask) of the sorted
@@ -215,15 +204,6 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     return ProcedureResult(tuple(rejected), detail, "closed_testing", family=f)
 
 
-def _hommel_j_hat(sorted_vals: tuple[float, ...], f: LocalTestFamily) -> Optional[int]:
-    """Largest cardinality whose worst-case intersection survives, or None."""
-    n, k = f.n, f.k
-    for i in range(n, k - 1, -1):
-        if all(sorted_vals[n - i + l - 1] > f.value(l, i) for l in range(k, i + 1)):
-            return i
-    return None
-
-
 def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     """Generalized Hommel shortcut for closed testing.
 
@@ -234,18 +214,10 @@ def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     rejected and the estimate is recorded as absent.
     """
     _require_same_n(p, f.n, "family")
-    n, k = f.n, f.k
-    sorted_vals = p.sorted_values()
-    j_hat = _hommel_j_hat(sorted_vals, f)
-    if j_hat is None:
-        count = n
-    else:
-        threshold = f.value(k, j_hat)
-        below = 0
-        while below < n and sorted_vals[below] <= threshold:
-            below += 1
-        count = max(k - 1, below)
-    return ProcedureResult(_prefix_flags(p, count), {"j_hat": j_hat}, "generalized_hommel", family=f)
+    sorted_p = _one_row(p)
+    j_hat = _hommel_j_hats(sorted_p, f)
+    count = int(_hommel_counts(sorted_p, f, j_hat)[0])
+    return ProcedureResult(_prefix_flags(p, count), {"j_hat": int(j_hat[0]) or None}, "generalized_hommel", family=f)
 
 
 def _check_level(k: int, n: int, alpha: float) -> None:
@@ -416,11 +388,16 @@ def critical_values(
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 
-# Batch kernels: the stepwise and Hommel rules over a matrix of sorted
-# p-values, one replication per row, returning each row's count of rejected
-# most significant hypotheses. They share no code with the scalar rules,
-# which stay the reference they are tested against: on a single row the
-# kernels are slower than the scalar rules.
+# Batch kernels: the one implementation of the stepwise and Hommel rules.
+# Each takes a matrix of sorted p-values, one replication per row, and
+# returns each row's count of rejected most significant hypotheses.
+# `kfwer simulate` runs them over chunks of replications; the public rules
+# above run them over the one row of a single p-value vector.
+
+
+def _one_row(p: PValueVector) -> np.ndarray:
+    """The sorted p-values as a one-row matrix for the batch kernels."""
+    return np.take(p.values, p.order)[None]
 
 
 def _stepdown_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
@@ -453,34 +430,38 @@ def _hommel_j_hats(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
     return j_hat
 
 
-def _hommel_counts(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
-    """n where no cardinality survives; else at least k - 1, and every
-    p-value at or below the rank-k value of the size-``j_hat`` test."""
-    n, k = f.n, f.k
-    j_hat = _hommel_j_hats(sorted_p, f)
-    rank_k = np.array([f.value(k, m) for m in range(k, n + 1)])
-    # A row without a survivor reads any threshold; its count is n regardless.
-    below = (sorted_p <= rank_k[np.maximum(j_hat, k) - k, None]).sum(axis=1)
-    return np.where(j_hat == 0, n, np.maximum(k - 1, below))
+def _hommel_counts(sorted_p: np.ndarray, f: LocalTestFamily, j_hat: np.ndarray) -> np.ndarray:
+    """At least k - 1, and every p-value at or below the rank-k value of
+    the size-``j_hat`` test; n where no cardinality survives (``j_hat`` 0)."""
+    # Index j holds the rank-k value of the size-j test; inf at 0 admits every p-value.
+    thresholds = np.full(f.n + 1, np.inf)
+    thresholds[f.k:] = [row[0] for row in f.rows]
+    below = (sorted_p <= thresholds[j_hat, None]).sum(axis=1)
+    return np.maximum(f.k - 1, below)
 
 
-def _rules(procedure: str) -> tuple[Callable, Callable]:
-    """The scalar decision rule and the batch kernel of a procedure name.
+def _hommel_kernel(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
+    return _hommel_counts(sorted_p, f, _hommel_j_hats(sorted_p, f))
 
-    ``closed`` maps to generalized Hommel: every family the package admits
-    is nondecreasing in i and nonincreasing in m, and for such a family
-    Theorem 5.1 makes the shortcut reject exactly what closed testing
-    rejects, at any n and without enumerating subsets.
-    :func:`closed_testing` stays the exhaustive reference.
-    """
-    return {"stepdown": (stepdown, _stepdown_counts), "stepup": (stepup, _stepup_counts),
-            "hommel": (generalized_hommel, _hommel_counts),
-            "closed": (generalized_hommel, _hommel_counts)}[procedure]
+
+# Procedure name -> (name of its public rule, batch kernel). ``closed`` maps
+# to generalized Hommel: every family the package admits is nondecreasing
+# in i and nonincreasing in m, and for such a family Theorem 5.1 makes the
+# shortcut reject exactly what closed testing rejects, at any n and without
+# enumerating subsets. :func:`closed_testing` stays the exhaustive
+# reference. The public rule is looked up by name when bound, like the
+# resolver's constructors, so a rebound module name takes effect.
+_RULES = {
+    "stepdown": ("stepdown", _stepdown_counts),
+    "stepup": ("stepup", _stepup_counts),
+    "hommel": ("generalized_hommel", _hommel_kernel),
+    "closed": ("generalized_hommel", _hommel_kernel),
+}
 
 
 def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValueVector], ProcedureResult]:
     """The named decision rule with its critical values bound."""
-    rule = _rules(procedure)[0]
+    rule = globals()[_RULES[procedure][0]]
     return lambda p: rule(p, critical)
 
 
@@ -490,5 +471,5 @@ def bind_batch(procedure: str, critical: CriticalValues) -> Callable[[np.ndarray
     each row's number of rejected hypotheses, which are that row's most
     significant ones. Counts equal :func:`bind_procedure`'s
     ``num_rejected`` row by row."""
-    kernel = _rules(procedure)[1]
+    kernel = _RULES[procedure][1]
     return lambda sorted_p: kernel(sorted_p, critical)

@@ -69,6 +69,14 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A float or bool would pass the range checks below and then run
+        # another seed's stream or fail mid-run; numpy integers are stored
+        # as int.
+        for name in ("n", "n_true", "k", "reps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.n_true <= self.n:

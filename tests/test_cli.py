@@ -19,11 +19,13 @@ from kfwer import (
     order_pvalues,
     scaled_family,
 )
+from kfwer import cli
 from kfwer.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
+    build_parser,
     main,
 )
 from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES
@@ -584,6 +586,30 @@ class TestCmdVerify:
 
     def test_counterexample_exit_code_reserved(self):
         assert EXIT_COUNTEREXAMPLE == 1
+
+
+def test_one_parser_serves_every_call(pfile, capsys, monkeypatch):
+    """``main`` reuses one parser across calls with different subcommands,
+    a flag error and a repeat, and each call prints, returns and writes
+    what it does with a parser built for it alone."""
+    calls = [
+        ["test", "--k", "2", "--alpha", "0.05", "--procedure", "hommel", "--schedule", "constant", "--input", pfile],
+        ["simulate", "--n", "6", "--true-nulls", "3", "--k", "2", "--alpha", "0.05", "--reps", "50", "--seed", "4"],
+        ["verify", "--theorem", "4.2", "--trials", "10", "--seed", "2"],
+        ["test", "--k", "9", "--alpha", "0.05", "--procedure", "stepdown", "--schedule", "lehmann-romano",
+         "--input", pfile],
+        ["simulate", "--n", "6", "--true-nulls", "3", "--k", "1", "--alpha", "0.05", "--procedure", "stepup",
+         "--reps", "50", "--seed", "4"],
+        ["test", "--k", "2", "--alpha", "0.05", "--procedure", "hommel", "--schedule", "constant", "--input", pfile],
+    ]
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = [run_main(argv, capsys) for argv in calls]
+    monkeypatch.setattr(cli, "_shared_parser", build_parser)
+    fresh = [run_main(argv, capsys) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_BAD_FLAGS, EXIT_OK, EXIT_OK]
+    assert shared[0] == shared[-1]
+    assert json.loads(shared[1][1])["config_echo"]["procedure"] == "stepdown"
 
 
 def test_console_entry_point_runs():

@@ -591,13 +591,39 @@ def sorted_pvalue_rows(rng, rows, n, pool):
     return np.sort(p, axis=1)
 
 
+def check_against_oracle(name, critical, sorted_p):
+    """Each row of ``sorted_p`` through the batch kernel and through the
+    public rule, against the independent oracle: the rejection set, the
+    count, stepwise ``r`` (the count unless only the automatic k - 1 are
+    rejected) and Hommel's ``j_hat`` (the kernel's 0 standing for None)."""
+    family = name in procedures.FAMILY_PROCEDURES
+    k = critical.k
+    counts = procedures.bind_batch(name, critical)(sorted_p).tolist()
+    j_hats = procedures._hommel_j_hats(sorted_p, critical).tolist() if family else None
+    rule = procedures.bind_procedure(name, critical)
+    for row, values in enumerate(sorted_p.tolist()):
+        if family:
+            expected, j_hat = hommel_oracle(values, k, critical.rows)
+        else:
+            oracle = stepdown_oracle if name == "stepdown" else stepup_oracle
+            expected = oracle(values, k, critical.alphas)
+        count = len(expected)
+        assert expected == set(range(count))  # the most significant, in sorted order
+        assert counts[row] == count
+        result = rule(order_pvalues(values))
+        assert rejected_set(result) == expected
+        if family:
+            assert (j_hats[row] or None) == j_hat == result.detail["j_hat"]
+        else:
+            assert result.detail["r"] == (count if count >= k else None)
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_batch_kernels_match_scalar_rules(seed):
-    """Row by row, each batch kernel's count is the scalar rule's number of
-    rejections, the rejections are the row's first ``count`` positions,
-    and ``r`` and ``j_hat`` follow: stepwise ``r`` is the count unless
-    only the automatic k - 1 are rejected, and Hommel's ``j_hat`` is the
-    kernel's (0 standing for None)."""
+def test_kernels_and_rules_match_oracles(seed):
+    """Every batch kernel, and the public rule that runs it on one row,
+    against the oracles on random sorted rows with ties, exact zeros and
+    ones and exact hits on the critical values, at n from 1 to 12 and k
+    up to n."""
     rng = np.random.default_rng(seed)
     for _ in range(12):
         n = int(rng.integers(1, 13))
@@ -612,15 +638,22 @@ def test_batch_kernels_match_scalar_rules(seed):
         for name, critical in cases:
             family = name in procedures.FAMILY_PROCEDURES
             pool = [v for row in critical.rows for v in row] if family else list(critical.alphas)
-            sorted_p = sorted_pvalue_rows(rng, 30, n, pool)
-            counts = procedures.bind_batch(name, critical)(sorted_p).tolist()
-            j_hats = procedures._hommel_j_hats(sorted_p, critical).tolist() if family else None
-            rule = procedures.bind_procedure(name, critical)
-            for row, values in enumerate(sorted_p.tolist()):
-                result = rule(order_pvalues(values))
-                count = counts[row]
-                assert result.rejected == tuple(j < count for j in range(n))
-                if family:
-                    assert result.detail["j_hat"] == (j_hats[row] or None)
-                else:
-                    assert result.detail["r"] == (count if count >= k else None)
+            check_against_oracle(name, critical, sorted_pvalue_rows(rng, 30, n, pool))
+
+
+@pytest.mark.parametrize("name, n", [("stepdown", 100_000), ("stepup", 3_000), ("hommel", 1_000)])
+def test_kernels_and_rules_match_oracles_at_test_size(name, n):
+    """One row the size of a ``kfwer test`` call (the quadratic stepup
+    oracle limits its n): uniform p-values with a share of strong signals,
+    ties from rounding, and exact hits on the critical values."""
+    rng = np.random.default_rng(n)
+    critical = constant_family(2, n, 0.05) if name == "hommel" else lehmann_romano_schedule(2, n, 0.05)
+    pool = [row[0] for row in critical.rows] if name == "hommel" else list(critical.alphas)
+    p = rng.uniform(0.0, 1.0, n)
+    signal = rng.random(n) < 0.05
+    p[signal] = 10.0 ** -rng.uniform(4.0, 12.0, int(signal.sum()))
+    rounded = rng.random(n) < 0.2
+    p[rounded] = np.round(p[rounded], 4)
+    hits = rng.random(n) < 0.01
+    p[hits] = rng.choice(pool, size=int(hits.sum()))
+    check_against_oracle(name, critical, np.sort(p)[None])

@@ -55,6 +55,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(**overrides)
 
+    @pytest.mark.parametrize("field", ["n", "n_true", "k", "reps", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 1.9, 2.0, True, np.bool_(True), "3", None])
+    def test_rejects_non_integral_counts(self, field, value):
+        """A float seed used to run the truncated seed's stream, and a
+        float n, k, n_true or reps failed mid-run with TypeError."""
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            config(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = config(n=np.int64(5), n_true=np.int32(3), k=np.int16(2), reps=np.uint64(50), seed=np.uint64(2**64 - 1))
+        assert all(type(getattr(cfg, name)) is int for name in ("n", "n_true", "k", "reps", "seed"))
+        assert estimate_kfwer(cfg) == estimate_kfwer(config(n=5, n_true=3, k=2, reps=50, seed=2**64 - 1))
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ConfigError, match="delta"):
