@@ -1,8 +1,13 @@
 """Command-line frontend: apply a procedure to a p-value file, estimate
 error rates by simulation, or run the randomized theorem checks.
 
+The reports of ``test`` and ``simulate`` are stable byte for byte: each is
+``json.dumps(report, indent=2)`` followed by a newline, streamed to stdout
+or to ``--output`` in pieces rather than built as one string.
+
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
-data, 3 invalid flags or flag combinations.
+data, 3 invalid flags or flag combinations, or a report that could not be
+written (``error: stdout: ...`` or ``error: PATH: ...``).
 """
 
 from __future__ import annotations
@@ -11,11 +16,13 @@ import argparse
 import csv
 import errno
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .core import (
     ConfigError,
@@ -182,16 +189,83 @@ def _check_output(output: Optional[str]) -> None:
     raise ConfigError(f"{output}: {os.strerror(problem)}")
 
 
+# The report is ``json.dumps(payload, indent=2)`` plus a newline, byte for
+# byte, written in pieces. json's pure-Python indenting encoder calls
+# float.__repr__ once per critical value; a family table of n(n+1)/2
+# entries holds only n distinct values, one per row, so each row's text is
+# built from one repr.
+_INDENT = "  "
+
+
+def _json_chunks(value, depth: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)``, in pieces."""
+    inner = "\n" + _INDENT * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            # json quotes the text of a number, bool or None key.
+            yield f"{sep}{json.dumps(key if isinstance(key, str) else json.dumps(key))}: "
+            yield from _json_chunks(item, depth + 1)
+            sep = "," + inner
+        yield "\n" + _INDENT * depth + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        flat = _flat_items(value, "," + inner)
+        if flat is not None:
+            yield "[" + inner + flat + "\n" + _INDENT * depth + "]"
+            return
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _json_chunks(item, depth + 1)
+            sep = "," + inner
+        yield "\n" + _INDENT * depth + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _flat_items(items: Sequence, sep: str) -> Optional[str]:
+    """The items' JSON texts joined by ``sep`` when every item is an exact
+    int, or every item an exact finite float, whose JSON text is its repr;
+    None otherwise. Subclasses such as bool and numpy's float64 have other
+    reprs, and non-finite floats other JSON texts."""
+    types = set(map(type, items))
+    if types == {int}:
+        return sep.join(map(int.__repr__, items))
+    # A float sum is finite only if every term is; an overflowing sum only
+    # sends the items through the general path.
+    if types != {float} or not math.isfinite(sum(items)):
+        return None
+    first = items[0]
+    # Nonzero, so every item equal to it has its bits and its repr; 0.0 and
+    # -0.0 compare equal but print differently.
+    if first and items.count(first) == len(items):
+        return sep.join([float.__repr__(first)] * len(items))
+    return sep.join(map(float.__repr__, items))
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write the report to ``output``, or to stdout without one. A failed
+    write, also one partway through, raises :class:`ConfigError` naming
+    the destination."""
+    chunks = itertools.chain(_json_chunks(payload), "\n")
     if output:
         try:
             with open(output, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ConfigError(f"{output}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ConfigError(f"stdout: {exc.strerror}") from None
 
 
 def _run_procedure(args, p: PValueVector) -> ProcedureResult:
@@ -231,16 +305,12 @@ def cmd_test(args) -> int:
     except OutOfRangeError as exc:
         raise InputDataError(f"{name}: line {lines[exc.position - 1]}: p-value {exc.value!r} outside [0, 1]") from None
     result = _run_procedure(args, p)
-    if result.schedule is not None:
-        critical = list(result.schedule.alphas)
-    else:
-        critical = [list(row) for row in result.family.rows]
     payload = {
         "n": p.n,
         "k": args.k,
         "alpha": args.alpha,
         "procedure": args.procedure,
-        "critical_values": critical,
+        "critical_values": result.schedule.alphas if result.schedule is not None else result.family.rows,
         "rejected": [j + 1 for j in result.rejected_indices()],
         "detail": None if args.procedure == "closed" else result.detail,
     }
@@ -379,7 +449,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # A report that failed to reach stdout can leave bytes in its buffer;
+    # the interpreter's flush at exit would fail on them again and exit
+    # 120. Send what is left to the null device so main's code stands.
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

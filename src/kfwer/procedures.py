@@ -415,13 +415,19 @@ def _stepup_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
 def _hommel_j_hats(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
     """Each row's Hommel ``j_hat``, 0 where no cardinality survives.
 
-    Cardinalities are scanned downward over the rows still open only,
-    and the scan stops once every row has its survivor.
+    Size i survives when the top i p-values clear row i of the family.
+    Sizes are scanned downward over the rows still open, and the scan
+    stops once every row has its survivor. Sizes whose rank-k value (the
+    first of the size's row) no row clears are skipped without comparing
+    the row; one comparison finds them for all sizes.
     """
     n, k = f.n, f.k
+    # The rank-k member of the top i is column n - i + k - 1; reversed,
+    # entry i - k belongs to size i. ``initial`` admits a batch of no rows.
+    reachable = sorted_p[:, k - 1:].max(axis=0, initial=-np.inf)[::-1] > _rank_k_values(f)
     j_hat = np.zeros(len(sorted_p), dtype=np.intp)
     open_rows = np.arange(len(sorted_p))
-    for i in range(n, k - 1, -1):
+    for i in (np.flatnonzero(reachable)[::-1] + k).tolist():
         survives = (sorted_p[open_rows, n - i + k - 1:] > np.asarray(f.row(i))).all(axis=1)
         j_hat[open_rows[survives]] = i
         open_rows = open_rows[~survives]
@@ -430,12 +436,17 @@ def _hommel_j_hats(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
     return j_hat
 
 
+def _rank_k_values(f: LocalTestFamily) -> np.ndarray:
+    """Index i - k holds the rank-k value of the size-i test."""
+    return np.array([row[0] for row in f.rows])
+
+
 def _hommel_counts(sorted_p: np.ndarray, f: LocalTestFamily, j_hat: np.ndarray) -> np.ndarray:
     """At least k - 1, and every p-value at or below the rank-k value of
     the size-``j_hat`` test; n where no cardinality survives (``j_hat`` 0)."""
     # Index j holds the rank-k value of the size-j test; inf at 0 admits every p-value.
     thresholds = np.full(f.n + 1, np.inf)
-    thresholds[f.k:] = [row[0] for row in f.rows]
+    thresholds[f.k:] = _rank_k_values(f)
     below = (sorted_p <= thresholds[j_hat, None]).sum(axis=1)
     return np.maximum(f.k - 1, below)
 

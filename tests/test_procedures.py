@@ -657,3 +657,51 @@ def test_kernels_and_rules_match_oracles_at_test_size(name, n):
     hits = rng.random(n) < 0.01
     p[hits] = rng.choice(pool, size=int(hits.sum()))
     check_against_oracle(name, critical, np.sort(p)[None])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hommel_j_hats_against_oracle_and_closure_up_to_enumeration_limit(seed):
+    """The Hommel kernel skips sizes whose rank-k comparison fails for
+    every row. Check it against the oracle and exhaustive closed testing
+    at n up to 18, on rows where no size survives (everything rejected),
+    where every size survives (only the automatic k - 1 rejected), and
+    where rank k clears but a later rank does not."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 5, 9, 13, 18):
+        k = int(rng.integers(1, n + 1))
+        alpha = float(rng.uniform(0.01, 0.5))
+        for fam in (constant_family(k, n, alpha), simes_family(k, n, alpha), random_family(rng, k, n)):
+            pool = [v for row in fam.rows for v in row]
+            top = fam.rows[-1]
+            rows = [
+                [0.0] * n,
+                [min(pool) / 2] * n,
+                [1.0] * n,
+                # Rank k clears the largest size's first value, the rank
+                # above it sits on the largest size's last value.
+                sorted([0.0] * (k - 1) + [1.0] + [top[-1]] * (n - k)),
+                *rng.choice(pool + [0.0, 1.0], size=(4, n)).tolist(),
+            ]
+            sorted_p = np.sort(np.array(rows), axis=1)
+            j_hats = procedures._hommel_j_hats(sorted_p, fam).tolist()
+            for values, got in zip(sorted_p.tolist(), j_hats):
+                want_set, want_j = hommel_oracle(values, k, fam.rows)
+                assert (got or None) == want_j
+                p = order_pvalues(values)
+                assert rejected_set(generalized_hommel(p, fam)) == want_set == rejected_set(closed_testing(p, fam))
+            assert j_hats[0] == 0 and j_hats[2] == n
+
+
+def test_hommel_compares_rows_only_where_rank_k_clears(monkeypatch):
+    """With no size whose rank-k value is cleared the kernel compares no
+    full row, so a no-survivor input costs one comparison per size."""
+    fam = constant_family(2, 3_000, 0.05)
+    calls = []
+    row = type(fam).row
+    monkeypatch.setattr(type(fam), "row", lambda self, m: calls.append(m) or row(self, m))
+    res = generalized_hommel(order_pvalues([1e-12] * 3_000), fam)
+    assert res.detail == {"j_hat": None} and res.num_rejected == 3_000
+    assert calls == []
+    values = [1e-12] * 2_000 + [0.9] * 1_000
+    res = generalized_hommel(order_pvalues(values), fam)
+    assert res.detail == {"j_hat": 1_001} and calls == [1_001]

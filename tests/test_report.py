@@ -1,0 +1,205 @@
+"""The JSON report writer: its text equals ``json.dumps(value, indent=2)``
+byte for byte, every report of ``kfwer test`` and ``kfwer simulate`` is
+that text plus a newline on stdout and in ``--output`` alike, and a failed
+write exits 3 naming where it went."""
+
+import errno
+import io
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kfwer
+from kfwer import cli, lehmann_romano_schedule
+from kfwer.cli import EXIT_BAD_FLAGS, EXIT_OK, main
+from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES
+
+
+def written(value):
+    return "".join(cli._json_chunks(value))
+
+
+# Distinct float objects of one value, so that no shortcut can lean on
+# object identity.
+def copies(x, count):
+    return [float.fromhex(x.hex()) for _ in range(count)]
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    floats,
+    st.text(alphabet=st.characters(), max_size=8) | st.sampled_from(['"', "\\", "é", "🎲", "\n\t", "</x>"]),
+    floats.map(np.float64),
+)
+keys = st.one_of(st.text(max_size=6), st.integers(), floats, st.booleans(), st.none(), floats.map(np.float64))
+rows = st.one_of(
+    st.tuples(floats, st.integers(1, 6)).map(lambda a: [a[0]] * a[1]),
+    st.tuples(floats, st.integers(1, 6)).map(lambda a: copies(*a)),
+    st.tuples(floats, st.integers(1, 6)).map(lambda a: tuple([a[0]] * a[1])),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=6),
+    st.lists(st.sampled_from([5e-324, -5e-324, 0.0]), min_size=1, max_size=6),
+    # A float first, then items equal to it of other types or other signs.
+    st.lists(st.sampled_from([1, True, 1.0, np.float64(1.0)]), max_size=5).map(lambda t: [1.0, *t]),
+    st.lists(st.sampled_from([0, False, 0.0, -0.0, np.float64(0.0)]), max_size=5).map(lambda t: [0.0, *t]),
+    st.lists(st.sampled_from([0.1, 1e300, 1e300, float("inf"), float("nan"), -1e-300]), min_size=1, max_size=6),
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+)
+values = st.recursive(
+    scalars | rows,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+def test_writer_matches_json_dumps(value):
+    assert written(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], {"a": {}}, [0.0, -0.0], [-0.0, 0.0], [5e-324] * 3, [1.0, 1, True],
+    [np.float64(0.5), 0.5], [0.5, np.float64(0.5)], [float("nan")] * 2, [float("inf")] * 2,
+    [1e308, 1e308], [2**70, 3], ((0.05,) * 3, (0.025,) * 2), "é\"", {"x": [1.5, 2.5], "y": None},
+])
+def test_writer_matches_json_dumps_on_edge_cases(value):
+    assert written(value) == json.dumps(value, indent=2)
+
+
+PVALUES = [0.2, 0.015, 0.8, 0.001, 0.03, 0.004, 0.015, 0.6]
+
+
+def family_with_repeats_and_negative_zero(tmp_path, k, n):
+    """A family CSV whose rows repeat one value, with -0.0 and 0.0 entries."""
+    rows = {m: [-0.0] * (m - k) + [0.0] if m == n else [0.01 * (n - m + 1)] * (m - k + 1) for m in range(k, n + 1)}
+    path = tmp_path / "family.csv"
+    path.write_text("m,i,alpha\n" + "".join(
+        f"{m},{i},{rows[m][i - k]!r}\n" for m in range(k, n + 1) for i in range(k, m + 1)))
+    return path
+
+
+def report_calls(tmp_path):
+    """Every procedure and schedule pair of ``kfwer test``, ``file:``
+    schedules and families, and ``kfwer simulate``."""
+    k, n, alpha = 2, len(PVALUES), 0.05
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    base = tmp_path / "base.txt"
+    base.write_text("".join(f"{v!r}\n" for v in lehmann_romano_schedule(k, n, alpha).alphas))
+    sched = tmp_path / "schedule.txt"
+    sched.write_text("".join(f"{v!r}\n" for v in [0.01, 0.01, 0.02, 0.02, 0.02, 0.04, 0.05]))
+    family = family_with_repeats_and_negative_zero(tmp_path, k, n)
+    common = ["test", "--k", str(k), "--alpha", str(alpha), "--input", str(pfile)]
+    calls = []
+    for procedure in PROCEDURES:
+        family_proc = procedure in FAMILY_PROCEDURES
+        for schedule in SCHEDULES:
+            if schedule == "lehmann-romano" and family_proc:
+                continue
+            argv = common + ["--procedure", procedure, "--schedule", schedule]
+            if schedule == "romano-shaikh":
+                argv += ["--base-schedule", str(base)]
+            calls.append(argv)
+        calls.append(common + ["--procedure", procedure, "--schedule", f"file:{family if family_proc else sched}"])
+    for procedure, schedule in (("stepdown", "lehmann-romano"), ("hommel", "constant")):
+        calls.append(["simulate", "--n", "6", "--true-nulls", "3", "--k", "2", "--alpha", "0.05",
+                      "--procedure", procedure, "--schedule", schedule, "--reps", "40", "--seed", "5",
+                      "--delta", "1.5"])
+    return calls
+
+
+def test_every_report_is_indented_json_on_stdout_and_in_output(tmp_path, capsys):
+    calls = report_calls(tmp_path)
+    assert len(calls) == 16
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        target = tmp_path / "report.json"
+        assert main(argv + ["--output", str(target)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode()
+
+
+def test_family_report_keeps_negative_zero(tmp_path, capsys):
+    family = family_with_repeats_and_negative_zero(tmp_path, 2, 4)
+    pfile = tmp_path / "p4.txt"
+    pfile.write_text("0.5\n0.5\n0.5\n0.5\n")
+    assert main(["test", "--k", "2", "--alpha", "0.05", "--procedure", "hommel",
+                 "--schedule", f"file:{family}", "--input", str(pfile)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["critical_values"] == [[0.03], [0.02, 0.02], [-0.0, -0.0, 0.0]]
+    assert '"critical_values": [\n    [\n      0.03\n    ],' in out
+    assert "      -0.0,\n      -0.0,\n      0.0\n" in out
+
+
+class FullStream(io.StringIO):
+    """A text stream that takes ``room`` writes, then fails each one as a
+    full disk does."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, text):
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return super().write(text)
+
+
+HOMMEL = ["test", "--k", "2", "--alpha", "0.05", "--procedure", "hommel", "--schedule", "constant"]
+
+
+@pytest.mark.parametrize("room", [0, 1, 5])
+def test_failed_stdout_write_exits_3(room, tmp_path, capsys, monkeypatch):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    monkeypatch.setattr(sys, "stdout", FullStream(room))
+    assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_BAD_FLAGS
+    assert capsys.readouterr().err == "error: stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("room", [0, 1, 5])
+def test_failed_output_write_exits_3(room, tmp_path, capsys, monkeypatch):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    target = tmp_path / "report.json"
+    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kw: FullStream(room) if path == str(target)
+                        else open(path, mode, **kw), raising=False)
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_BAD_FLAGS
+    assert capsys.readouterr().err == f"error: {target}: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("n, unbuffered", [(5, False), (5, True), (300, False)])
+def test_full_device_exits_3(n, unbuffered, tmp_path):
+    """Through the console entry, a report on a full stdout exits 3 with
+    one line on stderr, whether the write fails at once (unbuffered, or a
+    report larger than the buffer) or only when flushed; so does --output."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(n).uniform(size=n).tolist()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "kfwer", *HOMMEL, "--input", str(pfile)]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (EXIT_BAD_FLAGS, "error: stdout: No space left on device\n")
+    proc = subprocess.run(argv + ["--output", "/dev/full"], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (EXIT_BAD_FLAGS, "")
+    assert proc.stderr == "error: /dev/full: No space left on device\n"
