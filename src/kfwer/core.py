@@ -13,6 +13,7 @@ direct indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 import numpy as np
@@ -130,8 +131,7 @@ def _unvalidated(cls, **fields):
     and family constructors. Everything built from a caller's data goes
     through the class itself."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # frozen: fill the instance dict directly
     return obj
 
 
@@ -190,6 +190,19 @@ class PValueVector:
     def sorted_values(self) -> tuple[float, ...]:
         """P-values in nondecreasing order (the order statistics)."""
         return tuple(self.values[j] for j in self.order)
+
+    # Arrays for the decision rules, so they never walk the tuples; no
+    # code writes to them. :func:`order_pvalues` sets both from the arrays
+    # it sorted; a vector built by hand converts its tuples on first use.
+    @cached_property
+    def _order_array(self) -> np.ndarray:
+        """``order`` as an array."""
+        return np.array(self.order, dtype=np.intp)
+
+    @cached_property
+    def _sorted_array(self) -> np.ndarray:
+        """The order statistics as an array."""
+        return np.array(self.values)[self._order_array]
 
 
 @dataclass(frozen=True)
@@ -275,12 +288,24 @@ def order_pvalues(values: Iterable[float]) -> PValueVector:
     downstream procedure deterministic. Input values are not modified.
     The range check here is the only one: the order is a stable sort, so
     the result does not go through :class:`PValueVector`'s checks again.
+
+    Python floats are range-checked on the sorted array: a stable argsort
+    puts NaN last, so the smallest and largest entries decide. Any other
+    input, and any failing one, goes through :func:`_check_unit_interval`,
+    which converts it or names the first bad entry.
     """
-    vals = _check_unit_interval(values, "p-value")
-    if len(vals) == 0:
-        raise EmptyInputError("need at least one p-value")
-    order = tuple(sorted(range(len(vals)), key=lambda j: vals[j]))  # stable: ties keep index order
-    return _unvalidated(PValueVector, values=vals, order=order)
+    vals = tuple(values)
+    if set(map(type, vals)) != {float}:
+        vals = _check_unit_interval(vals, "p-value")
+        if not vals:
+            raise EmptyInputError("need at least one p-value")
+    raw = np.array(vals)
+    order = raw.argsort(kind="stable")  # stable: ties keep index order
+    ordered = raw[order]
+    if not (0.0 <= ordered[0] and ordered[-1] <= 1.0):
+        _check_unit_interval(vals, "p-value")  # raises, naming the first bad entry
+    return _unvalidated(PValueVector, values=vals, order=tuple(order.tolist()),
+                        _order_array=order, _sorted_array=ordered)
 
 
 def validate_schedule(k: int, n: int, alphas: Iterable[float]) -> CriticalSchedule:

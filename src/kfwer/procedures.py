@@ -19,6 +19,7 @@ run it over the one row of a single p-value vector.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
@@ -74,15 +75,14 @@ class ProcedureResult:
 
     def rejected_indices(self) -> tuple[int, ...]:
         """0-based original positions of rejected hypotheses, ascending."""
-        return tuple(j for j, flag in enumerate(self.rejected) if flag)
+        return tuple(itertools.compress(range(len(self.rejected)), self.rejected))
 
 
 def _prefix_flags(p: PValueVector, count: int) -> tuple[bool, ...]:
     """Flags rejecting the ``count`` most significant hypotheses (tie-broken order)."""
-    flags = [False] * p.n
-    for j in p.order[:count]:
-        flags[j] = True
-    return tuple(flags)
+    flags = np.zeros(p.n, dtype=bool)
+    flags[p._order_array[:count]] = True
+    return tuple(flags.tolist())
 
 
 def _require_same_n(p: PValueVector, n: int, what: str) -> None:
@@ -192,7 +192,7 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     for m in range(k, n + 1):
         thresholds[m, k : m + 1] = f.row(m)
     sorted_vals = np.full(width, np.inf)
-    sorted_vals[:n] = p.sorted_values()
+    sorted_vals[:n] = p._sorted_array
     hit = sorted_vals <= thresholds[:, :, None]
     accepted = ~hit.ravel()[idx].any(axis=1)
     accepted &= card >= k
@@ -232,11 +232,13 @@ def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
 
     At k = 1 this is Holm's schedule alpha/(n - i + 1). The values lie in
     (0, alpha] and rise with i, so the schedule skips CriticalSchedule's
-    checks.
+    checks. One array division of k*alpha by the float denominators
+    n, n-1, ..., k, each exact below 2**53, rounds as the scalar quotients
+    do, float for float.
     """
     _check_level(k, n, alpha)
-    alphas = tuple(k * alpha / (n - i + k) for i in range(k, n + 1))
-    return _unvalidated(CriticalSchedule, k=k, n=n, alphas=alphas)
+    alphas = k * alpha / np.arange(n, k - 1, -1, dtype=np.float64)
+    return _unvalidated(CriticalSchedule, k=k, n=n, alphas=tuple(alphas.tolist()))
 
 
 def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSchedule:
@@ -257,8 +259,9 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     )
 
 
-def _check_family_size(k: int, n: int) -> None:
-    """Refuse a family table above ``MAX_FAMILY_ENTRIES`` before building it."""
+def check_family_size(k: int, n: int) -> None:
+    """Refuse a family table above ``MAX_FAMILY_ENTRIES`` before building
+    or reading it."""
     width = n - k + 1
     entries = width * (width + 1) // 2
     if entries > MAX_FAMILY_ENTRIES:
@@ -277,7 +280,7 @@ def constant_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     """Local tests with constant row values k*alpha/m for cardinality m:
     the stepdown form of the Lehmann-Romano schedule."""
     _check_level(k, n, alpha)
-    _check_family_size(k, n)
+    check_family_size(k, n)
     return stepdown_as_family(lehmann_romano_schedule(k, n, alpha))
 
 
@@ -286,7 +289,7 @@ def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     critical values, turning the Hommel shortcut into the classical
     Hommel procedure."""
     _check_level(k, n, alpha)
-    _check_family_size(k, n)
+    check_family_size(k, n)
     rows = tuple(tuple(i * alpha / m for i in range(k, m + 1)) for m in range(k, n + 1))
     return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
@@ -298,7 +301,7 @@ def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
     reproduces that schedule exactly; every row's Type-I bound is at most
     alpha by construction of D1.
     """
-    _check_family_size(base.k, base.n)
+    check_family_size(base.k, base.n)
     return stepup_as_family(romano_shaikh_schedule(base, alpha))
 
 
@@ -311,7 +314,7 @@ def stepdown_as_family(s: CriticalSchedule) -> LocalTestFamily:
     closed-testing path as user-supplied families.
     """
     k, n = s.k, s.n
-    _check_family_size(k, n)
+    check_family_size(k, n)
     rows = tuple((s.alpha(n - m + k),) * (m - k + 1) for m in range(k, n + 1))
     return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
@@ -324,7 +327,7 @@ def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
     testing collapses to a stepup scan.
     """
     k, n = s.k, s.n
-    _check_family_size(k, n)
+    check_family_size(k, n)
     rows = tuple(tuple(s.alpha(n - m + i) for i in range(k, m + 1)) for m in range(k, n + 1))
     return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
@@ -346,8 +349,9 @@ def check_procedure(procedure: str, schedule: Optional[str], k: int, n: int, alp
     """Refuse a request before anything is built or read: k and alpha out
     of range, an unknown name, or a schedule with no form for the
     procedure. No procedure has a size limit of its own here; a family's
-    table size is checked by its constructor. ``schedule`` is None when
-    the caller supplies the critical values itself."""
+    table size is checked by its constructor, or by :func:`check_family_size`
+    before a family file is read. ``schedule`` is None when the caller
+    supplies the critical values itself."""
     _check_level(k, n, alpha)
     if procedure not in PROCEDURES:
         raise ConfigError(f"unknown procedure {procedure!r}, expected one of {PROCEDURES}")
@@ -397,7 +401,7 @@ def critical_values(
 
 def _one_row(p: PValueVector) -> np.ndarray:
     """The sorted p-values as a one-row matrix for the batch kernels."""
-    return np.take(p.values, p.order)[None]
+    return p._sorted_array[None]
 
 
 def _stepdown_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import ConfigError, PValueVector, order_pvalues
 from .procedures import (
@@ -159,6 +158,10 @@ def _draw_pvalues(config: SimulationConfig, rng: _ReplicationRng, first: int, dr
     independent standard normals; false nulls add delta; the p-value is
     the upper normal tail of the score.
     """
+    # scipy is imported here, on the first draw, so that `kfwer test` and
+    # `kfwer verify`, which never draw, do not pay for importing it.
+    from scipy.special import ndtr
+
     rng.fill(config.seed, first, draws)
     rho = config.effective_rho
     z = math.sqrt(rho) * draws[:, :1] + math.sqrt(1.0 - rho) * draws[:, 1:]

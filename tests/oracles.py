@@ -10,10 +10,15 @@ at a time over fresh random streams and the oracle deciders, for the
 chunked ``estimate_kfwer``. Two helpers only the tests use live here too:
 ``evaluate_local_test``, one intersection hypothesis decided on its
 materialized subset, and ``check_hommel_dominates_hochberg``, a power
-ordering checked with the library's own verify harness. They import
-``kfwer`` when called, so loading this module never needs it.
+ordering checked with the library's own verify harness. Two input-path
+references are the plain forms the array-native ones replaced:
+``read_pvalues_reference``, the line-by-line p-value file reader, and
+``order_pvalues_reference``, a key sort behind an entry-by-entry range
+check. They import ``kfwer`` when called, so loading this module never
+needs it.
 """
 
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -248,3 +253,64 @@ def check_hommel_dominates_hochberg(trials, n_max, seed):
                 right_name="generalized_hommel", right_rejected=hommel,
             ))
     return report
+
+
+def read_pvalues_reference(stream, name):
+    """Reference for ``kfwer.cli._read_pvalues``: every line on its own.
+
+    One float per line, or CSV rows ``id,p`` after a header ``id,p`` on
+    the first non-blank line; blank lines are skipped. Returns the numbers
+    and the line each came from; malformed input raises
+    ``kfwer.cli.InputDataError`` naming the line.
+    """
+    from kfwer.cli import InputDataError
+
+    def parse(token, idx):
+        try:
+            return float(token)
+        except ValueError:
+            raise InputDataError(f"{name}: line {idx}: {token!r} is not a number") from None
+
+    numbered = [(idx, line.strip()) for idx, line in enumerate(stream.read().splitlines(), start=1)]
+    numbered = [(idx, line) for idx, line in numbered if line]
+    if not numbered:
+        raise InputDataError(f"{name}: no p-values found")
+    values = []
+    if numbered[0][1].lower().replace(" ", "") == "id,p":
+        numbered = numbered[1:]
+        for idx, line in numbered:
+            row = next(csv.reader([line]))
+            if len(row) != 2:
+                raise InputDataError(f"{name}: line {idx}: expected two fields 'id,p', got {line!r}")
+            values.append(parse(row[1], idx))
+        if not values:
+            raise InputDataError(f"{name}: no p-values found after header")
+    else:
+        for idx, line in numbered:
+            values.append(parse(line, idx))
+    return values, [idx for idx, _ in numbered]
+
+
+def order_pvalues_reference(values):
+    """Reference for ``kfwer.order_pvalues``: ``(values, order)``.
+
+    Each entry is checked in turn: numpy real scalars become floats, ints
+    and floats in [0, 1] are taken as floats, and anything else (bools,
+    strings, NaN, values out of range) raises ``kfwer.OutOfRangeError``
+    at its 1-based position. The order is a key sort of the positions,
+    which is stable, so ties keep their index order.
+    """
+    import numpy as np
+
+    from kfwer import EmptyInputError, OutOfRangeError
+
+    vals = []
+    for pos, v in enumerate(values, start=1):
+        if isinstance(v, (np.floating, np.integer)):
+            v = float(v)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= 1:
+            raise OutOfRangeError(pos, v, "p-value")
+        vals.append(float(v))
+    if not vals:
+        raise EmptyInputError("need at least one p-value")
+    return tuple(vals), tuple(sorted(range(len(vals)), key=lambda j: vals[j]))

@@ -12,6 +12,7 @@ import pytest
 import kfwer
 from kfwer import (
     ConfigError,
+    FamilyTooLargeError,
     SimulationConfig,
     closed_testing,
     constant_family,
@@ -220,6 +221,22 @@ class TestCmdTest:
         )
         assert code == EXIT_BAD_FLAGS
         assert out == "" and "n=5" in err and "14" in err
+
+    def test_oversized_family_file_exits_3_before_it_is_opened(self, pfile, tmp_path, capsys, monkeypatch):
+        """The cap applies to a ``file:`` family as soon as n is known: a
+        missing file is reported as too large, not as missing."""
+        from kfwer import procedures
+
+        monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 14)
+        argv = ["test", "--k", "1", "--alpha", "0.05", "--procedure", "hommel",
+                "--schedule", f"file:{tmp_path / 'absent.csv'}", "--input", pfile]
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err == f"error: {FamilyTooLargeError(5, 15, 14)}\n"
+        monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 15)
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_BAD_DATA
+        assert out == "" and err == f"error: {tmp_path / 'absent.csv'}: No such file or directory\n"
 
     def test_k_larger_than_n_exits_3(self, pfile, capsys):
         code, _, _ = run_main(

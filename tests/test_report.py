@@ -172,15 +172,123 @@ def test_failed_stdout_write_exits_3(room, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: stdout: No space left on device\n"
 
 
+class FullFile:
+    """A file opened for writing that takes ``room`` writes, then fails
+    each one as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, text):
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def fill_disk_after(room, monkeypatch):
+    """Make every file the cli module opens for writing a :class:`FullFile`."""
+    def opener(file, mode="r", **kw):
+        fh = open(file, mode, **kw)
+        return FullFile(fh, room) if "w" in mode else fh
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+
+
 @pytest.mark.parametrize("room", [0, 1, 5])
 def test_failed_output_write_exits_3(room, tmp_path, capsys, monkeypatch):
     pfile = tmp_path / "p.txt"
     pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
     target = tmp_path / "report.json"
-    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kw: FullStream(room) if path == str(target)
-                        else open(path, mode, **kw), raising=False)
+    fill_disk_after(room, monkeypatch)
     assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_BAD_FLAGS
     assert capsys.readouterr().err == f"error: {target}: No space left on device\n"
+    assert sorted(os.listdir(tmp_path)) == ["p.txt"]
+
+
+@pytest.mark.parametrize("room", [0, 1, 5, 31])
+def test_failed_output_write_keeps_the_old_report(room, tmp_path, capsys, monkeypatch):
+    """A disk that fills partway leaves an existing report byte for byte
+    as it was, and no partial file beside it."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    target = tmp_path / "report.json"
+    assert main(HOMMEL + ["--input", str(pfile), "--alpha", "0.1", "--output", str(target)]) == EXIT_OK
+    before = target.read_bytes()
+    fill_disk_after(room, monkeypatch)
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_BAD_FLAGS
+    assert capsys.readouterr().err == f"error: {target}: No space left on device\n"
+    assert target.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["p.txt", "report.json"]
+
+
+def test_output_replaces_the_file_and_keeps_its_mode(tmp_path, capsys):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    target.chmod(0o640)
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_OK
+    assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_OK
+    assert target.read_text() == capsys.readouterr().out
+    assert oct(target.stat().st_mode & 0o777) == oct(0o640)
+    assert sorted(os.listdir(tmp_path)) == ["p.txt", "report.json"]
+
+
+def test_new_output_file_gets_the_umask_mode(tmp_path):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    target = tmp_path / "report.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert oct(target.stat().st_mode & 0o777) == oct(0o640)
+
+
+def test_output_through_a_symlink_replaces_the_file_it_names(tmp_path, capsys):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    (tmp_path / "reports").mkdir()
+    real = tmp_path / "reports" / "report.json"
+    real.write_text("old")
+    link = tmp_path / "latest.json"
+    link.symlink_to(real)
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(link)]) == EXIT_OK
+    assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_OK
+    assert link.is_symlink() and real.read_text() == capsys.readouterr().out
+    assert sorted(os.listdir(real.parent)) == ["report.json"]
+
+
+def test_output_in_a_read_only_directory_is_written_in_place(tmp_path, capsys, monkeypatch):
+    """A writable report in a directory that admits no new file is still
+    written, in place, as before; a new report there is refused."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    target = tmp_path / "report.json"
+
+    def no_new_file(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    monkeypatch.setattr(cli, "_new_sibling", no_new_file)
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_BAD_FLAGS
+    assert capsys.readouterr().err == f"error: {target}: Permission denied\n"
+    target.write_text("old")
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_OK
+    assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_OK
+    assert target.read_text() == capsys.readouterr().out
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
