@@ -289,16 +289,18 @@ def _write_report(path: str, chunks: Iterator[str]) -> None:
     path. A failed write removes the new file and leaves ``path`` as it
     was. A device, a FIFO or anything else that is not a regular file is
     written in place, as is a file in a directory that admits no new file.
-    A symbolic link is followed, so the file it names is replaced.
+    A symbolic link is followed, so the file it names is replaced; a link
+    to anything else, such as ``/dev/stdout`` on a pipe, is opened as the
+    kernel resolves it.
     """
-    if os.path.islink(path):
-        path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     tmp = None
     if mode is None or stat.S_ISREG(mode):
+        if os.path.islink(path):
+            path = os.path.realpath(path)
         try:
             fd, tmp = _new_sibling(path)
         except PermissionError:
@@ -323,9 +325,9 @@ def _write_report(path: str, chunks: Iterator[str]) -> None:
 def _new_sibling(path: str) -> tuple[int, str]:
     """A new empty file in ``path``'s directory, open for writing, with
     the mode the umask leaves of 0o666: its descriptor and its path."""
-    head, tail = os.path.split(path)
+    head = os.path.dirname(path)
     while True:
-        name = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        name = os.path.join(head, f".kfwer-{os.urandom(6).hex()}.tmp")
         try:
             return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
         except FileExistsError:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -289,6 +290,51 @@ def test_output_in_a_read_only_directory_is_written_in_place(tmp_path, capsys, m
     assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_OK
     assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_OK
     assert target.read_text() == capsys.readouterr().out
+
+
+def test_output_with_a_long_name(tmp_path, capsys):
+    """The new file beside the target has a name of its own fixed length,
+    so any name the directory admits can take a report."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    target = tmp_path / ("r" * 250 + ".json")
+    assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_OK
+    assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_OK
+    assert target.read_text() == capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == sorted(["p.txt", target.name])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+    reader.start()
+    try:
+        assert main(HOMMEL + ["--input", str(pfile), "--output", str(fifo)]) == EXIT_OK
+    finally:
+        reader.join(timeout=30)
+    assert main(HOMMEL + ["--input", str(pfile)]) == EXIT_OK
+    assert received == [capsys.readouterr().out]
+    assert sorted(os.listdir(tmp_path)) == ["p.txt", "report.fifo"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_dev_stdout_on_a_pipe(tmp_path):
+    """``--output /dev/stdout`` with stdout on a pipe writes the report to
+    the pipe: the link names no regular file, so nothing is renamed."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "kfwer", *HOMMEL, "--input", str(pfile)]
+    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(argv + ["--output", "/dev/stdout"], capture_output=True, text=True, env=env)
+    assert (plain.returncode, plain.stderr) == (EXIT_OK, "")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_OK, "", plain.stdout)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
