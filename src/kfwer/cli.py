@@ -1,13 +1,15 @@
 """Command-line frontend: apply a procedure to a p-value file, estimate
 error rates by simulation, or run the randomized theorem checks.
 
-A p-value file, and a schedule file, is read in one pass: its text is
-split into lines and every line converted by ``float()``, which strips
-surrounding whitespace as ``str.strip`` does. Only when a line fails to
-convert (a blank line, the ``id,p`` header of a CSV p-value file, or a bad
-token) are the lines walked one at a time, and a bad token is reported
-with its line number. The range check is :func:`kfwer.core.order_pvalues`'s;
-its position is mapped back to a line.
+Input files are read as UTF-8; a file or stream that cannot be opened,
+read or decoded is bad input data. A p-value file, and a schedule file,
+is read in one pass: its text is split into lines and every line
+converted by ``float()``, which strips surrounding whitespace as
+``str.strip`` does. Only when a line fails to convert (a blank line,
+the ``id,p`` header of a CSV p-value file, or a bad token) are the lines
+walked one at a time, and a bad token is reported with its line number.
+The range check is :func:`kfwer.core.order_pvalues`'s; its position is
+mapped back to a line.
 
 The reports of ``test`` and ``simulate`` are stable byte for byte: each is
 ``json.dumps(report, indent=2)`` followed by a newline, streamed to stdout
@@ -81,6 +83,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_FLAGS)
 
 
+@contextlib.contextmanager
+def _reading(name: str) -> Iterator[None]:
+    """Report a file or stream that cannot be opened, read or decoded as
+    bad input data naming it (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputDataError(f"{name}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{name}: not valid {exc.encoding} text: {exc.reason}") from None
+
+
 def _read_numbers(text: str, name: str, header: Optional[str] = None) -> tuple[list[float], Optional[list[int]]]:
     """The numbers of ``text``, one per line, and the line each came from.
 
@@ -136,11 +150,8 @@ def _read_pvalues(stream: TextIO, name: str) -> tuple[list[float], Optional[list
 
 def _read_schedule_file(path: str, k: int, n: int) -> CriticalSchedule:
     """One critical value per line; must supply exactly n-k+1 values."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputDataError(f"{path}: {exc.strerror}") from None
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
         return validate_schedule(k, n, _read_numbers(text, path)[0])
     except KfwerError as exc:
@@ -149,12 +160,9 @@ def _read_schedule_file(path: str, k: int, n: int) -> CriticalSchedule:
 
 def _read_family_file(path: str, k: int, n: int) -> LocalTestFamily:
     """CSV with header m,i,alpha, one row per triangular entry."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(idx, row) for idx, row in enumerate(reader, start=1) if row and any(f.strip() for f in row)]
-    except OSError as exc:
-        raise InputDataError(f"{path}: {exc.strerror}") from None
+    with _reading(path), open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(idx, row) for idx, row in enumerate(reader, start=1) if row and any(f.strip() for f in row)]
     if not rows or [f.strip().lower() for f in rows[0][1]] != ["m", "i", "alpha"]:
         raise InputDataError(f"{path}: expected CSV header 'm,i,alpha'")
     entries: dict[tuple[int, int], float] = {}
@@ -377,14 +385,12 @@ def cmd_test(args) -> int:
     _check_output(args.output)
     if args.input and args.input != "-":
         name = args.input
-        try:
-            with open(name) as fh:
-                values, lines = _read_pvalues(fh, name)
-        except OSError as exc:
-            raise InputDataError(f"{name}: {exc.strerror}") from None
+        with _reading(name), open(name, encoding="utf-8") as fh:
+            values, lines = _read_pvalues(fh, name)
     else:
         name = "stdin"
-        values, lines = _read_pvalues(sys.stdin, name)
+        with _reading(name):
+            values, lines = _read_pvalues(sys.stdin, name)
     try:
         p = order_pvalues(values)
     except OutOfRangeError as exc:

@@ -2,12 +2,12 @@
 value schedules and local test families.
 
 All types are immutable and validated at construction; only
-``order_pvalues``, the Lehmann-Romano and single-step constant schedules
-and the package's family constructors, whose output is valid by
-construction, skip the repeat checks. Indices follow the
-statistical convention: hypotheses are 1-based in user-facing messages and
-in the CLI, while ``PValueVector.order`` stores 0-based positions for
-direct indexing.
+``order_pvalues``, the Lehmann-Romano, Romano-Shaikh and single-step
+constant schedules and the package's family constructors, whose output
+is valid by construction, skip the repeat checks (Romano-Shaikh keeps a
+range check of its own). Indices follow the statistical convention:
+hypotheses are 1-based in user-facing messages and in the CLI, while
+``PValueVector.order`` stores 0-based positions for direct indexing.
 """
 
 from __future__ import annotations
@@ -225,14 +225,30 @@ class CriticalSchedule:
             raise BadShapeError(
                 f"schedule for k={self.k}, n={self.n} needs {self.n - self.k + 1} values, got {len(self.alphas)}"
             )
-        object.__setattr__(self, "alphas", _check_unit_interval(self.alphas, "critical value"))
-        for pos in range(1, len(self.alphas)):
-            if self.alphas[pos] < self.alphas[pos - 1]:
-                raise NotMonotoneError(pos + 1)
+        # Python floats that never drop and start and end in [0, 1] pass as a
+        # whole (NaN fails every comparison). Anything else is checked entry
+        # by entry, so the first bad one is named, range before order.
+        vals = tuple(self.alphas)
+        values = np.array(vals) if set(map(type, vals)) == {float} else None
+        if values is None or not ((values[1:] >= values[:-1]).all() and 0.0 <= values[0] and values[-1] <= 1.0):
+            vals = _check_unit_interval(vals, "critical value")
+            values = np.array(vals, dtype=np.float64)
+            drops = values[1:] < values[:-1]
+            if drops.any():
+                raise NotMonotoneError(int(drops.argmax()) + 2)  # the first drop
+        object.__setattr__(self, "alphas", vals)
+        self.__dict__["_array"] = values  # frozen: fill the cache directly
 
     def alpha(self, i: int) -> float:
         """Critical value for ordered index i (k <= i <= n)."""
         return self.alphas[i - self.k]
+
+    # ``alphas`` as an array for d1 and the decision rules; no code writes
+    # to it. The checks above and the constructors that computed the
+    # values as an array set it.
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return np.array(self.alphas, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .core import (
     LocalTestFamily,
     PValueVector,
     TooLargeError,
+    _check_unit_interval,
     _unvalidated,
 )
 
@@ -238,25 +239,32 @@ def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
     """
     _check_level(k, n, alpha)
     alphas = k * alpha / np.arange(n, k - 1, -1, dtype=np.float64)
-    return _unvalidated(CriticalSchedule, k=k, n=n, alphas=tuple(alphas.tolist()))
+    return _unvalidated(CriticalSchedule, k=k, n=n, alphas=tuple(alphas.tolist()), _array=alphas)
 
 
 def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSchedule:
     """Stepup critical values alpha * alpha_i / D1 from any base schedule.
 
     The normalization makes the stepup procedure level-alpha under
-    arbitrary p-value dependence, whatever the base.
+    arbitrary p-value dependence, whatever the base. The values are one
+    array expression, rounded as the scalar ``alpha * a / d`` is, entry
+    for entry. Correctly rounded products and quotients are monotone, so
+    the values stay nondecreasing and the first and last decide the range
+    check, which stays because with alpha near 1 a value can round above 1.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(alpha)
-    d = d1(base)
-    if d == 0.0:
+    # D1 is 0 exactly when every value is; the last is the largest. Checked
+    # first, because every cardinality of a zero schedule ties for D1's
+    # maximum and d1 would sum them all.
+    if base._array[-1] == 0.0:
         raise DegenerateScheduleError("base schedule is identically zero")
-    return CriticalSchedule(
-        k=base.k,
-        n=base.n,
-        alphas=tuple(alpha * a / d for a in base.alphas),
-    )
+    d = d1(base)
+    alphas = alpha * base._array / d
+    values = tuple(alphas.tolist())
+    if not (0.0 <= alphas[0] and alphas[-1] <= 1.0):
+        _check_unit_interval(values, "critical value")  # raises, naming the first bad entry
+    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, alphas=values, _array=alphas)
 
 
 def check_family_size(k: int, n: int) -> None:
@@ -406,13 +414,13 @@ def _one_row(p: PValueVector) -> np.ndarray:
 
 def _stepdown_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
     """k - 1 plus each row's leading run of ranks k.. at or below their value."""
-    hits = sorted_p[:, s.k - 1:] <= np.asarray(s.alphas)
+    hits = sorted_p[:, s.k - 1:] <= s._array
     return s.k - 1 + np.logical_and.accumulate(hits, axis=1).sum(axis=1)
 
 
 def _stepup_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
     """Each row's last rank at or below its value, or k - 1 without one."""
-    hits = sorted_p[:, s.k - 1:] <= np.asarray(s.alphas)
+    hits = sorted_p[:, s.k - 1:] <= s._array
     return np.where(hits.any(axis=1), s.n - hits[:, ::-1].argmax(axis=1), s.k - 1)
 
 

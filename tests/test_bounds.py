@@ -2,6 +2,9 @@
 stepup normalization constant, and local test decisions."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kfwer
 from kfwer import (
     BadShapeError,
     BoundInput,
@@ -24,7 +28,16 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
-from oracles import d1_float_reference, d1_oracle, evaluate_local_test, lemma31_oracle, type1_oracle
+from kfwer.bounds import _d1_with_argmax, _screen
+from oracles import (
+    d1_cumsum_reference,
+    d1_float_reference,
+    d1_oracle,
+    d1_terms_oracle,
+    evaluate_local_test,
+    lemma31_oracle,
+    type1_oracle,
+)
 
 
 def sorted_betas(min_size=1, max_size=10):
@@ -192,6 +205,171 @@ class TestD1:
     def test_bitwise_equal_to_float_loop_at_n_2000(self):
         s = lehmann_romano_schedule(2, 2000, 0.05)
         assert d1(s) == d1_float_reference(s.k, s.n, s.alphas)
+
+
+def same_float(a, b):
+    """Equal as floats, and zeros of the same sign."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def check_d1(k, n, alphas):
+    """d1 is the plain loop's float, zero signs included."""
+    alphas = [float(a) for a in alphas]
+    got = d1(validate_schedule(k, n, alphas))
+    want = d1_float_reference(k, n, alphas)
+    assert same_float(got, want), (k, n, got, want)
+
+
+class TestD1Screen:
+    """The screen keeps the loop's maximum on the inputs that strain it:
+    flat profiles, zeros, ties, extreme magnitudes and tiny sizes."""
+
+    @pytest.mark.parametrize("k, n, c", [(1, 50, 0.3), (2, 77, 0.07), (5, 5, 0.9), (3, 200, 1.0), (1, 64, 1e-300)])
+    def test_constant_schedule(self, k, n, c):
+        check_d1(k, n, [c] * (n - k + 1))
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 40), (3, 90), (7, 7)])
+    def test_all_zero_schedule(self, k, n):
+        check_d1(k, n, [0.0] * (n - k + 1))
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 30), (4, 60), (6, 6)])
+    def test_negative_zeros(self, k, n):
+        width = n - k + 1
+        check_d1(k, n, [-0.0] * width)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            # nondecreasing as floats: -0.0 and 0.0 compare equal
+            check_d1(k, n, rng.choice([-0.0, 0.0], width).tolist())
+        assert math.copysign(1.0, d1(validate_schedule(k, n, [-0.0] * width))) == -1.0
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 25), (2, 40), (5, 33)])
+    def test_one_step_anywhere(self, k, n):
+        width = n - k + 1
+        for pos in range(width):
+            check_d1(k, n, [0.0] * pos + [0.03] * (width - pos))
+            check_d1(k, n, [0.2] * pos + [0.7] * (width - pos))
+
+    def test_flat_profile_keeps_every_cardinality(self):
+        """Zeros with one step at the end: every sum is nearly the same,
+        so every cardinality is summed exactly."""
+        for k, n in [(1, 400), (2, 399), (9, 300)]:
+            check_d1(k, n, [0.0] * (n - k) + [0.05])
+            check_d1(k, n, [1e-300] * (n - k) + [1.0])
+
+    def test_ties(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n = int(rng.integers(1, 120))
+            k = int(rng.integers(1, n + 1))
+            check_d1(k, n, np.sort(np.round(rng.uniform(0.0, 1.0, n - k + 1), int(rng.integers(0, 3)))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 500])
+    def test_k_equals_n(self, n):
+        for c in (0.0, -0.0, 1e-300, 0.3, 1.0):
+            check_d1(n, n, [c])
+
+    def test_single_hypothesis(self):
+        for c in (0.0, -0.0, 5e-324, 0.42, 1.0):
+            check_d1(1, 1, [c])
+
+    def test_values_spanning_1e_300_to_1(self):
+        rng = np.random.default_rng(300)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            k = int(rng.integers(1, n + 1))
+            check_d1(k, n, np.sort(10.0 ** rng.uniform(-300.0, 0.0, n - k + 1)))
+        check_d1(1, 5, [5e-324, 1e-310, 1e-300, 1e-100, 1.0])
+
+    @given(
+        st.integers(1, 60).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))).flatmap(
+            lambda kn: st.tuples(
+                st.just(kn),
+                st.lists(
+                    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0])),
+                    min_size=kn[1] - kn[0] + 1,
+                    max_size=kn[1] - kn[0] + 1,
+                ).map(sorted),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_schedule(self, case):
+        (k, n), alphas = case
+        check_d1(k, n, alphas)
+
+    @pytest.mark.parametrize("n", [10_000, 20_000])
+    def test_lehmann_romano_at_scale(self, n):
+        s = lehmann_romano_schedule(2, n, 0.05)
+        assert _d1_with_argmax(s) == d1_cumsum_reference(s.k, s.n, s.alphas)
+
+    @pytest.mark.parametrize("k, n", [(1, 10), (2, 2000), (2, 20_000), (40, 20_000)])
+    def test_lehmann_romano_sums_one_cardinality(self, k, n, monkeypatch):
+        """The screen is sharp enough that only the argmax is summed exactly."""
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda terms: calls.append(terms.size) or cumsum(terms))
+        value, argmax = _d1_with_argmax(lehmann_romano_schedule(k, n, 0.05))
+        assert calls == [argmax - k + 1]
+
+    def test_argmax_matches_rational_oracle(self):
+        """Where one cardinality's exact sum clearly beats every other, the
+        returned cardinality is the rational oracle's."""
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            n = k + int(rng.integers(0, 8))
+            alphas = np.sort(rng.uniform(0.0, 1.0, n - k + 1)).tolist()
+            terms = d1_terms_oracle(k, n, alphas)
+            value, argmax = d1_oracle(k, n, alphas)
+            if all(t < value * (1 - Fraction(1, 10**9)) for m, t in enumerate(terms, start=k) if m != argmax):
+                assert _d1_with_argmax(validate_schedule(k, n, alphas)) == (d1_float_reference(k, n, alphas), argmax)
+                checked += 1
+        assert checked > 150
+
+    def test_bound_holds_at_every_cardinality(self):
+        """Ghat(m) - E(m) <= R(m) <= Ghat(m) + E(m) for every m, not just the
+        kept ones, R(m) being the loop's float for cardinality m."""
+        rng = np.random.default_rng(2401)
+        cases = [lehmann_romano_schedule(2, 3000, 0.05), lehmann_romano_schedule(1, 777, 0.3)]
+        for trial in range(60):
+            n = int(rng.integers(1, 700))
+            k = int(rng.integers(1, n + 1))
+            width = n - k + 1
+            alphas = (np.sort(rng.uniform(0.0, 1.0, width)), np.sort(10.0 ** rng.uniform(-300.0, 0.0, width)),
+                      np.sort(rng.uniform(0.0, 1.0, width) ** 16), np.r_[np.zeros(width - 1), 0.05])[trial % 4]
+            cases.append(validate_schedule(k, n, alphas.tolist()))
+        for s in cases:
+            k, n, alphas = s.k, s.n, s._array
+            steps, divisors = np.diff(alphas), np.arange(k + 1, n + 1, dtype=np.float64)
+            lower, upper = _screen(k, alphas, steps, divisors)
+            for lo in range(n - k + 1):
+                m = n - lo
+                terms = np.r_[m * alphas[lo] / k, steps[lo:] * m / divisors[: n - k - lo]]
+                assert lower[lo] <= np.cumsum(terms)[-1] <= upper[lo], (k, n, m)
+
+    def test_guard_falls_back_when_the_screen_is_wrong(self, monkeypatch):
+        """A screen off by far more than its bound puts the kept sums
+        outside their intervals; d1 then sums every cardinality."""
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 1.0)
+        for s in (lehmann_romano_schedule(2, 300, 0.05), validate_schedule(1, 3, (0.25, 0.5, 1.0))):
+            assert _d1_with_argmax(s) == d1_cumsum_reference(s.k, s.n, s.alphas)
+
+    def test_romano_shaikh_cli_does_not_import_scipy(self, tmp_path):
+        n = 50
+        base = tmp_path / "base.txt"
+        base.write_text("\n".join(map(repr, lehmann_romano_schedule(2, n, 0.05).alphas)) + "\n")
+        pvalues = tmp_path / "p.txt"
+        pvalues.write_text("\n".join(repr((j + 0.5) / n) for j in range(n)) + "\n")
+        argv = ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepup", "--schedule", "romano-shaikh",
+                "--base-schedule", str(base), "--input", str(pvalues), "--output", str(tmp_path / "out.json")]
+        code = (f"import sys; from kfwer.cli import main; code = main({argv!r}); "
+                "sys.exit(code or 10 * ('scipy' in sys.modules))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert (tmp_path / "out.json").exists()
 
 
 class TestScaledFamilyCertification:

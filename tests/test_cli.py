@@ -1,6 +1,7 @@
 """Command-line surface: file formats, JSON schema, exit codes, and
 reproducibility."""
 
+import io
 import json
 import os
 import subprocess
@@ -459,6 +460,49 @@ def test_test_and_simulate_resolve_alike(procedure, schedule, k, tmp_path, capsy
         expected = [list(row) for row in result.family.rows]
     assert report["critical_values"] == expected
     assert report["rejected"] == [j + 1 for j in result.rejected_indices()]
+
+
+class TestUndecodableInput:
+    """Every reader of `kfwer test` refuses text that is not UTF-8 with exit 2,
+    naming the file or stream, instead of a traceback."""
+
+    BAD = b"\xff\n0.5\n"
+    COMMON = ["test", "--k", "1", "--alpha", "0.05"]
+
+    def check(self, argv, name, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_BAD_DATA and out == ""
+        assert err.startswith(f"error: {name}: not valid utf-8 text")
+
+    def test_pvalue_file(self, tmp_path, capsys):
+        bad = tmp_path / "p.txt"
+        bad.write_bytes(self.BAD)
+        self.check([*self.COMMON, "--procedure", "stepdown", "--schedule", "lehmann-romano", "--input", str(bad)],
+                   str(bad), capsys)
+
+    def test_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.BAD), encoding="utf-8"))
+        self.check([*self.COMMON, "--procedure", "stepdown", "--schedule", "lehmann-romano"], "stdin", capsys)
+
+    def test_base_schedule_file(self, pfile, tmp_path, capsys):
+        bad = tmp_path / "base.txt"
+        bad.write_bytes(self.BAD)
+        self.check([*self.COMMON, "--procedure", "stepup", "--schedule", "romano-shaikh",
+                    "--base-schedule", str(bad), "--input", pfile], str(bad), capsys)
+
+    def test_schedule_file(self, pfile, tmp_path, capsys):
+        bad = tmp_path / "schedule.txt"
+        bad.write_bytes(self.BAD)
+        self.check([*self.COMMON, "--procedure", "stepup", "--schedule", f"file:{bad}", "--input", pfile],
+                   str(bad), capsys)
+
+    def test_family_file(self, tmp_path, capsys):
+        pv = tmp_path / "p.txt"
+        pv.write_text("0.01\n0.04\n0.5\n")
+        bad = tmp_path / "family.csv"
+        bad.write_bytes(b"m,i,alpha\n1,1,0.05\n2,1,\xff\n")
+        self.check([*self.COMMON, "--procedure", "hommel", "--schedule", f"file:{bad}", "--input", str(pv)],
+                   str(bad), capsys)
 
 
 class TestCmdSimulate:

@@ -104,6 +104,36 @@ class TestValidateSchedule:
             validate_schedule(2, 5, (0.02, 0.025, 0.05, 0.03))
         assert exc.value.position == 4
 
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 0.5])), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_not_monotone_position_is_the_first_drop(self, alphas):
+        """The array check reports the entry the old pairwise loop did:
+        the first one below its predecessor, -0.0 and 0.0 counting as equal."""
+        first_drop = next((pos + 1 for pos in range(1, len(alphas)) if alphas[pos] < alphas[pos - 1]), None)
+        if first_drop is None:
+            assert validate_schedule(1, len(alphas), alphas).alphas == tuple(alphas)
+        else:
+            with pytest.raises(NotMonotoneError) as exc:
+                validate_schedule(1, len(alphas), alphas)
+            assert exc.value.position == first_drop
+
+    @pytest.mark.parametrize("alphas, position", [
+        ((0.1, math.nan, 0.2), 2), ((0.3, 0.2, 1.5), 3), ((-0.1, 0.2), 1), ((0.1, 0.2, math.inf), 3),
+    ])
+    def test_range_checked_before_order(self, alphas, position):
+        """The first entry out of range is named even where the values also
+        drop, and a NaN between ordered values is refused."""
+        with pytest.raises(OutOfRangeError) as exc:
+            validate_schedule(1, len(alphas), alphas)
+        assert exc.value.position == position
+
+    def test_signed_zeros_are_nondecreasing(self):
+        for alphas in [(0.0, -0.0), (-0.0, 0.0, -0.0, 0.1), (-0.0,) * 3]:
+            assert validate_schedule(1, len(alphas), alphas).alphas == alphas
+        with pytest.raises(NotMonotoneError) as exc:
+            validate_schedule(1, 4, (0.0, -0.0, 0.1, -0.0))
+        assert exc.value.position == 4
+
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRangeError):
             validate_schedule(3, 2, ())

@@ -16,6 +16,7 @@ from kfwer import (
     DegenerateScheduleError,
     FamilyTooLargeError,
     LengthMismatchError,
+    OutOfRangeError,
     ProcedureResult,
     TooLargeError,
     closed_testing,
@@ -314,9 +315,41 @@ class TestScheduleConstructors:
         base = validate_schedule(1, 1, (0.5,))
         assert math.isclose(romano_shaikh_schedule(base, 0.05).alphas[0], 0.05, rel_tol=1e-15)
 
+    @given(
+        st.integers(1, 40).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))).flatmap(
+            lambda kn: st.tuples(
+                st.just(kn),
+                st.lists(st.floats(0.0, 1.0), min_size=kn[1] - kn[0] + 1, max_size=kn[1] - kn[0] + 1).map(sorted),
+            )
+        ),
+        st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(math.nextafter(1.0, 0.0))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_romano_shaikh_equals_the_scalar_formula(self, case, alpha):
+        """One array expression, float for float the scalar alpha * a / d."""
+        (k, n), alphas = case
+        base = validate_schedule(k, n, alphas)
+        if max(alphas) == 0.0:
+            return
+        s = romano_shaikh_schedule(base, alpha)
+        d = d1(base)
+        assert s.alphas == tuple(alpha * a / d for a in base.alphas)
+        assert all(type(a) is float for a in s.alphas)
+        assert s._array.tolist() == list(s.alphas)
+
+    def test_romano_shaikh_value_above_one_is_refused(self, monkeypatch):
+        """The range check stays: a value rounded above 1 is refused with
+        its position, as CriticalSchedule would."""
+        monkeypatch.setattr(procedures, "d1", lambda base: 0.5)
+        with pytest.raises(OutOfRangeError) as exc:
+            romano_shaikh_schedule(validate_schedule(1, 3, (0.1, 0.3, 0.9)), 0.9)
+        assert exc.value.position == 3 and exc.value.value == 0.9 * 0.9 / 0.5
+
     def test_degenerate_base(self):
         with pytest.raises(DegenerateScheduleError):
             romano_shaikh_schedule(validate_schedule(1, 3, (0.0, 0.0, 0.0)), 0.05)
+        with pytest.raises(DegenerateScheduleError):
+            romano_shaikh_schedule(validate_schedule(1, 3, (-0.0, 0.0, -0.0)), 0.05)
         with pytest.raises(DegenerateScheduleError):
             scaled_family(validate_schedule(1, 3, (0.0, 0.0, 0.0)), 0.05)
 
