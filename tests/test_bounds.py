@@ -2,9 +2,6 @@
 stepup normalization constant, and local test decisions."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kfwer
 from kfwer import (
     BadShapeError,
     BoundInput,
@@ -355,21 +351,6 @@ class TestD1Screen:
         monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 1.0)
         for s in (lehmann_romano_schedule(2, 300, 0.05), validate_schedule(1, 3, (0.25, 0.5, 1.0))):
             assert _d1_with_argmax(s) == d1_cumsum_reference(s.k, s.n, s.alphas)
-
-    def test_romano_shaikh_cli_does_not_import_scipy(self, tmp_path):
-        n = 50
-        base = tmp_path / "base.txt"
-        base.write_text("\n".join(map(repr, lehmann_romano_schedule(2, n, 0.05).alphas)) + "\n")
-        pvalues = tmp_path / "p.txt"
-        pvalues.write_text("\n".join(repr((j + 0.5) / n) for j in range(n)) + "\n")
-        argv = ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepup", "--schedule", "romano-shaikh",
-                "--base-schedule", str(base), "--input", str(pvalues), "--output", str(tmp_path / "out.json")]
-        code = (f"import sys; from kfwer.cli import main; code = main({argv!r}); "
-                "sys.exit(code or 10 * ('scipy' in sys.modules))")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-        assert (tmp_path / "out.json").exists()
 
 
 class TestScaledFamilyCertification:

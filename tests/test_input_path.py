@@ -165,10 +165,20 @@ def test_lehmann_romano_equals_the_formula_anywhere(kn, alpha):
     assert lehmann_romano_schedule(k, n, alpha).alphas == tuple(k * alpha / (n - i + k) for i in range(k, n + 1))
 
 
-def test_test_and_verify_do_not_import_scipy():
+def test_test_and_verify_do_not_import_scipy(tmp_path):
     """Only simulation draws need scipy; importing the package, the CLI
-    and the verify harness leaves it unloaded."""
+    and the verify harness leaves it unloaded, and so does a Romano-Shaikh
+    stepup call, whose d1 uses numpy.fft."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, kfwer, kfwer.cli, kfwer.verify; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    n = 50
+    base, pvalues, out = tmp_path / "base.txt", tmp_path / "p.txt", tmp_path / "out.json"
+    base.write_text("\n".join(map(repr, lehmann_romano_schedule(2, n, 0.05).alphas)) + "\n")
+    pvalues.write_text("\n".join(repr((j + 0.5) / n) for j in range(n)) + "\n")
+    argv = ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepup", "--schedule", "romano-shaikh",
+            "--base-schedule", str(base), "--input", str(pvalues), "--output", str(out)]
+    code = f"import sys; from kfwer.cli import main; sys.exit(main({argv!r}) or 10 * ('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert out.exists()
