@@ -23,6 +23,7 @@ from .core import (
     LocalTestFamily,
     NotMonotoneError,
     _check_unit_interval,
+    _first_drop,
 )
 
 
@@ -43,10 +44,11 @@ class BoundInput:
         m = len(self.betas)
         if m < 1 or m > self.t:
             raise BadShapeError(f"need 1 <= m <= t={self.t} thresholds, got {m}")
-        object.__setattr__(self, "betas", _check_unit_interval(self.betas, "beta"))
-        for pos in range(1, m):
-            if self.betas[pos] < self.betas[pos - 1]:
-                raise NotMonotoneError(pos + 1)
+        betas, array = _check_unit_interval(self.betas, "beta")
+        drop = _first_drop(array)
+        if drop:
+            raise NotMonotoneError(drop)
+        object.__setattr__(self, "betas", betas)
 
 
 def lemma31_bound(bound_input: BoundInput) -> float:
@@ -131,10 +133,10 @@ def d1(schedule: CriticalSchedule) -> float:
     increasing m. Rounding is monotone and R(m) is a float, so the
     rounded bounds keep every m the real ones keep. Should any kept m
     come out of its interval Ghat(m) +- E(m), the bound failed on that
-    input and every cardinality is summed instead. A flat profile, such
-    as zeros with one step at the end, keeps many cardinalities and
-    costs up to the full O(n^2) scan, never a different float. Memory
-    is O(n).
+    input and every cardinality is summed instead. A kept sum forms only
+    the terms of the nonzero steps it spans, so a flat profile, such as
+    zeros with one step at the end, keeps every cardinality but sums one
+    term for each. Memory is O(n).
     """
     return _d1_with_argmax(schedule)[0]
 
@@ -160,15 +162,19 @@ def _d1_with_argmax(schedule: CriticalSchedule) -> tuple[float, int]:
     steps = np.diff(alphas)
     divisors = np.arange(k + 1, n + 1, dtype=np.float64)
     lower, upper = _screen(k, alphas, steps, divisors)
-    buffer = np.empty(w + 1)
+    nonzero = np.flatnonzero(steps)
 
     def exact(lo: int) -> float:
-        m, width = n - lo, w - lo
-        terms = buffer[: width + 1]
+        # Only the nonzero steps j >= lo: a zero step's term is +-0.0, which
+        # leaves a nonnegative sum as it was (a sum still at -0.0 becomes
+        # +0.0; it is the maximum only if all are zero, and then m = k is).
+        m = n - lo
+        at = nonzero[np.searchsorted(nonzero, lo) :]
+        terms = np.empty(at.size + 1)
         terms[0] = m * alphas[lo] / k
         tail = terms[1:]
-        np.multiply(steps[lo:], m, out=tail)
-        np.divide(tail, divisors[:width], out=tail)
+        np.multiply(steps[at], m, out=tail)
+        np.divide(tail, divisors[at - lo], out=tail)
         return float(np.cumsum(terms)[-1])
 
     # Exact pass over the kept cardinalities in increasing m (decreasing lo).

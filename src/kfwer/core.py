@@ -1,11 +1,12 @@
 """Domain types for k-FWER multiple testing: p-value vectors, critical
 value schedules and local test families.
 
-All types are immutable and validated at construction; only
-``order_pvalues``, the Lehmann-Romano, Romano-Shaikh and single-step
-constant schedules and the package's family constructors, whose output
-is valid by construction, skip the repeat checks (Romano-Shaikh keeps a
-range check of its own). Indices follow the statistical convention:
+All types are immutable and validated at construction. A caller's
+numbers are converted and range-checked in one place,
+:func:`_check_unit_interval`; only ``order_pvalues``, the Lehmann-Romano,
+Romano-Shaikh and single-step constant schedules and the package's
+family constructors, whose output is otherwise valid by construction,
+skip the repeat checks. Indices follow the statistical convention:
 hypotheses are 1-based in user-facing messages and in the CLI, while
 ``PValueVector.order`` stores 0-based positions for direct indexing.
 """
@@ -13,7 +14,6 @@ hypotheses are 1-based in user-facing messages and in the CLI, while
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Iterable
 
 import numpy as np
@@ -128,26 +128,33 @@ def _unvalidated(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` set and
     ``__post_init__`` not run. Only for values that are valid by
     construction: :func:`order_pvalues` and the package's own schedule
-    and family constructors. Everything built from a caller's data goes
-    through the class itself."""
+    and family constructors. Callers pass every field ``__post_init__``
+    would set, the private arrays included. Everything built from a
+    caller's data goes through the class itself."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # frozen: fill the instance dict directly
     return obj
 
 
-def _check_unit_interval(values: Iterable[Any], what: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, each a finite number in [0, 1].
+def _check_unit_interval(values: Iterable[Any], what: str) -> tuple[tuple[float, ...], np.ndarray]:
+    """``values`` as a tuple of floats, each a finite number in [0, 1], and
+    the same floats as a float64 array.
 
     The one acceptance rule for a caller's numbers: Python ints and floats
     and numpy real scalars (a float32 array's elements, say) are taken and
     converted to float. Anything else is refused with
     :class:`OutOfRangeError` naming the first bad entry: strings, and
     ``bool`` and ``np.bool_``, which the range check alone would take as
-    0 or 1. A tuple of in-range Python floats is returned as it is.
+    0 or 1. Python floats are checked as one array, by its minimum and
+    maximum (a NaN makes both NaN, which fails the comparison), and are
+    returned as they are; any other input, and any that fails, is checked
+    entry by entry.
     """
     vals = tuple(values)
-    if all(type(v) is float and 0.0 <= v <= 1.0 for v in vals):
-        return vals
+    if vals and set(map(type, vals)) == {float}:
+        array = np.array(vals)
+        if 0.0 <= array.min() and array.max() <= 1.0:
+            return vals, array
     out = []
     for pos, v in enumerate(vals, start=1):
         if isinstance(v, (np.floating, np.integer)):
@@ -155,7 +162,14 @@ def _check_unit_interval(values: Iterable[Any], what: str) -> tuple[float, ...]:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= 1:
             raise OutOfRangeError(pos, v, what)
         out.append(float(v))
-    return tuple(out)
+    return tuple(out), np.array(out, dtype=np.float64)
+
+
+def _first_drop(array: np.ndarray) -> int:
+    """The 1-based position of the first entry smaller than its
+    predecessor, or 0 when ``array`` never decreases."""
+    drops = array[1:] < array[:-1]
+    return int(drops.argmax()) + 2 if drops.any() else 0
 
 
 @dataclass(frozen=True)
@@ -165,23 +179,22 @@ class PValueVector:
     ``order`` holds 0-based original positions such that
     ``values[order[0]] <= values[order[1]] <= ...``; ties are broken by
     ascending original position, so the permutation is unique. Use
-    :func:`order_pvalues` to construct one.
+    :func:`order_pvalues` to construct one. Every constructor also sets
+    ``_order_array`` and ``_sorted_array``, the order and the order
+    statistics as arrays for the decision rules; no code writes to them.
     """
 
     values: tuple[float, ...]
     order: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.values)
-        if n == 0:
-            raise EmptyInputError("need at least one p-value")
-        object.__setattr__(self, "values", _check_unit_interval(self.values, "p-value"))
-        if sorted(self.order) != list(range(n)):
-            raise BadShapeError(f"order must be a permutation of 0..{n - 1}")
-        for a, b in zip(self.order, self.order[1:]):
-            va, vb = self.values[a], self.values[b]
-            if va > vb or (va == vb and a > b):
-                raise BadShapeError("order must sort values nondecreasingly with ties by ascending index")
+        # The one valid order is the stable sort order_pvalues computes.
+        checked = order_pvalues(self.values)
+        if sorted(self.order) != list(range(checked.n)):
+            raise BadShapeError(f"order must be a permutation of 0..{checked.n - 1}")
+        if tuple(self.order) != checked.order:
+            raise BadShapeError("order must sort values nondecreasingly with ties by ascending index")
+        self.__dict__.update(checked.__dict__)  # frozen: fill the instance dict directly
 
     @property
     def n(self) -> int:
@@ -191,19 +204,6 @@ class PValueVector:
         """P-values in nondecreasing order (the order statistics)."""
         return tuple(self.values[j] for j in self.order)
 
-    # Arrays for the decision rules, so they never walk the tuples; no
-    # code writes to them. :func:`order_pvalues` sets both from the arrays
-    # it sorted; a vector built by hand converts its tuples on first use.
-    @cached_property
-    def _order_array(self) -> np.ndarray:
-        """``order`` as an array."""
-        return np.array(self.order, dtype=np.intp)
-
-    @cached_property
-    def _sorted_array(self) -> np.ndarray:
-        """The order statistics as an array."""
-        return np.array(self.values)[self._order_array]
-
 
 @dataclass(frozen=True)
 class CriticalSchedule:
@@ -212,6 +212,8 @@ class CriticalSchedule:
     ``alphas[i - k]`` is the critical value compared against the i-th
     smallest p-value, for i = k..n. Values for i < k are never stored:
     the k-1 most significant hypotheses are rejected unconditionally.
+    Every constructor also sets ``_array``, the values as an array for
+    ``d1`` and the decision rules; no code writes to it.
     """
 
     k: int
@@ -225,30 +227,15 @@ class CriticalSchedule:
             raise BadShapeError(
                 f"schedule for k={self.k}, n={self.n} needs {self.n - self.k + 1} values, got {len(self.alphas)}"
             )
-        # Python floats that never drop and start and end in [0, 1] pass as a
-        # whole (NaN fails every comparison). Anything else is checked entry
-        # by entry, so the first bad one is named, range before order.
-        vals = tuple(self.alphas)
-        values = np.array(vals) if set(map(type, vals)) == {float} else None
-        if values is None or not ((values[1:] >= values[:-1]).all() and 0.0 <= values[0] and values[-1] <= 1.0):
-            vals = _check_unit_interval(vals, "critical value")
-            values = np.array(vals, dtype=np.float64)
-            drops = values[1:] < values[:-1]
-            if drops.any():
-                raise NotMonotoneError(int(drops.argmax()) + 2)  # the first drop
-        object.__setattr__(self, "alphas", vals)
-        self.__dict__["_array"] = values  # frozen: fill the cache directly
+        alphas, array = _check_unit_interval(self.alphas, "critical value")
+        drop = _first_drop(array)
+        if drop:
+            raise NotMonotoneError(drop)
+        self.__dict__.update(alphas=alphas, _array=array)  # frozen: fill the instance dict directly
 
     def alpha(self, i: int) -> float:
         """Critical value for ordered index i (k <= i <= n)."""
         return self.alphas[i - self.k]
-
-    # ``alphas`` as an array for d1 and the decision rules; no code writes
-    # to it. The checks above and the constructors that computed the
-    # values as an array set it.
-    @cached_property
-    def _array(self) -> np.ndarray:
-        return np.array(self.alphas, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -272,17 +259,27 @@ class LocalTestFamily:
             raise KOutOfRangeError(k, n)
         if len(self.rows) != n - k + 1:
             raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(self.rows)}")
-        rows = []
-        for m, row in enumerate(self.rows, start=k):
-            row = tuple(row)
+        # One range check over the whole table. Only when it fails does each
+        # row get its own, so the first fault is named where the row-by-row
+        # walk meets it: shape, range and order in i for each row in turn.
+        rows = tuple(map(tuple, self.rows))
+        try:
+            flat = _check_unit_interval([v for row in rows for v in row], "family value")[0]
+        except OutOfRangeError:
+            flat = None
+        checked, start = [], 0
+        for m, row in enumerate(rows, start=k):
             if len(row) != m - k + 1:
                 raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
-            row = _check_unit_interval(row, f"family value in row m={m}")
+            if flat is None:
+                row = _check_unit_interval(row, f"family value in row m={m}")[0]
+            else:
+                row, start = flat[start : start + len(row)], start + len(row)
             for i in range(k + 1, m + 1):
                 if row[i - k] < row[i - k - 1]:
                     raise NotMonotoneInIError(i, m)
-            rows.append(row)
-        object.__setattr__(self, "rows", tuple(rows))
+            checked.append(row)
+        object.__setattr__(self, "rows", tuple(checked))
         for i in range(k, n + 1):
             for m in range(max(i, k) + 1, n + 1):
                 if self.value(i, m) > self.value(i, m - 1):
@@ -302,26 +299,16 @@ def order_pvalues(values: Iterable[float]) -> PValueVector:
 
     Ties are broken by ascending original position, which makes every
     downstream procedure deterministic. Input values are not modified.
-    The range check here is the only one: the order is a stable sort, so
-    the result does not go through :class:`PValueVector`'s checks again.
-
-    Python floats are range-checked on the sorted array: a stable argsort
-    puts NaN last, so the smallest and largest entries decide. Any other
-    input, and any failing one, goes through :func:`_check_unit_interval`,
-    which converts it or names the first bad entry.
+    The range check here, :func:`_check_unit_interval`'s, is the only
+    one: the order is a stable sort, so the result does not go through
+    :class:`PValueVector`'s checks again.
     """
-    vals = tuple(values)
-    if set(map(type, vals)) != {float}:
-        vals = _check_unit_interval(vals, "p-value")
-        if not vals:
-            raise EmptyInputError("need at least one p-value")
-    raw = np.array(vals)
+    vals, raw = _check_unit_interval(values, "p-value")
+    if not vals:
+        raise EmptyInputError("need at least one p-value")
     order = raw.argsort(kind="stable")  # stable: ties keep index order
-    ordered = raw[order]
-    if not (0.0 <= ordered[0] and ordered[-1] <= 1.0):
-        _check_unit_interval(vals, "p-value")  # raises, naming the first bad entry
     return _unvalidated(PValueVector, values=vals, order=tuple(order.tolist()),
-                        _order_array=order, _sorted_array=ordered)
+                        _order_array=order, _sorted_array=raw[order])
 
 
 def validate_schedule(k: int, n: int, alphas: Iterable[float]) -> CriticalSchedule:

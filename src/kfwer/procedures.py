@@ -249,8 +249,8 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     arbitrary p-value dependence, whatever the base. The values are one
     array expression, rounded as the scalar ``alpha * a / d`` is, entry
     for entry. Correctly rounded products and quotients are monotone, so
-    the values stay nondecreasing and the first and last decide the range
-    check, which stays because with alpha near 1 a value can round above 1.
+    the values stay nondecreasing; they are still range-checked, because
+    with alpha near 1 a value can round above 1.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(alpha)
@@ -260,11 +260,8 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     if base._array[-1] == 0.0:
         raise DegenerateScheduleError("base schedule is identically zero")
     d = d1(base)
-    alphas = alpha * base._array / d
-    values = tuple(alphas.tolist())
-    if not (0.0 <= alphas[0] and alphas[-1] <= 1.0):
-        _check_unit_interval(values, "critical value")  # raises, naming the first bad entry
-    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, alphas=values, _array=alphas)
+    alphas, array = _check_unit_interval((alpha * base._array / d).tolist(), "critical value")
+    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, alphas=alphas, _array=array)
 
 
 def check_family_size(k: int, n: int) -> None:
@@ -323,7 +320,7 @@ def stepdown_as_family(s: CriticalSchedule) -> LocalTestFamily:
     """
     k, n = s.k, s.n
     check_family_size(k, n)
-    rows = tuple((s.alpha(n - m + k),) * (m - k + 1) for m in range(k, n + 1))
+    rows = tuple((s.alphas[n - m],) * (m - k + 1) for m in range(k, n + 1))
     return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
 
@@ -336,7 +333,7 @@ def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
     """
     k, n = s.k, s.n
     check_family_size(k, n)
-    rows = tuple(tuple(s.alpha(n - m + i) for i in range(k, m + 1)) for m in range(k, n + 1))
+    rows = tuple(s.alphas[n - m :] for m in range(k, n + 1))
     return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
 
 
@@ -396,7 +393,9 @@ def critical_values(
         if family:
             return constant_family(k, n, alpha)
         # One value in (0, 1), repeated: valid by construction, so no re-check.
-        return _unvalidated(CriticalSchedule, k=k, n=n, alphas=(k * alpha / n,) * (n - k + 1))
+        value = k * alpha / n
+        return _unvalidated(CriticalSchedule, k=k, n=n, alphas=(value,) * (n - k + 1),
+                            _array=np.full(n - k + 1, value))
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 

@@ -15,9 +15,10 @@ one intersection hypothesis decided on its materialized subset, and
 library's own verify harness. Two input-path
 references are the plain forms the array-native ones replaced:
 ``read_pvalues_reference``, the line-by-line p-value file reader, and
-``order_pvalues_reference``, a key sort behind an entry-by-entry range
-check. They import ``kfwer`` when called, so loading this module never
-needs it.
+``order_pvalues_reference``, a key sort behind
+``unit_interval_reference``, the entry-by-entry acceptance rule every
+numeric entry point must follow. They import ``kfwer`` when called, so
+loading this module never needs it.
 """
 
 import csv
@@ -320,26 +321,37 @@ def read_pvalues_reference(stream, name):
     return values, [idx for idx, _ in numbered]
 
 
-def order_pvalues_reference(values):
-    """Reference for ``kfwer.order_pvalues``: ``(values, order)``.
+def unit_interval_reference(values, what):
+    """Reference for ``kfwer.core._check_unit_interval``: the plain floats.
 
     Each entry is checked in turn: numpy real scalars become floats, ints
     and floats in [0, 1] are taken as floats, and anything else (bools,
     strings, NaN, values out of range) raises ``kfwer.OutOfRangeError``
-    at its 1-based position. The order is a key sort of the positions,
-    which is stable, so ties keep their index order.
+    at its 1-based position, labelled ``what``.
     """
     import numpy as np
 
-    from kfwer import EmptyInputError, OutOfRangeError
+    from kfwer import OutOfRangeError
 
     vals = []
     for pos, v in enumerate(values, start=1):
         if isinstance(v, (np.floating, np.integer)):
             v = float(v)
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= 1:
-            raise OutOfRangeError(pos, v, "p-value")
+            raise OutOfRangeError(pos, v, what)
         vals.append(float(v))
+    return tuple(vals)
+
+
+def order_pvalues_reference(values):
+    """Reference for ``kfwer.order_pvalues``: ``(values, order)``.
+
+    The values are ``unit_interval_reference``'s. The order is a key sort
+    of the positions, which is stable, so ties keep their index order.
+    """
+    from kfwer import EmptyInputError
+
+    vals = unit_interval_reference(values, "p-value")
     if not vals:
         raise EmptyInputError("need at least one p-value")
-    return tuple(vals), tuple(sorted(range(len(vals)), key=lambda j: vals[j]))
+    return vals, tuple(sorted(range(len(vals)), key=lambda j: vals[j]))

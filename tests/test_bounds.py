@@ -245,12 +245,36 @@ class TestD1Screen:
             check_d1(k, n, [0.0] * pos + [0.03] * (width - pos))
             check_d1(k, n, [0.2] * pos + [0.7] * (width - pos))
 
-    def test_flat_profile_keeps_every_cardinality(self):
+    def test_flat_profile_keeps_every_cardinality(self, monkeypatch):
         """Zeros with one step at the end: every sum is nearly the same,
-        so every cardinality is summed exactly."""
+        so every cardinality is summed exactly, each over its nonzero
+        steps only: one term, or two where the step is its own."""
+        sizes = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda terms: sizes.append(terms.size) or cumsum(terms))
         for k, n in [(1, 400), (2, 399), (9, 300)]:
-            check_d1(k, n, [0.0] * (n - k) + [0.05])
-            check_d1(k, n, [1e-300] * (n - k) + [1.0])
+            for alphas in ([0.0] * (n - k) + [0.05], [1e-300] * (n - k) + [1.0]):
+                sizes.clear()
+                check_d1(k, n, alphas)
+                assert len(sizes) == n - k + 1 and set(sizes) == {1, 2}
+
+    @pytest.mark.parametrize("k, n", [(1, 2000), (3, 2000)])
+    def test_sparse_steps_against_the_cumsum_reference(self, k, n):
+        """Schedules flat but for a step or two, whose terms the exact pass
+        skips for every zero step: the same float and argmax as summing
+        every term, including terms that underflow to subnormals."""
+        width = n - k + 1
+        mid = width // 2
+        cases = [
+            [0.0] * (width - 1) + [0.05],  # one step at the end
+            [0.0] * mid + [0.05] * (width - mid),  # one step in the middle
+            [0.0] * mid + [0.01] * (width - mid - 1) + [0.05],  # two steps
+            [0.0] * mid + [5e-324] * (width - mid - 1) + [1e-320],  # subnormal terms
+        ]
+        for alphas in cases:
+            value, argmax = _d1_with_argmax(validate_schedule(k, n, alphas))
+            want_value, want_argmax = d1_cumsum_reference(k, n, alphas)
+            assert same_float(value, want_value) and argmax == want_argmax
 
     def test_ties(self):
         rng = np.random.default_rng(8)

@@ -31,6 +31,7 @@ from kfwer import (
     validate_schedule,
 )
 from kfwer.procedures import critical_values
+from oracles import unit_interval_reference
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
@@ -210,16 +211,105 @@ class TestValidateFamily:
             validate_family(2, 3, [[0.05], [flag, 0.04]])
         assert exc.value.position == 1
 
+    # Tables with faults in several rows, and the first error each raises:
+    # rows in turn (shape, range, then order in i), then order in m.
+    SEVERAL_FAULTS = {
+        "order-in-i-before-range-and-shape": (
+            [[0.05], [0.04, 0.03], [0.02, 1.5, 0.03], [0.01, 0.01]],
+            NotMonotoneInIError, "entry (i=2, m=2) is smaller than (i=1, m=2)"),
+        "range-before-order-in-i-and-shape": (
+            [[0.05], [0.04, np.float32(1.5)], [0.03, 0.02, 0.02], [True, 0.01]],
+            OutOfRangeError, "family value in row m=2 at position 2 is 1.5,"),
+        "shape-before-a-later-range": (
+            [[0.05], [0.04, 0.04], [0.03, 0.03], [0.02, math.nan, 0.02, 0.02]],
+            BadShapeError, "row for cardinality m=3 needs 3 values, got 2"),
+        "range-in-the-last-row-before-order-in-m": (
+            [[0.01], [0.04, 0.04], [0.03, 0.03, 0.03], [0.02, 0.02, "0.02", 0.02]],
+            OutOfRangeError, "family value in row m=4 at position 3 is '0.02',"),
+        "order-in-i-in-a-later-row-before-order-in-m": (
+            [[0.05], [0.04, 0.04], [0.03, 0.05, 0.05], [0.02, 0.01, 0.02, 0.02]],
+            NotMonotoneInIError, "entry (i=2, m=4) is smaller than (i=1, m=4)"),
+        "order-in-m": (
+            [[0.05], [0.04, 0.04], [0.03, 0.05, 0.05], [0.02, 0.02, 0.02, 0.02]],
+            NotMonotoneInMError, "entry (i=2, m=3) is larger than (i=2, m=2)"),
+    }
 
-# The five numeric entry points, each given the entries (0.1, x): one
-# acceptance rule holds at all of them.
+    @pytest.mark.parametrize("case", SEVERAL_FAULTS)
+    def test_first_of_several_faults(self, case):
+        table, error, message = self.SEVERAL_FAULTS[case]
+        with pytest.raises(error) as exc:
+            validate_family(1, 4, table)
+        assert message in str(exc.value)
+
+
+# The five numeric entry points, each given a whole list of entries (and,
+# for PValueVector, their order): one acceptance rule holds at all of
+# them. A family takes the list as its last row, under rows of ones.
 ENTRY_POINTS = {
-    "order_pvalues": lambda x: order_pvalues([0.1, x]).values,
-    "PValueVector": lambda x: PValueVector(values=(0.1, x), order=(0, 1)).values,
-    "CriticalSchedule": lambda x: CriticalSchedule(k=1, n=2, alphas=(0.1, x)).alphas,
-    "LocalTestFamily": lambda x: LocalTestFamily(k=1, n=2, rows=((0.2,), (0.1, x))).rows[1],
-    "BoundInput": lambda x: BoundInput(t=2, betas=(0.1, x)).betas,
+    "order_pvalues": lambda xs, order=None: order_pvalues(xs).values,
+    "PValueVector": lambda xs, order=None: PValueVector(values=tuple(xs), order=order or tuple(range(len(xs)))).values,
+    "CriticalSchedule": lambda xs, order=None: CriticalSchedule(k=1, n=len(xs), alphas=tuple(xs)).alphas,
+    "LocalTestFamily": lambda xs, order=None: LocalTestFamily(
+        k=1, n=len(xs), rows=tuple((1.0,) * m for m in range(1, len(xs))) + (tuple(xs),)
+    ).rows[-1],
+    "BoundInput": lambda xs, order=None: BoundInput(t=len(xs), betas=tuple(xs)).betas,
 }
+
+# Each entry point's label for a range error in a list of n entries, and
+# the error it raises for a drop at a 1-based position (None: any order
+# is taken).
+ENTRY_POINT_RULES = {
+    "order_pvalues": ("p-value", None),
+    "PValueVector": ("p-value", None),
+    "CriticalSchedule": ("critical value", lambda pos, n: NotMonotoneError(pos)),
+    "LocalTestFamily": ("family value in row m={n}", lambda pos, n: NotMonotoneInIError(pos, n)),
+    "BoundInput": ("beta", lambda pos, n: NotMonotoneError(pos)),
+}
+
+# Entries of every kind a caller may pass: floats in and out of [0, 1],
+# NaN, +-inf and -0.0, ints, numpy scalars, bools and strings.
+NUMERIC_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0, 1]),
+    st.floats(),
+    st.integers(-2, 3),
+    st.floats(width=32).map(np.float32),
+    st.floats(0.0, 1.0).map(np.float64),
+    st.integers(-1, 2).map(np.int64),
+    st.sampled_from([True, False, np.True_, np.False_, "0.5", None, math.inf, -math.inf, math.nan, 1.5, -1e-300, 10**400]),
+)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@given(entries=st.lists(NUMERIC_ENTRIES, min_size=1, max_size=6), sort=st.booleans())
+@settings(max_examples=200)
+def test_every_entry_point_follows_the_entry_by_entry_reference(entry, entries, sort):
+    """The entry point stores the reference's plain floats, zero signs
+    included, or raises its OutOfRangeError, position, value and message;
+    a list the reference takes but that drops raises the entry point's
+    own order error at the first drop."""
+    label, drop_error = ENTRY_POINT_RULES[entry]
+    n = len(entries)
+    try:
+        floats = unit_interval_reference(entries, label.format(n=n))
+    except OutOfRangeError as want:
+        with pytest.raises(OutOfRangeError) as got:
+            ENTRY_POINTS[entry](entries)
+        assert (got.value.position, str(got.value)) == (want.position, str(want))
+        return
+    if sort:  # nondecreasing input, entries keeping their own types
+        entries, floats = map(list, zip(*sorted(zip(entries, floats), key=lambda pair: pair[1])))
+    order = tuple(sorted(range(n), key=floats.__getitem__))
+    drop = next((pos + 1 for pos in range(1, n) if floats[pos] < floats[pos - 1]), 0)
+    if drop and drop_error:
+        want = drop_error(drop, n)
+        with pytest.raises(type(want)) as got:
+            ENTRY_POINTS[entry](entries, order)
+        assert str(got.value) == str(want)
+        return
+    stored = ENTRY_POINTS[entry](entries, order)
+    assert [repr(v) for v in stored] == [repr(v) for v in floats]
+    assert all(type(v) is float for v in stored)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -227,7 +317,7 @@ ENTRY_POINTS = {
                          ids=["True", "False", "np.True_", "np.False_", "str", "complex", "None"])
 def test_every_entry_point_refuses_non_real_entries(entry, bad):
     with pytest.raises(OutOfRangeError) as exc:
-        ENTRY_POINTS[entry](bad)
+        ENTRY_POINTS[entry]((0.1, bad))
     assert exc.value.position == 2
 
 
@@ -235,7 +325,7 @@ def test_every_entry_point_refuses_non_real_entries(entry, bad):
 @pytest.mark.parametrize("good", [np.float32(0.3), np.float64(0.3), np.int64(1), 1],
                          ids=["np.float32", "np.float64", "np.int64", "int"])
 def test_every_entry_point_stores_plain_floats(entry, good):
-    stored = ENTRY_POINTS[entry](good)
+    stored = ENTRY_POINTS[entry]((0.1, good))
     assert stored == (0.1, float(good))
     assert all(type(v) is float for v in stored)
 
@@ -245,7 +335,7 @@ def test_every_entry_point_stores_plain_floats(entry, good):
                          ids=["np.float32-nan", "np.float32-1.5", "huge-int"])
 def test_every_entry_point_range_checks_converted_entries(entry, bad):
     with pytest.raises(OutOfRangeError):
-        ENTRY_POINTS[entry](bad)
+        ENTRY_POINTS[entry]((0.1, bad))
 
 
 @given(

@@ -405,6 +405,19 @@ class TestFamilyConstructors:
         # diagonals (l, (n-i)+l) are constant in l
         assert fam.value(1, 2) == fam.value(2, 3)
 
+    def test_stepwise_family_rows_equal_their_per_entry_definition(self):
+        """Every row of the stepdown and stepup forms holds, entry for entry,
+        alpha_{n-m+k} and alpha_{n-m+i}, on schedules with ties and zeros."""
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            n = int(rng.integers(1, 30))
+            k = (1, n, int(rng.integers(1, n + 1)))[trial % 3]
+            s = random_schedule(rng, k, n)
+            down, up = stepdown_as_family(s), stepup_as_family(s)
+            for m in range(k, n + 1):
+                assert down.row(m) == tuple(s.alpha(n - m + k) for i in range(k, m + 1))
+                assert up.row(m) == tuple(s.alpha(n - m + i) for i in range(k, m + 1))
+
     def test_simes_family_values(self):
         fam = simes_family(1, 4, 0.04)
         assert fam.row(4) == (0.01, 0.02, 0.03, 0.04)
