@@ -153,7 +153,7 @@ def _check_unit_interval(values: Iterable[Any], what: str) -> tuple[tuple[float,
     vals = tuple(values)
     if vals and set(map(type, vals)) == {float}:
         array = np.array(vals)
-        if 0.0 <= array.min() and array.max() <= 1.0:
+        if 0.0 <= np.minimum.reduce(array) and np.maximum.reduce(array) <= 1.0:
             return vals, array
     out = []
     for pos, v in enumerate(vals, start=1):

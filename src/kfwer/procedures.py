@@ -20,6 +20,7 @@ run it over the one row of a single p-value vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
@@ -118,47 +119,48 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
     return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, "stepup", schedule=s)
 
 
-# Closure tables over every nonempty subset (bitmask) of the sorted
-# positions, one row per mask. The tables for a smaller n are the leading
-# rows and columns, because a member's rank never depends on the positions
-# above it; so one read-only set, rebuilt only when a larger n arrives,
-# serves every call. At n = EXHAUSTIVE_LIMIT the three take about 24 MB.
-_closure_tables: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+# Closure tables: ``_closure_members[m]`` lists every size-m subset of the
+# sorted positions, one column per subset in ascending bitmask order, row
+# r - 1 holding its rank-r member. The subsets of the first n positions are
+# the leading C(n, m) columns, so one read-only set, rebuilt only when a
+# larger n arrives, serves every call. At n = EXHAUSTIVE_LIMIT it takes
+# n * 2**(n-1) bytes, about 2.4 MB.
+_closure_members: Optional[tuple[np.ndarray, ...]] = None
 
 
-def _build_closure_tables(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(card, rank, idx)`` for masks 1..2**width - 1.
-
-    ``card[mask - 1]`` is the popcount; ``rank[mask - 1, pos]`` the 1-based
-    rank of member ``pos`` (0 for a non-member); ``idx[mask - 1, pos]`` the
-    flat index ``(card * (width + 1) + rank) * width + pos`` into a
-    ``(width + 1, width + 1, width)`` table of per-call comparisons.
-    """
-    masks = np.arange(1, 1 << width, dtype=np.uint32)
-    rank = np.empty((masks.size, width), dtype=np.uint8)
-    running = np.zeros(masks.size, dtype=np.uint8)
-    for pos in range(width):
-        bit = ((masks >> np.uint32(pos)) & np.uint32(1)).astype(np.uint8)
-        running += bit
-        np.multiply(running, bit, out=rank[:, pos])
-    card = running.astype(np.int32)
-    idx = rank.astype(np.int32)
-    idx += (card * np.int32(width + 1))[:, None]
-    idx *= np.int32(width)
-    idx += np.arange(width, dtype=np.int32)
-    for table in (card, rank, idx):
+def _build_closure_members(width: int) -> tuple[np.ndarray, ...]:
+    """``members[m]`` for m = 0..width: a uint8 array of shape
+    ``(m, C(width, m))``, built by peeling the lowest set bit off each mask
+    of popcount m, so the positions come out in ascending order."""
+    # card[mask] is the popcount: the masks below 2**(j+1) are those below
+    # 2**j, then the same with bit j set.
+    card = np.zeros(1, dtype=np.uint8)
+    for _ in range(width):
+        card = np.concatenate((card, card + 1))
+    # the masks themselves, by popcount and ascending within each popcount
+    grouped = np.argsort(card, kind="stable")
+    members, start = [], 0
+    for m in range(width + 1):
+        rest = grouped[start : start + math.comb(width, m)]
+        start += rest.size
+        table = np.empty((m, rest.size), dtype=np.uint8)
+        for row in table:
+            low = rest & -rest
+            # low is 2**pos, whose frexp exponent is exactly pos + 1 in any
+            # numpy the package supports (np.bitwise_count needs numpy 2)
+            row[:] = np.frexp(low.astype(np.float64))[1] - 1
+            rest = rest ^ low
         table.setflags(write=False)
-    return card, rank, idx
+        members.append(table)
+    return tuple(members)
 
 
-def _tables_for(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Views of the cached tables for n positions, plus the cached width."""
-    global _closure_tables
-    if _closure_tables is None or _closure_tables[1].shape[1] < n:
-        _closure_tables = _build_closure_tables(n)
-    card, rank, idx = _closure_tables
-    rows = (1 << n) - 1
-    return card[:rows], rank[:rows, :n], idx[:rows, :n], rank.shape[1]
+def _members_for(n: int) -> tuple[np.ndarray, ...]:
+    """The cached member tables, rebuilt when they are narrower than n."""
+    global _closure_members
+    if _closure_members is None or len(_closure_members) <= n:
+        _closure_members = _build_closure_members(n)
+    return _closure_members
 
 
 def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
@@ -174,35 +176,40 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     simulate`` never call it; their ``closed`` procedure is
     :func:`generalized_hommel`, which Theorem 5.1 makes equal to it.
 
-    Every one of the 2**n - 1 intersection hypotheses is decided at once
-    by array operations on precomputed tables of subset cardinalities and
-    member ranks over the sorted positions. One read-only table set, sized
-    for the largest n seen so far in the process, is kept and sliced for
-    smaller n. It takes about 24 MB at n = ``EXHAUSTIVE_LIMIT`` = 18; a
-    larger n raises :class:`TooLargeError`.
+    Every one of the 2**n - 1 intersection hypotheses is decided by array
+    operations, one comparison per subset size, on precomputed tables of
+    the member positions of every subset of the sorted positions. One
+    read-only table set, sized for the largest n seen so far in the
+    process, is kept and sliced for smaller n. It takes about 2.4 MB at
+    n = ``EXHAUSTIVE_LIMIT`` = 18; a larger n raises :class:`TooLargeError`.
     """
     _require_same_n(p, f.n, "family")
     n, k = f.n, f.k
     if n > EXHAUSTIVE_LIMIT:
         raise TooLargeError(n, EXHAUSTIVE_LIMIT)
-    card, rank, idx, width = _tables_for(n)
-    # hit[m, r, pos]: the sorted p-value at pos clears the rank-r value of
-    # a size-m local test. Ranks below k compare against -inf, so they
-    # never fire, and non-members (rank 0) never do either.
-    thresholds = np.full((width + 1, width + 1), -np.inf)
+    members = _members_for(n)
+    # h[offset of (m, r)]: how many sorted p-values lie at or below the
+    # rank-r value of a size-m test. The sorted values never decrease, so
+    # the member at sorted position pos clears that value iff pos < h.
+    values = np.fromiter(itertools.chain.from_iterable(f.rows), dtype=np.float64)
+    h = np.searchsorted(p._sorted_array, values, side="right").astype(np.uint8)[:, None]
+    blocked = np.zeros(n, dtype=bool)
+    accepted_cardinalities = []
+    start = 0
     for m in range(k, n + 1):
-        thresholds[m, k : m + 1] = f.row(m)
-    sorted_vals = np.full(width, np.inf)
-    sorted_vals[:n] = p._sorted_array
-    hit = sorted_vals <= thresholds[:, :, None]
-    accepted = ~hit.ravel()[idx].any(axis=1)
-    accepted &= card >= k
-    blocked = (rank[accepted] >= k).any(axis=0)
-    rejected = [True] * n
-    for pos in np.flatnonzero(blocked).tolist():
-        rejected[p.order[pos]] = False
-    detail = {"accepted_cardinalities": tuple(np.unique(card[accepted]).tolist())}
-    return ProcedureResult(tuple(rejected), detail, "closed_testing", family=f)
+        h_m = h[start : start + m - k + 1]
+        start += h_m.size
+        ranked = members[m][k - 1 : m, : math.comb(n, m)]
+        # The rank-k..m members of the accepted size-m subsets: those where
+        # none of these members clears its value. Each one is blocked.
+        accepted = ranked.compress((ranked >= h_m).all(axis=0), axis=1)
+        if accepted.size:
+            accepted_cardinalities.append(m)
+            blocked[accepted] = True
+    rejected = np.ones(n, dtype=bool)
+    rejected[p._order_array[blocked]] = False
+    detail = {"accepted_cardinalities": tuple(accepted_cardinalities)}
+    return ProcedureResult(tuple(rejected.tolist()), detail, "closed_testing", family=f)
 
 
 def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:

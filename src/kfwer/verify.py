@@ -91,7 +91,11 @@ class TheoremReport:
 
 def random_pvalues(rng: np.random.Generator, n: int, pool: Optional[list[float]] = None) -> PValueVector:
     """Random p-values mixing continuous draws, heavy ties, and exact
-    hits on critical values (boundary cases where <= vs < matters)."""
+    hits on critical values (boundary cases where <= vs < matters).
+
+    Every value is a draw on [0, 1), such a draw rounded, or an entry of
+    ``pool``, the critical values of a validated schedule or family, so
+    all lie in [0, 1] as drawn."""
     style = rng.integers(0, 4)
     if style == 0:
         vals = rng.uniform(0.0, 1.0, n)
@@ -105,7 +109,7 @@ def random_pvalues(rng: np.random.Generator, n: int, pool: Optional[list[float]]
             hits = rng.integers(1, n + 1)
             for pos in rng.choice(n, size=hits, replace=False):
                 vals[pos] = pool[rng.integers(0, len(pool))]
-    return order_pvalues(np.clip(vals, 0.0, 1.0).tolist())
+    return order_pvalues(vals.tolist())
 
 
 def random_schedule(rng: np.random.Generator, k: int, n: int) -> CriticalSchedule:
@@ -114,7 +118,7 @@ def random_schedule(rng: np.random.Generator, k: int, n: int) -> CriticalSchedul
     vals = np.sort(rng.uniform(0.0, scale, n - k + 1))
     if rng.random() < 0.3:
         vals = np.round(vals, 2)
-    return validate_schedule(k, n, np.clip(vals, 0.0, 1.0).tolist())
+    return validate_schedule(k, n, vals.tolist())
 
 
 def random_family(rng: np.random.Generator, k: int, n: int, constant_rows: bool = False) -> LocalTestFamily:

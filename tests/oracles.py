@@ -168,6 +168,27 @@ def closed_testing_oracle(values, k, rows):
     return rejected
 
 
+def closed_testing_detail_oracle(values, k, rows):
+    """Rejected original indices and the accepted cardinalities, in
+    ascending order, under exhaustive closed testing.
+
+    Subset by subset rather than hypothesis by hypothesis: every size-m
+    subset (m >= k) of the tie-broken ranking is decided by
+    ``evaluate_local_test`` on its own p-values; an accepted one records m
+    and keeps its members at rank k or beyond from rejection.
+    """
+    n = len(values)
+    ranked = sorted(range(n), key=lambda j: (values[j], j))
+    kept, cardinalities = set(), set()
+    for m in range(k, n + 1):
+        # combinations of the ranking keep its order, so members are ranked
+        for members in itertools.combinations(ranked, m):
+            if not evaluate_local_test([values[j] for j in members], rows[m - k]):
+                cardinalities.add(m)
+                kept.update(members[k - 1 :])
+    return set(range(n)) - kept, tuple(sorted(cardinalities))
+
+
 def hommel_oracle(values, k, rows):
     """Rejected original indices and the surviving cardinality (or None),
     scanning cardinalities forward and keeping the largest survivor."""

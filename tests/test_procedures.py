@@ -2,6 +2,7 @@
 equivalence/dominance relations that tie the shortcuts to the
 exhaustive closed-testing engine."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -37,7 +38,13 @@ from kfwer import (
 )
 from kfwer import procedures
 from kfwer.verify import random_family, random_pvalues, random_schedule
-from oracles import closed_testing_oracle, evaluate_local_test, hommel_oracle, stepdown_oracle, stepup_oracle
+from oracles import (
+    closed_testing_detail_oracle,
+    closed_testing_oracle,
+    hommel_oracle,
+    stepdown_oracle,
+    stepup_oracle,
+)
 
 LR_2_5 = lehmann_romano_schedule(2, 5, 0.05)
 
@@ -176,47 +183,95 @@ class TestClosedTesting:
             want = closed_testing_oracle(p.values, fam.k, fam.rows)
             assert got == want
 
-    def test_sliced_and_grown_tables_match_oracle(self, monkeypatch):
-        """Sizes 10, 6, 12 in turn: the first builds the tables, the second
-        reads a slice of them, the third rebuilds them larger."""
-        import kfwer.procedures as procedures
+    def test_equals_hommel_beyond_ten(self):
+        """Theorem 5.1 at n = 15..18: the exhaustive engine and the Hommel
+        shortcut reject the same sets."""
+        rng = np.random.default_rng(37)
+        for n in range(15, 19):
+            for trial in range(6):
+                p, fam = self._random_case(rng, trial, n)
+                assert closed_testing(p, fam).rejected == generalized_hommel(p, fam).rejected
 
-        monkeypatch.setattr(procedures, "_closure_tables", None)
+    @pytest.mark.parametrize(
+        "values, k, rows, want_set, want_cards",
+        [
+            # n = 1: the one hypothesis is its own subset
+            ([0.05], 1, [[0.05]], {0}, ()),
+            ([math.nextafter(0.05, 1.0)], 1, [[0.05]], set(), (1,)),
+            # k = n: only the full set is tested, on its largest p-value
+            ([0.15, 0.5, 0.6, 0.1, 0.3], 5, [[0.6]], {0, 1, 2, 3, 4}, ()),
+            ([0.15, 0.5, 0.6, 0.1, 0.3], 5, [[0.59]], {0, 1, 3, 4}, (5,)),
+            # all-zero p-values clear every value, even a zero one
+            ([0.0] * 4, 2, [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]], {0, 1, 2, 3}, ()),
+            # p-values exactly on Holm's values 0.3/m reject everything ...
+            ([0.3, 0.1, 0.15], 1, [[0.3], [0.15, 0.15], [0.1, 0.1, 0.1]], {0, 1, 2}, ()),
+            # ... and one ulp above the last value keeps the largest
+            ([math.nextafter(0.3, 1.0), 0.1, 0.15], 1, [[0.3], [0.15, 0.15], [0.1, 0.1, 0.1]], {1, 2}, (1,)),
+            # zero family values reject only zero p-values, of either sign
+            ([0.0, 0.5, -0.0, 0.2], 1, [[0.0], [0.0, 0.0], [0.0] * 3, [0.0] * 4], {0, 2}, (1, 2)),
+            ([-0.0, -0.0, 0.4], 2, [[0.0], [0.0, 0.0]], {0, 1}, (2,)),
+        ],
+    )
+    def test_edge_cases(self, values, k, rows, want_set, want_cards):
+        fam = validate_family(k, len(values), rows)
+        res = closed_testing(order_pvalues(values), fam)
+        assert closed_testing_detail_oracle(values, k, fam.rows) == (want_set, want_cards)
+        assert rejected_set(res) == want_set
+        assert res.detail == {"accepted_cardinalities": want_cards}
+
+    def test_sliced_and_grown_tables_match_oracle(self, monkeypatch):
+        """Sizes 10, 6, 12, 18, 1 in turn: the first builds the tables, the
+        second reads a slice of them, the third and fourth rebuild them
+        larger, the last reads a slice again. After each call the tables
+        are as wide as the largest n so far and read-only, and the slice
+        for n lists the subsets of n positions in ascending bitmask order.
+        Up to n = 12 the decisions are checked against the subset oracle,
+        at 18 against the Hommel shortcut (Theorem 5.1)."""
+        monkeypatch.setattr(procedures, "_closure_members", None)
         rng = np.random.default_rng(29)
-        for n in (10, 6, 12):
+        widest = 0
+        for n in (10, 6, 12, 18, 1):
+            widest = max(widest, n)
             # quadratically spaced p-values under Simes rows reject part of the set
-            cases = [(order_pvalues([0.004 * i * i for i in range(n, 0, -1)]), simes_family(2, n, 0.3))]
+            k = min(2, n)
+            cases = [(order_pvalues([0.003 * i * i for i in range(n, 0, -1)]), simes_family(k, n, 0.3))]
             cases += [self._random_case(rng, trial, n) for trial in range(3)]
             for p, fam in cases:
-                assert rejected_set(closed_testing(p, fam)) == closed_testing_oracle(p.values, fam.k, fam.rows)
-            assert procedures._closure_tables[1].shape[1] == max(10, n)
+                res = closed_testing(p, fam)
+                if n <= 12:
+                    want_set, want_cards = closed_testing_detail_oracle(p.values, fam.k, fam.rows)
+                    assert rejected_set(res) == want_set
+                    assert res.detail == {"accepted_cardinalities": want_cards}
+                else:
+                    assert res.rejected == generalized_hommel(p, fam).rejected
+            members = procedures._closure_members
+            assert len(members) == widest + 1
+            assert not any(table.flags.writeable for table in members)
+            if n <= 12:
+                for m in range(n + 1):
+                    subsets = sorted(itertools.combinations(range(n), m), key=lambda c: sum(1 << j for j in c))
+                    assert members[m].shape == (m, math.comb(widest, m))
+                    assert members[m][:, : len(subsets)].T.tolist() == [list(c) for c in subsets]
+            if n == 18:
+                assert sum(table.nbytes for table in members) < 3_000_000
 
     def test_subset_decisions_agree_with_evaluate_local_test(self):
         """The engine's per-subset decision is the one evaluate_local_test
         makes on the materialized subset, and the cardinalities it accepts
-        are the ones reported."""
-        import itertools
-
-        rng = np.random.default_rng(43)
-        for _ in range(60):
-            n = int(rng.integers(1, 7))
-            k = int(rng.integers(1, n + 1))
-            fam = random_family(rng, k, n)
-            p = random_pvalues(rng, n, [v for row in fam.rows for v in row])
-            rejected = [True] * n
-            accepted_cards = set()
-            ranked = sorted(range(n), key=lambda j: (p.values[j], j))
-            for m in range(k, n + 1):
-                for subset in itertools.combinations(ranked, m):
-                    members = [j for j in ranked if j in subset]
-                    subset_p = [p.values[j] for j in members]
-                    if not evaluate_local_test(subset_p, fam.row(m)):
-                        accepted_cards.add(m)
-                        for j in members[k - 1 :]:
-                            rejected[j] = False
+        are the ones reported: rejected set and ``detail`` against the
+        subset-by-subset oracle at every n up to 10, Simes rows included."""
+        rng = np.random.default_rng(31)
+        for trial in range(240):
+            n = trial % 10 + 1
+            if trial % 5 == 4:
+                fam = simes_family(int(rng.integers(1, n + 1)), n, float(rng.choice([0.05, 0.3, 0.9])))
+                p = random_pvalues(rng, n, [v for row in fam.rows for v in row])
+            else:
+                p, fam = self._random_case(rng, trial, n)
             res = closed_testing(p, fam)
-            assert tuple(rejected) == res.rejected
-            assert res.detail["accepted_cardinalities"] == tuple(sorted(accepted_cards))
+            want_set, want_cards = closed_testing_detail_oracle(p.values, fam.k, fam.rows)
+            assert rejected_set(res) == want_set
+            assert res.detail == {"accepted_cardinalities": want_cards}
 
 
 class TestGeneralizedHommel:
