@@ -181,8 +181,8 @@ def _read_family_file(path: str, k: int, n: int) -> LocalTestFamily:
     extra = set(entries) - expected
     if missing or extra:
         raise InputDataError(
-            f"{path}: family table must cover exactly i=k..m, m=k..n for k={k}, n={n}; "
-            f"missing {sorted(missing)}, unexpected {sorted(extra)}"
+            f"{path}: family table must cover exactly i=k..m, m=k..n for k={k}, n={n}; (i, m) pairs "
+            f"missing {len(missing)}, first {sorted(missing)[:5]}; unexpected {len(extra)}, first {sorted(extra)[:5]}"
         )
     table = [[entries[(i, m)] for i in range(k, m + 1)] for m in range(k, n + 1)]
     try:

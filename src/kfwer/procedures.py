@@ -19,6 +19,7 @@ run it over the one row of a single p-value vector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ from .core import (
     KOutOfRangeError,
     LengthMismatchError,
     LocalTestFamily,
+    OutOfRangeError,
     PValueVector,
     TooLargeError,
-    _check_unit_interval,
     _unvalidated,
 )
 
@@ -119,48 +120,17 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
     return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, "stepup", schedule=s)
 
 
-# Closure tables: ``_closure_members[m]`` lists every size-m subset of the
-# sorted positions, one column per subset in ascending bitmask order, row
-# r - 1 holding its rank-r member. The subsets of the first n positions are
-# the leading C(n, m) columns, so one read-only set, rebuilt only when a
-# larger n arrives, serves every call. At n = EXHAUSTIVE_LIMIT it takes
-# n * 2**(n-1) bytes, about 2.4 MB.
-_closure_members: Optional[tuple[np.ndarray, ...]] = None
-
-
-def _build_closure_members(width: int) -> tuple[np.ndarray, ...]:
-    """``members[m]`` for m = 0..width: a uint8 array of shape
-    ``(m, C(width, m))``, built by peeling the lowest set bit off each mask
-    of popcount m, so the positions come out in ascending order."""
-    # card[mask] is the popcount: the masks below 2**(j+1) are those below
-    # 2**j, then the same with bit j set.
-    card = np.zeros(1, dtype=np.uint8)
-    for _ in range(width):
-        card = np.concatenate((card, card + 1))
-    # the masks themselves, by popcount and ascending within each popcount
-    grouped = np.argsort(card, kind="stable")
-    members, start = [], 0
-    for m in range(width + 1):
-        rest = grouped[start : start + math.comb(width, m)]
-        start += rest.size
-        table = np.empty((m, rest.size), dtype=np.uint8)
-        for row in table:
-            low = rest & -rest
-            # low is 2**pos, whose frexp exponent is exactly pos + 1 in any
-            # numpy the package supports (np.bitwise_count needs numpy 2)
-            row[:] = np.frexp(low.astype(np.float64))[1] - 1
-            rest = rest ^ low
-        table.setflags(write=False)
-        members.append(table)
-    return tuple(members)
-
-
-def _members_for(n: int) -> tuple[np.ndarray, ...]:
-    """The cached member tables, rebuilt when they are narrower than n."""
-    global _closure_members
-    if _closure_members is None or len(_closure_members) <= n:
-        _closure_members = _build_closure_members(n)
-    return _closure_members
+# Closure tables: ``_members(n, m)`` lists every size-m subset of the n
+# sorted positions, one column per subset, row r - 1 holding its rank-r
+# member. Each is built once per (n, m) and kept read-only; the set for one n
+# takes n * 2**(n-1) bytes, about 2.4 MB at n = EXHAUSTIVE_LIMIT.
+@functools.cache
+def _members(n: int, m: int) -> np.ndarray:
+    count = math.comb(n, m)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)), np.uint8, m * count)
+    table = flat.reshape(count, m).T.copy()
+    table.setflags(write=False)
+    return table
 
 
 def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
@@ -177,17 +147,16 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     :func:`generalized_hommel`, which Theorem 5.1 makes equal to it.
 
     Every one of the 2**n - 1 intersection hypotheses is decided by array
-    operations, one comparison per subset size, on precomputed tables of
-    the member positions of every subset of the sorted positions. One
-    read-only table set, sized for the largest n seen so far in the
-    process, is kept and sliced for smaller n. It takes about 2.4 MB at
-    n = ``EXHAUSTIVE_LIMIT`` = 18; a larger n raises :class:`TooLargeError`.
+    operations, one comparison per subset size, on cached read-only tables
+    of the member positions of every size-m subset of the n sorted
+    positions, built once per (n, m) from :func:`itertools.combinations`.
+    The tables for one n take about 2.4 MB at n = ``EXHAUSTIVE_LIMIT`` = 18;
+    a larger n raises :class:`TooLargeError`.
     """
     _require_same_n(p, f.n, "family")
     n, k = f.n, f.k
     if n > EXHAUSTIVE_LIMIT:
         raise TooLargeError(n, EXHAUSTIVE_LIMIT)
-    members = _members_for(n)
     # h[offset of (m, r)]: how many sorted p-values lie at or below the
     # rank-r value of a size-m test. The sorted values never decrease, so
     # the member at sorted position pos clears that value iff pos < h.
@@ -199,7 +168,7 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     for m in range(k, n + 1):
         h_m = h[start : start + m - k + 1]
         start += h_m.size
-        ranked = members[m][k - 1 : m, : math.comb(n, m)]
+        ranked = _members(n, m)[k - 1 :]
         # The rank-k..m members of the accepted size-m subsets: those where
         # none of these members clears its value. Each one is blocked.
         accepted = ranked.compress((ranked >= h_m).all(axis=0), axis=1)
@@ -256,8 +225,9 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     arbitrary p-value dependence, whatever the base. The values are one
     array expression, rounded as the scalar ``alpha * a / d`` is, entry
     for entry. Correctly rounded products and quotients are monotone, so
-    the values stay nondecreasing; they are still range-checked, because
-    with alpha near 1 a value can round above 1.
+    the values stay nondecreasing and nonnegative; only the last needs a
+    range check, because with alpha near 1 it can round above 1. Then the
+    first value above 1 is refused.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(alpha)
@@ -267,8 +237,11 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     if base._array[-1] == 0.0:
         raise DegenerateScheduleError("base schedule is identically zero")
     d = d1(base)
-    alphas, array = _check_unit_interval((alpha * base._array / d).tolist(), "critical value")
-    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, alphas=alphas, _array=array)
+    array = alpha * base._array / d
+    if array[-1] > 1.0:
+        pos = int(np.argmax(array > 1.0))
+        raise OutOfRangeError(pos + 1, float(array[pos]), "critical value")
+    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, alphas=tuple(array.tolist()), _array=array)
 
 
 def check_family_size(k: int, n: int) -> None:

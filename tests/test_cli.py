@@ -300,6 +300,23 @@ class TestCmdTest:
         assert code == EXIT_BAD_DATA
         assert "missing" in err
 
+    def test_family_csv_for_another_n_is_reported_briefly(self, tmp_path, capsys):
+        """A k = 1 family for n = 60 read with 30 p-values: the message gives
+        the counts and the first pairs of each kind, not all 1,365 extra ones."""
+        pv = tmp_path / "p.txt"
+        pv.write_text("0.01\n" * 30)
+        fam = tmp_path / "family.csv"
+        rows = [f"{m},{i},0.001" for m in range(1, 61) for i in range(1, m + 1)]
+        fam.write_text("m,i,alpha\n" + "\n".join(rows) + "\n")
+        code, _, err = run_main(
+            ["test", "--k", "1", "--alpha", "0.05", "--procedure", "closed",
+             "--schedule", f"file:{fam}", "--input", str(pv)],
+            capsys,
+        )
+        assert code == EXIT_BAD_DATA
+        assert "missing 0, first []; unexpected 1365, first [(1, 31), (1, 32), (1, 33), (1, 34), (1, 35)]" in err
+        assert len(err.encode()) < 1024
+
     def test_romano_shaikh_requires_base(self, pfile, capsys):
         code, _, err = run_main(
             ["test", "--k", "1", "--alpha", "0.05", "--procedure", "stepup",

@@ -219,19 +219,18 @@ class TestClosedTesting:
         assert rejected_set(res) == want_set
         assert res.detail == {"accepted_cardinalities": want_cards}
 
-    def test_sliced_and_grown_tables_match_oracle(self, monkeypatch):
-        """Sizes 10, 6, 12, 18, 1 in turn: the first builds the tables, the
-        second reads a slice of them, the third and fourth rebuild them
-        larger, the last reads a slice again. After each call the tables
-        are as wide as the largest n so far and read-only, and the slice
-        for n lists the subsets of n positions in ascending bitmask order.
-        Up to n = 12 the decisions are checked against the subset oracle,
-        at 18 against the Hommel shortcut (Theorem 5.1)."""
-        monkeypatch.setattr(procedures, "_closure_members", None)
+    def test_sliced_and_grown_tables_match_oracle(self):
+        """Sizes 10, 6, 12, 18, 1 in turn, from an empty table cache. After
+        each call every table for that n is read-only and shaped
+        (m, C(n, m)), and for n <= 12 its columns are the size-m subsets of
+        the n positions as itertools.combinations lists them. Up to n = 12
+        the decisions are checked against the subset oracle, at 18 against
+        the Hommel shortcut (Theorem 5.1). The tables of all five sizes
+        take under 3 MB."""
+        procedures._members.cache_clear()
         rng = np.random.default_rng(29)
-        widest = 0
+        nbytes = 0
         for n in (10, 6, 12, 18, 1):
-            widest = max(widest, n)
             # quadratically spaced p-values under Simes rows reject part of the set
             k = min(2, n)
             cases = [(order_pvalues([0.003 * i * i for i in range(n, 0, -1)]), simes_family(k, n, 0.3))]
@@ -244,16 +243,14 @@ class TestClosedTesting:
                     assert res.detail == {"accepted_cardinalities": want_cards}
                 else:
                     assert res.rejected == generalized_hommel(p, fam).rejected
-            members = procedures._closure_members
-            assert len(members) == widest + 1
-            assert not any(table.flags.writeable for table in members)
-            if n <= 12:
-                for m in range(n + 1):
-                    subsets = sorted(itertools.combinations(range(n), m), key=lambda c: sum(1 << j for j in c))
-                    assert members[m].shape == (m, math.comb(widest, m))
-                    assert members[m][:, : len(subsets)].T.tolist() == [list(c) for c in subsets]
-            if n == 18:
-                assert sum(table.nbytes for table in members) < 3_000_000
+            for m in range(n + 1):
+                table = procedures._members(n, m)
+                assert not table.flags.writeable
+                assert table.shape == (m, math.comb(n, m))
+                if n <= 12:
+                    assert table.T.tolist() == [list(c) for c in itertools.combinations(range(n), m)]
+                nbytes += table.nbytes
+        assert nbytes < 3_000_000
 
     def test_subset_decisions_agree_with_evaluate_local_test(self):
         """The engine's per-subset decision is the one evaluate_local_test
