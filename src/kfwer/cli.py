@@ -13,10 +13,14 @@ mapped back to a line.
 
 The reports of ``test`` and ``simulate`` are stable byte for byte: each is
 ``json.dumps(report, indent=2)`` followed by a newline, streamed to stdout
-or to ``--output`` in pieces rather than built as one string. A report
-written to ``--output`` replaces a regular file only once it is complete,
-so a failed write leaves the old file as it was (see
-:func:`_write_report`).
+or to ``--output`` in pieces rather than built as one string. The
+critical values of ``test`` are written from the invariants of their
+schedule or family rather than checked entry by entry (see
+:func:`_json_chunks`): a constant row repeats one repr, and rows that
+share values format each of them once, so a Romano-Shaikh family of
+n(n+1)/2 entries costs about n reprs. A report written to ``--output``
+replaces a regular file only once it is complete, so a failed write
+leaves the old file as it was (see :func:`_write_report`).
 
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 data, 3 invalid flags or flag combinations, or a report that could not be
@@ -32,7 +36,6 @@ import errno
 import functools
 import itertools
 import json
-import math
 import os
 import stat
 import sys
@@ -223,15 +226,34 @@ def _check_output(output: Optional[str]) -> None:
 
 
 # The report is ``json.dumps(payload, indent=2)`` plus a newline, byte for
-# byte, written in pieces. json's pure-Python indenting encoder calls
-# float.__repr__ once per critical value; a family table of n(n+1)/2
-# entries holds only n distinct values, one per row, so each row's text is
-# built from one repr.
+# byte, written in pieces. The critical values reach the writer as the
+# CriticalSchedule or LocalTestFamily itself, and its invariants spare
+# most of json's per-number work: every entry is an exact finite float in
+# [0, 1], whose JSON text is its repr, and every row is nondecreasing.
+# - A row whose first and last entries are equal and nonzero holds one
+#   value, bits and all: its text repeats one repr.
+# - Rows may share values: a Romano-Shaikh family's n(n+1)/2 entries are
+#   n values, each row a tail of its schedule. A row whose last (largest)
+#   value an earlier row has met takes each text from one value-to-text
+#   memo. Any other row is formatted value by value, at half the cost of
+#   filling the memo, and notes its last value, so values that never
+#   repeat pay for no memo.
+# - A zero can only lead a row, and a row led by one never takes the
+#   memo, which would merge 0.0 and -0.0.
 _INDENT = "  "
 
 
+class _Texts(dict):
+    """A memo from nonzero floats to their reprs."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = float.__repr__(value)
+        return text
+
+
 def _json_chunks(value, depth: int = 0) -> Iterator[str]:
-    """The text of ``json.dumps(value, indent=2)``, in pieces."""
+    """The text of ``json.dumps(value, indent=2)``, in pieces: one for each
+    row of a family."""
     inner = "\n" + _INDENT * (depth + 1)
     if isinstance(value, dict):
         if not value:
@@ -248,9 +270,10 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
         if not value:
             yield "[]"
             return
-        flat = _flat_items(value, "," + inner)
-        if flat is not None:
-            yield "[" + inner + flat + "\n" + _INDENT * depth + "]"
+        # Exact ints, such as the rejected indices, print as their repr;
+        # subclasses such as bool do not.
+        if set(map(type, value)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + "\n" + _INDENT * depth + "]"
             return
         sep = "[" + inner
         for item in value:
@@ -258,28 +281,36 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
             yield from _json_chunks(item, depth + 1)
             sep = "," + inner
         yield "\n" + _INDENT * depth + "]"
+    elif isinstance(value, LocalTestFamily):
+        texts = _Texts()
+        sep = "[" + inner
+        for row in value.rows:
+            yield sep + _row_text(row, depth + 1, texts)
+            sep = "," + inner
+        yield "\n" + _INDENT * depth + "]"
+    elif isinstance(value, CriticalSchedule):
+        yield _row_text(value.alphas, depth, _Texts())
     else:
         yield json.dumps(value)
 
 
-def _flat_items(items: Sequence, sep: str) -> Optional[str]:
-    """The items' JSON texts joined by ``sep`` when every item is an exact
-    int, or every item an exact finite float, whose JSON text is its repr;
-    None otherwise. Subclasses such as bool and numpy's float64 have other
-    reprs, and non-finite floats other JSON texts."""
-    types = set(map(type, items))
-    if types == {int}:
-        return sep.join(map(int.__repr__, items))
-    # A float sum is finite only if every term is; an overflowing sum only
-    # sends the items through the general path.
-    if types != {float} or not math.isfinite(sum(items)):
-        return None
-    first = items[0]
-    # Nonzero, so every item equal to it has its bits and its repr; 0.0 and
-    # -0.0 compare equal but print differently.
-    if first and items.count(first) == len(items):
-        return sep.join([float.__repr__(first)] * len(items))
-    return sep.join(map(float.__repr__, items))
+def _row_text(row: Sequence[float], depth: int, texts: _Texts) -> str:
+    """The text of ``json.dumps(row, indent=2)`` at ``depth`` for a
+    schedule or a family row: nonempty, nondecreasing, and every entry an
+    exact float in [0, 1]. ``texts`` is the memo shared by the rows of one
+    family."""
+    inner = "\n" + _INDENT * (depth + 1)
+    sep = "," + inner
+    first, last = row[0], row[-1]
+    if first and first == last:
+        one = float.__repr__(first)
+        body = (one + sep) * (len(row) - 1) + one
+    elif first and last in texts:
+        body = sep.join(map(texts.__getitem__, row))
+    else:
+        body = sep.join(map(float.__repr__, row))
+        texts[last] = float.__repr__(last)
+    return "[" + inner + body + "\n" + _INDENT * depth + "]"
 
 
 # Bytes buffered per write call to an ``--output`` file. A Hommel report of
@@ -402,7 +433,7 @@ def cmd_test(args) -> int:
         "k": args.k,
         "alpha": args.alpha,
         "procedure": args.procedure,
-        "critical_values": result.schedule.alphas if result.schedule is not None else result.family.rows,
+        "critical_values": result.schedule if result.schedule is not None else result.family,
         "rejected": [j + 1 for j in result.rejected_indices()],
         "detail": None if args.procedure == "closed" else result.detail,
     }

@@ -17,9 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kfwer
-from kfwer import cli, lehmann_romano_schedule
+from kfwer import (
+    LocalTestFamily,
+    cli,
+    constant_family,
+    lehmann_romano_schedule,
+    romano_shaikh_schedule,
+    scaled_family,
+    simes_family,
+    stepup_as_family,
+    validate_family,
+    validate_schedule,
+)
 from kfwer.cli import EXIT_BAD_FLAGS, EXIT_OK, main
-from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES
+from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES, critical_values
 
 
 def written(value):
@@ -77,6 +88,117 @@ def test_writer_matches_json_dumps(value):
 ])
 def test_writer_matches_json_dumps_on_edge_cases(value):
     assert written(value) == json.dumps(value, indent=2)
+
+
+# Critical values reach the writer as the schedule or family itself,
+# which it writes from their invariants; the text must be json's for the
+# plain values. Zeros, which can only lead a row, come as 0.0 or -0.0 at
+# random, so rows and whole zero rows mix the two.
+units = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.01, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def signed_zeros(rnd, values):
+    return [v if v else rnd.choice((0.0, -0.0)) for v in values]
+
+
+@st.composite
+def sizes(draw):
+    k = draw(st.integers(1, 4))
+    return k, draw(st.integers(k, k + 10))
+
+
+@st.composite
+def schedules(draw, size=sizes()):
+    k, n = draw(size)
+    kind = draw(st.sampled_from(["drawn", "lehmann-romano", "romano-shaikh", "constant"]))
+    alpha = draw(st.floats(0.001, 0.999))
+    if kind == "lehmann-romano":
+        return lehmann_romano_schedule(k, n, alpha)
+    if kind == "romano-shaikh":
+        return romano_shaikh_schedule(lehmann_romano_schedule(k, n, alpha), alpha)
+    if kind == "constant":
+        return critical_values("stepdown", "constant", k, n, alpha, base=None)
+    values = sorted(draw(st.lists(units, min_size=n - k + 1, max_size=n - k + 1)))
+    return validate_schedule(k, n, signed_zeros(draw(st.randoms(use_true_random=False)), values))
+
+
+@st.composite
+def families(draw):
+    """Constant, stepup-form (rows share one schedule's values), Simes and
+    random doubly monotone families, as validated or as built."""
+    k, n = draw(sizes())
+    kind = draw(st.sampled_from(["constant", "stepup", "simes", "product"]))
+    if kind == "simes":
+        return simes_family(k, n, draw(st.floats(0.001, 0.999)))
+    if kind == "stepup":
+        return stepup_as_family(draw(schedules(st.just((k, n)))))
+    width = n - k + 1
+    if kind == "constant":
+        levels = sorted(draw(st.lists(units, min_size=width, max_size=width)), reverse=True)
+        table = [[levels[m - k]] * (m - k + 1) for m in range(k, n + 1)]
+    else:
+        # value(i, m) = f_i * h_m rounded, f rising and h falling: rounding
+        # is monotone, so rows rise, columns fall, and values repeat.
+        f = sorted(draw(st.lists(units, min_size=width, max_size=width)))
+        h = sorted(draw(st.lists(units, min_size=width, max_size=width)), reverse=True)
+        digits = draw(st.integers(1, 17))
+        table = [[round(f[i - k] * h[m - k], digits) for i in range(k, m + 1)] for m in range(k, n + 1)]
+    rnd = draw(st.randoms(use_true_random=False))
+    return validate_family(k, n, [signed_zeros(rnd, row) for row in table])
+
+
+def plain(critical):
+    return critical.rows if isinstance(critical, LocalTestFamily) else critical.alphas
+
+
+def assert_written_as_json(critical):
+    assert written({"critical_values": critical}) == json.dumps({"critical_values": plain(critical)}, indent=2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(families() | schedules())
+def test_table_writer_matches_json_dumps(critical):
+    assert_written_as_json(critical)
+
+
+@pytest.mark.parametrize("critical", [
+    validate_family(1, 2, [[0.0], [-0.0, 0.0]]),
+    validate_family(1, 2, [[-0.0], [0.0, -0.0]]),
+    validate_family(2, 4, [[0.03], [-0.0, 0.02], [0.0, -0.0, 0.01]]),
+    validate_family(1, 3, [[0.5], [0.0, 0.5], [-0.0, 0.0, 0.5]]),
+    stepup_as_family(validate_schedule(1, 4, [0.0, -0.0, 0.0, 0.05])),
+    validate_family(3, 3, [[0.05]]),
+    validate_family(1, 1, [[-0.0]]),
+    constant_family(1, 1, 0.05),
+    constant_family(1, 6, 0.05),
+    scaled_family(lehmann_romano_schedule(1, 6, 0.05), 0.05),
+    simes_family(1, 6, 0.05),
+    validate_schedule(1, 1, [-0.0]),
+    validate_schedule(2, 5, [-0.0, 0.0, -0.0, 0.0]),
+    validate_schedule(2, 5, [0.0, 0.0, 0.01, 0.01]),
+    validate_schedule(1, 3, [0.02, 0.02, 0.02]),
+], ids=lambda critical: type(critical).__name__)
+def test_table_writer_on_zeros_and_single_rows(critical):
+    """Zero rows and zero prefixes of either sign, in one row and across
+    rows, n = k, k = 1 and single values."""
+    assert_written_as_json(critical)
+
+
+def test_romano_shaikh_hommel_report_is_json_dumps(tmp_path, capsys):
+    """A Romano-Shaikh family's rows share its schedule's values, so the
+    writer formats each once; the report is still json's text."""
+    k, n, alpha = 2, 300, 0.05
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(3).uniform(size=n).tolist()))
+    base = lehmann_romano_schedule(k, n, alpha)
+    bfile = tmp_path / "base.txt"
+    bfile.write_text("".join(f"{v!r}\n" for v in base.alphas))
+    assert main(["test", "--k", str(k), "--alpha", str(alpha), "--procedure", "hommel",
+                 "--schedule", "romano-shaikh", "--base-schedule", str(bfile), "--input", str(pfile)]) == EXIT_OK
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert report["critical_values"] == [list(row) for row in scaled_family(base, alpha).rows]
 
 
 PVALUES = [0.2, 0.015, 0.8, 0.001, 0.03, 0.004, 0.015, 0.6]
@@ -178,7 +300,7 @@ class FullFile:
     each one as a full disk does."""
 
     def __init__(self, fh, room):
-        self.fh, self.room = fh, room
+        self.fh, self.room, self.writes = fh, room, 0
 
     def __enter__(self):
         return self
@@ -193,6 +315,7 @@ class FullFile:
         if self.room == 0:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         self.room -= 1
+        self.writes += 1
         return self.fh.write(text)
 
     def writelines(self, lines):
@@ -201,11 +324,18 @@ class FullFile:
 
 
 def fill_disk_after(room, monkeypatch):
-    """Make every file the cli module opens for writing a :class:`FullFile`."""
+    """Make every file the cli module opens for writing a :class:`FullFile`,
+    and return the list they are added to."""
+    made = []
+
     def opener(file, mode="r", **kw):
         fh = open(file, mode, **kw)
-        return FullFile(fh, room) if "w" in mode else fh
+        if "w" not in mode:
+            return fh
+        made.append(FullFile(fh, room))
+        return made[-1]
     monkeypatch.setattr(cli, "open", opener, raising=False)
+    return made
 
 
 @pytest.mark.parametrize("room", [0, 1, 5])
@@ -219,13 +349,21 @@ def test_failed_output_write_exits_3(room, tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["p.txt"]
 
 
-@pytest.mark.parametrize("room", [0, 1, 5, 31])
+@pytest.mark.parametrize("room", [0, 1, 5, "last"])
 def test_failed_output_write_keeps_the_old_report(room, tmp_path, capsys, monkeypatch):
     """A disk that fills partway leaves an existing report byte for byte
-    as it was, and no partial file beside it."""
+    as it was, and no partial file beside it. At ``last`` the disk takes
+    every write of the report but its last, counted on a successful write
+    of the same call."""
     pfile = tmp_path / "p.txt"
     pfile.write_text("".join(f"{v!r}\n" for v in PVALUES))
     target = tmp_path / "report.json"
+    if room == "last":
+        made = fill_disk_after(10**9, monkeypatch)
+        assert main(HOMMEL + ["--input", str(pfile), "--output", str(target)]) == EXIT_OK
+        [counted] = made
+        assert counted.writes > 5
+        room = counted.writes - 1
     assert main(HOMMEL + ["--input", str(pfile), "--alpha", "0.1", "--output", str(target)]) == EXIT_OK
     before = target.read_bytes()
     fill_disk_after(room, monkeypatch)
