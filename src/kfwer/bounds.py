@@ -44,11 +44,11 @@ class BoundInput:
         m = len(self.betas)
         if m < 1 or m > self.t:
             raise BadShapeError(f"need 1 <= m <= t={self.t} thresholds, got {m}")
-        betas, array = _check_unit_interval(self.betas, "beta")
+        array = _check_unit_interval(self.betas, "beta")
         drop = _first_drop(array)
         if drop:
             raise NotMonotoneError(drop)
-        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "betas", tuple(array.tolist()))
 
 
 def lemma31_bound(bound_input: BoundInput) -> float:

@@ -3,22 +3,24 @@ error rates by simulation, or run the randomized theorem checks.
 
 Input files are read as UTF-8; a file or stream that cannot be opened,
 read or decoded is bad input data. A p-value file, and a schedule file,
-is read in one pass: its text is split into lines and every line
-converted by ``float()``, which strips surrounding whitespace as
-``str.strip`` does. Only when a line fails to convert (a blank line,
-the ``id,p`` header of a CSV p-value file, or a bad token) are the lines
-walked one at a time, and a bad token is reported with its line number.
-The range check is :func:`kfwer.core.order_pvalues`'s; its position is
-mapped back to a line.
+is read in one pass into a float64 array: its text is split into lines,
+a block at a time, and every line converted by ``float()``, which strips
+surrounding whitespace as ``str.strip`` does. Only when a line fails to
+convert (a blank line, the ``id,p`` header of a CSV p-value file, or a
+bad token) are the lines walked one at a time, and a bad token is
+reported with its line number. The range check is
+:func:`kfwer.core.order_pvalues`'s, which keeps the array as the
+vector's values; its position is mapped back to a line.
 
 The reports of ``test`` and ``simulate`` are stable byte for byte: each is
 ``json.dumps(report, indent=2)`` followed by a newline, streamed to stdout
 or to ``--output`` in pieces rather than built as one string. The
 critical values of ``test`` are written from the invariants of their
 schedule or family rather than checked entry by entry (see
-:func:`_json_chunks`): a constant row repeats one repr, and rows that
+:func:`_json_chunks`): a constant row repeats one repr, rows that
 share values format each of them once, so a Romano-Shaikh family of
-n(n+1)/2 entries costs about n reprs. A report written to ``--output``
+n(n+1)/2 entries costs about n reprs, and a schedule is formatted from
+its array a slice at a time. A report written to ``--output``
 replaces a regular file only once it is complete, so a failed write
 leaves the old file as it was (see :func:`_write_report`).
 
@@ -41,6 +43,8 @@ import stat
 import sys
 from dataclasses import asdict
 from typing import Iterator, Optional, Sequence, TextIO
+
+import numpy as np
 
 from .core import (
     ConfigError,
@@ -98,23 +102,31 @@ def _reading(name: str) -> Iterator[None]:
         raise InputDataError(f"{name}: not valid {exc.encoding} text: {exc.reason}") from None
 
 
-def _read_numbers(text: str, name: str, header: Optional[str] = None) -> tuple[list[float], Optional[list[int]]]:
-    """The numbers of ``text``, one per line, and the line each came from.
+# Characters of text converted per block by the reader's one pass.
+_BLOCK = 1 << 16
+
+
+def _read_numbers(text: str, name: str, header: Optional[str] = None) -> tuple[np.ndarray, Optional[list[int]]]:
+    """The numbers of ``text``, one per line, as a float64 array, and the
+    line each came from.
 
     Every line goes through ``float()`` in one pass, which strips the same
-    whitespace ``str.strip`` does. Only when that raises, on a blank line,
-    a header or a bad token, are the lines walked one at a time: blank
-    lines are skipped, a first line equal to ``header`` (case and spaces
-    aside) makes the rest CSV rows whose second field is the number, and a
-    bad token is named with its line. The line list is None when number j
-    came from line j.
+    whitespace ``str.strip`` does, straight into the array: the text is cut
+    into blocks of about ``_BLOCK`` characters, each right after a
+    ``\\n``. That is never inside a line break (``\\r\\n`` ends with it),
+    so the blocks' lines are the text's. Only when that raises, on a blank
+    line, a header or a bad token, are the lines walked one at a time:
+    blank lines are skipped, a first line equal to ``header`` (case and
+    spaces aside) makes the rest CSV rows whose second field is the
+    number, and a bad token is named with its line. The line list is None
+    when number j came from line j.
     """
-    lines = text.splitlines()
     try:
-        return list(map(float, lines)), None
+        numbers = itertools.chain.from_iterable(map(float, block.splitlines()) for block in _blocks(text))
+        return np.fromiter(numbers, np.float64), None
     except ValueError:
         pass
-    numbered = [(idx, line.strip()) for idx, line in enumerate(lines, start=1)]
+    numbered = [(idx, line.strip()) for idx, line in enumerate(text.splitlines(), start=1)]
     numbered = [(idx, line) for idx, line in numbered if line]
     if header and numbered and numbered[0][1].lower().replace(" ", "") == header:
         numbered = numbered[1:]
@@ -128,7 +140,17 @@ def _read_numbers(text: str, name: str, header: Optional[str] = None) -> tuple[l
             raise InputDataError(f"{name}: no p-values found after header")
     else:
         values = [_parse_number(line, name, idx) for idx, line in numbered]
-    return values, [idx for idx, _ in numbered]
+    return np.array(values, dtype=np.float64), [idx for idx, _ in numbered]
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """``text`` in pieces of at least ``_BLOCK`` characters, each but the
+    last ending with a ``\\n``."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield text[start:cut]
+        start = cut
 
 
 def _parse_number(token: str, name: str, idx: int) -> float:
@@ -138,7 +160,7 @@ def _parse_number(token: str, name: str, idx: int) -> float:
         raise InputDataError(f"{name}: line {idx}: {token!r} is not a number") from None
 
 
-def _read_pvalues(stream: TextIO, name: str) -> tuple[list[float], Optional[list[int]]]:
+def _read_pvalues(stream: TextIO, name: str) -> tuple[np.ndarray, Optional[list[int]]]:
     """Parse p-values: one float per line, or CSV with header id,p.
 
     Returns the numbers and the line each came from, as
@@ -146,7 +168,7 @@ def _read_pvalues(stream: TextIO, name: str) -> tuple[list[float], Optional[list
     :func:`cmd_test` maps its position to a line.
     """
     values, lines = _read_numbers(stream.read(), name, header="id,p")
-    if not values:
+    if not values.size:
         raise InputDataError(f"{name}: no p-values found")
     return values, lines
 
@@ -240,7 +262,10 @@ def _check_output(output: Optional[str]) -> None:
 #   repeat pay for no memo.
 # - A zero can only lead a row, and a row led by one never takes the
 #   memo, which would merge 0.0 and -0.0.
+# - A schedule is written from its array, ``_SLICE`` values per piece, so
+#   the texts of at most that many values are held at once.
 _INDENT = "  "
+_SLICE = 1 << 13
 
 
 class _Texts(dict):
@@ -289,28 +314,47 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
             sep = "," + inner
         yield "\n" + _INDENT * depth + "]"
     elif isinstance(value, CriticalSchedule):
-        yield _row_text(value.alphas, depth, _Texts())
+        yield from _schedule_chunks(value._array, depth)
     else:
         yield json.dumps(value)
 
 
+def _schedule_chunks(array: np.ndarray, depth: int) -> Iterator[str]:
+    """The text of ``json.dumps(list(array), indent=2)`` at ``depth`` for a
+    schedule's values, in one piece per ``_SLICE`` values."""
+    inner = "\n" + _INDENT * (depth + 1)
+    sep = "," + inner
+    lead = "[" + inner
+    for start in range(0, array.size, _SLICE):
+        yield lead + _joined(array[start : start + _SLICE].tolist(), sep)
+        lead = sep
+    yield "\n" + _INDENT * depth + "]"
+
+
 def _row_text(row: Sequence[float], depth: int, texts: _Texts) -> str:
-    """The text of ``json.dumps(row, indent=2)`` at ``depth`` for a
-    schedule or a family row: nonempty, nondecreasing, and every entry an
-    exact float in [0, 1]. ``texts`` is the memo shared by the rows of one
-    family."""
+    """The text of ``json.dumps(row, indent=2)`` at ``depth`` for a family
+    row. ``texts`` is the memo shared by the rows of one family."""
     inner = "\n" + _INDENT * (depth + 1)
     sep = "," + inner
     first, last = row[0], row[-1]
-    if first and first == last:
-        one = float.__repr__(first)
-        body = (one + sep) * (len(row) - 1) + one
-    elif first and last in texts:
+    if first and first != last and last in texts:
         body = sep.join(map(texts.__getitem__, row))
     else:
-        body = sep.join(map(float.__repr__, row))
-        texts[last] = float.__repr__(last)
+        body = _joined(row, sep)
+        if first != last:
+            texts[last] = float.__repr__(last)
     return "[" + inner + body + "\n" + _INDENT * depth + "]"
+
+
+def _joined(values: Sequence[float], sep: str) -> str:
+    """The reprs of ``values`` joined by ``sep``: nonempty, nondecreasing,
+    and every entry an exact float in [0, 1]. Where the first and last
+    are equal and nonzero, that is one text repeated."""
+    first, last = values[0], values[-1]
+    if first and first == last:
+        one = float.__repr__(first)
+        return (one + sep) * (len(values) - 1) + one
+    return sep.join(map(float.__repr__, values))
 
 
 # Bytes buffered per write call to an ``--output`` file. A Hommel report of
@@ -427,6 +471,7 @@ def cmd_test(args) -> int:
     except OutOfRangeError as exc:
         line = lines[exc.position - 1] if lines else exc.position
         raise InputDataError(f"{name}: line {line}: p-value {exc.value!r} outside [0, 1]") from None
+    del values, lines  # p holds its own copy; at 10^6 this is 8 MB off the peak
     result = _run_procedure(args, p)
     payload = {
         "n": p.n,

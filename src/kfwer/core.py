@@ -3,17 +3,30 @@ value schedules and local test families.
 
 All types are immutable and validated at construction. A caller's
 numbers are converted and range-checked in one place,
-:func:`_check_unit_interval`; only ``order_pvalues``, the Lehmann-Romano,
+:func:`_check_unit_interval`, which takes a float64 array whole, without
+a type scan; only ``order_pvalues``, the Lehmann-Romano,
 Romano-Shaikh and single-step constant schedules and the package's
 family constructors, whose output is otherwise valid by construction,
-skip the repeat checks. Indices follow the statistical convention:
-hypotheses are 1-based in user-facing messages and in the CLI, while
-``PValueVector.order`` stores 0-based positions for direct indexing.
+skip the repeat checks.
+
+Arrays inside, tuples at the edge: a :class:`PValueVector` and a
+:class:`CriticalSchedule` hold each value once, in the arrays the
+decision rules and ``d1`` read: private arrays that no caller's later
+writes can reach. Their tuple fields, ``values``,
+``order`` and ``alphas``, are built from those arrays on first read and
+then kept, and ``==``, ``hash`` and ``repr`` are those of a frozen
+dataclass with these tuple fields. ``n`` and ``alpha(i)`` read the
+arrays. :class:`LocalTestFamily` stores its triangle as tuples.
+
+Indices follow the statistical convention: hypotheses are 1-based in
+user-facing messages and in the CLI, while ``PValueVector.order`` stores
+0-based positions for direct indexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -125,44 +138,48 @@ class ConfigError(KfwerError):
 
 
 def _unvalidated(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with ``fields`` set and
-    ``__post_init__`` not run. Only for values that are valid by
-    construction: :func:`order_pvalues` and the package's own schedule
-    and family constructors. Callers pass every field ``__post_init__``
-    would set, the private arrays included. Everything built from a
-    caller's data goes through the class itself."""
+    """An instance of ``cls`` with ``fields`` set and its checks not run.
+    Only for values that are valid by construction: :func:`order_pvalues`
+    and the package's own schedule and family constructors. Callers pass
+    every field the class's own constructor would set, as the arrays it
+    stores, which no one else holds. Everything built from a caller's data
+    goes through the class itself."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # frozen: fill the instance dict directly
     return obj
 
 
-def _check_unit_interval(values: Iterable[Any], what: str) -> tuple[tuple[float, ...], np.ndarray]:
-    """``values`` as a tuple of floats, each a finite number in [0, 1], and
-    the same floats as a float64 array.
+def _check_unit_interval(values: Iterable[Any], what: str) -> np.ndarray:
+    """``values`` as a float64 array, each a finite number in [0, 1].
 
     The one acceptance rule for a caller's numbers: Python ints and floats
     and numpy real scalars (a float32 array's elements, say) are taken and
     converted to float. Anything else is refused with
     :class:`OutOfRangeError` naming the first bad entry: strings, and
     ``bool`` and ``np.bool_``, which the range check alone would take as
-    0 or 1. Python floats are checked as one array, by its minimum and
-    maximum (a NaN makes both NaN, which fails the comparison), and are
-    returned as they are; any other input, and any that fails, is checked
-    entry by entry.
+    0 or 1. A one-dimensional float64 array holds exact floats already: it
+    is copied without a type scan, so a caller's later writes to it reach
+    nothing built from it. Python floats are checked as one array, by its
+    minimum and maximum (a NaN makes both NaN, which fails the
+    comparison); any other input, and any that fails, is checked entry by
+    entry.
     """
-    vals = tuple(values)
-    if vals and set(map(type, vals)) == {float}:
-        array = np.array(vals)
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1:
+        array = values.copy()
+    else:
+        values = tuple(values)
+        array = np.array(values) if set(map(type, values)) == {float} else None
+    if array is not None and array.size:
         if 0.0 <= np.minimum.reduce(array) and np.maximum.reduce(array) <= 1.0:
-            return vals, array
+            return array
     out = []
-    for pos, v in enumerate(vals, start=1):
+    for pos, v in enumerate(values, start=1):
         if isinstance(v, (np.floating, np.integer)):
             v = float(v)
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= 1:
             raise OutOfRangeError(pos, v, what)
         out.append(float(v))
-    return tuple(out), np.array(out, dtype=np.float64)
+    return np.array(out, dtype=np.float64)
 
 
 def _first_drop(array: np.ndarray) -> int:
@@ -172,70 +189,108 @@ def _first_drop(array: np.ndarray) -> int:
     return int(drops.argmax()) + 2 if drops.any() else 0
 
 
-@dataclass(frozen=True)
-class PValueVector:
+class _Frozen:
+    """Immutable instances with the ``==``, ``hash`` and ``repr`` of a
+    frozen dataclass whose fields are ``_fields``, in that order."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PValueVector(_Frozen):
     """Raw p-values with their deterministic ordering permutation.
 
     ``order`` holds 0-based original positions such that
     ``values[order[0]] <= values[order[1]] <= ...``; ties are broken by
     ascending original position, so the permutation is unique. Use
-    :func:`order_pvalues` to construct one. Every constructor also sets
-    ``_order_array`` and ``_sorted_array``, the order and the order
-    statistics as arrays for the decision rules; no code writes to them.
+    :func:`order_pvalues` to construct one. Each is stored once, as an
+    array: ``_values``, ``_order_array`` and ``_sorted_array`` (the order
+    statistics) serve the decision rules, and no code writes to them.
+    ``values`` and ``order`` are tuples built from them on first read.
     """
 
-    values: tuple[float, ...]
-    order: tuple[int, ...]
+    _fields = ("values", "order")
 
-    def __post_init__(self):
+    def __init__(self, values: Iterable[float], order: Iterable[int]):
         # The one valid order is the stable sort order_pvalues computes.
-        checked = order_pvalues(self.values)
-        if sorted(self.order) != list(range(checked.n)):
-            raise BadShapeError(f"order must be a permutation of 0..{checked.n - 1}")
-        if tuple(self.order) != checked.order:
+        array, stable = _ordered(values)
+        order = tuple(order)
+        if sorted(order) != list(range(array.size)):
+            raise BadShapeError(f"order must be a permutation of 0..{array.size - 1}")
+        if order != tuple(stable.tolist()):
             raise BadShapeError("order must sort values nondecreasingly with ties by ascending index")
-        self.__dict__.update(checked.__dict__)  # frozen: fill the instance dict directly
+        self.__dict__.update(_values=array, _order_array=stable, _sorted_array=array[stable])
+
+    # Built on first read and kept in the instance dict, where every later
+    # read finds them.
+    @functools.cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._values.tolist())
+
+    @functools.cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self._order_array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self._values)
 
     def sorted_values(self) -> tuple[float, ...]:
         """P-values in nondecreasing order (the order statistics)."""
-        return tuple(self.values[j] for j in self.order)
+        return tuple(self._sorted_array.tolist())
 
 
-@dataclass(frozen=True)
-class CriticalSchedule:
+class CriticalSchedule(_Frozen):
     """Nondecreasing critical values for a stepwise procedure.
 
     ``alphas[i - k]`` is the critical value compared against the i-th
     smallest p-value, for i = k..n. Values for i < k are never stored:
     the k-1 most significant hypotheses are rejected unconditionally.
-    Every constructor also sets ``_array``, the values as an array for
-    ``d1`` and the decision rules; no code writes to it.
+    The values are stored once, as the array ``_array`` that ``d1`` and
+    the decision rules read and no code writes to; ``alphas`` is their
+    tuple, built on first read.
     """
 
-    k: int
-    n: int
-    alphas: tuple[float, ...]
+    _fields = ("k", "n", "alphas")
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise KOutOfRangeError(self.k, self.n)
-        if len(self.alphas) != self.n - self.k + 1:
-            raise BadShapeError(
-                f"schedule for k={self.k}, n={self.n} needs {self.n - self.k + 1} values, got {len(self.alphas)}"
-            )
-        alphas, array = _check_unit_interval(self.alphas, "critical value")
+    def __init__(self, k: int, n: int, alphas: Iterable[float]):
+        if not 1 <= k <= n:
+            raise KOutOfRangeError(k, n)
+        if len(alphas) != n - k + 1:
+            raise BadShapeError(f"schedule for k={k}, n={n} needs {n - k + 1} values, got {len(alphas)}")
+        array = _check_unit_interval(alphas, "critical value")
         drop = _first_drop(array)
         if drop:
             raise NotMonotoneError(drop)
-        self.__dict__.update(alphas=alphas, _array=array)  # frozen: fill the instance dict directly
+        self.__dict__.update(k=k, n=n, _array=array)
+
+    @functools.cached_property
+    def alphas(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
 
     def alpha(self, i: int) -> float:
         """Critical value for ordered index i (k <= i <= n)."""
-        return self.alphas[i - self.k]
+        return self._array.item(i - self.k)
 
 
 @dataclass(frozen=True)
@@ -264,7 +319,7 @@ class LocalTestFamily:
         # walk meets it: shape, range and order in i for each row in turn.
         rows = tuple(map(tuple, self.rows))
         try:
-            flat = _check_unit_interval([v for row in rows for v in row], "family value")[0]
+            flat = tuple(_check_unit_interval([v for row in rows for v in row], "family value").tolist())
         except OutOfRangeError:
             flat = None
         checked, start = [], 0
@@ -272,7 +327,7 @@ class LocalTestFamily:
             if len(row) != m - k + 1:
                 raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
             if flat is None:
-                row = _check_unit_interval(row, f"family value in row m={m}")[0]
+                row = tuple(_check_unit_interval(row, f"family value in row m={m}").tolist())
             else:
                 row, start = flat[start : start + len(row)], start + len(row)
             for i in range(k + 1, m + 1):
@@ -294,26 +349,34 @@ class LocalTestFamily:
         return self.rows[m - self.k]
 
 
+def _ordered(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The checked p-values as an array and their stable ordering
+    permutation."""
+    array = _check_unit_interval(values, "p-value")
+    if not array.size:
+        raise EmptyInputError("need at least one p-value")
+    return array, array.argsort(kind="stable")  # stable: ties keep index order
+
+
 def order_pvalues(values: Iterable[float]) -> PValueVector:
     """Attach the stable ordering permutation to raw p-values.
 
     Ties are broken by ascending original position, which makes every
     downstream procedure deterministic. Input values are not modified.
-    The range check here, :func:`_check_unit_interval`'s, is the only
-    one: the order is a stable sort, so the result does not go through
-    :class:`PValueVector`'s checks again.
+    The range check here,
+    :func:`_check_unit_interval`'s, is the only one: the order is a stable
+    sort, so the result does not go through :class:`PValueVector`'s checks
+    again.
     """
-    vals, raw = _check_unit_interval(values, "p-value")
-    if not vals:
-        raise EmptyInputError("need at least one p-value")
-    order = raw.argsort(kind="stable")  # stable: ties keep index order
-    return _unvalidated(PValueVector, values=vals, order=tuple(order.tolist()),
-                        _order_array=order, _sorted_array=raw[order])
+    array, order = _ordered(values)
+    return _unvalidated(PValueVector, _values=array, _order_array=order, _sorted_array=array[order])
 
 
 def validate_schedule(k: int, n: int, alphas: Iterable[float]) -> CriticalSchedule:
-    """Build a :class:`CriticalSchedule`, rejecting ill-shaped or decreasing input."""
-    return CriticalSchedule(k=k, n=n, alphas=tuple(alphas))
+    """Build a :class:`CriticalSchedule`, rejecting ill-shaped or decreasing
+    input. An array is passed on as it is, so that a float64 one is
+    range-checked whole."""
+    return CriticalSchedule(k=k, n=n, alphas=alphas if isinstance(alphas, np.ndarray) else tuple(alphas))
 
 
 def validate_family(k: int, n: int, table: Iterable[Iterable[float]]) -> LocalTestFamily:

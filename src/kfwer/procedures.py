@@ -215,7 +215,7 @@ def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
     """
     _check_level(k, n, alpha)
     alphas = k * alpha / np.arange(n, k - 1, -1, dtype=np.float64)
-    return _unvalidated(CriticalSchedule, k=k, n=n, alphas=tuple(alphas.tolist()), _array=alphas)
+    return _unvalidated(CriticalSchedule, k=k, n=n, _array=alphas)
 
 
 def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSchedule:
@@ -241,7 +241,7 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     if array[-1] > 1.0:
         pos = int(np.argmax(array > 1.0))
         raise OutOfRangeError(pos + 1, float(array[pos]), "critical value")
-    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, alphas=tuple(array.tolist()), _array=array)
+    return _unvalidated(CriticalSchedule, k=base.k, n=base.n, _array=array)
 
 
 def check_family_size(k: int, n: int) -> None:
@@ -373,9 +373,7 @@ def critical_values(
         if family:
             return constant_family(k, n, alpha)
         # One value in (0, 1), repeated: valid by construction, so no re-check.
-        value = k * alpha / n
-        return _unvalidated(CriticalSchedule, k=k, n=n, alphas=(value,) * (n - k + 1),
-                            _array=np.full(n - k + 1, value))
+        return _unvalidated(CriticalSchedule, k=k, n=n, _array=np.full(n - k + 1, k * alpha / n))
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 

@@ -176,7 +176,7 @@ def generate_pvalues(config: SimulationConfig, replication_index: int) -> PValue
     if not 0 <= replication_index < 2**64:
         raise ConfigError(f"replication_index must lie in 0..2**64-1, got {replication_index}")
     draws = np.empty((1, config.n + 1))
-    return order_pvalues(_draw_pvalues(config, _ReplicationRng(), replication_index, draws)[0].tolist())
+    return order_pvalues(_draw_pvalues(config, _ReplicationRng(), replication_index, draws)[0])
 
 
 def _critical_values(config: SimulationConfig) -> CriticalValues:
@@ -219,7 +219,7 @@ def estimate_kfwer(
             return flags
     else:
         def decide(p: np.ndarray) -> np.ndarray:
-            return np.array([procedure(order_pvalues(row)).rejected for row in p.tolist()], dtype=bool)
+            return np.array([procedure(order_pvalues(row)).rejected for row in p], dtype=bool)
 
     rng = _ReplicationRng()
     draws = np.empty((min(reps, max(1, CHUNK_ELEMENTS // (n + 1))), n + 1))

@@ -109,7 +109,7 @@ def random_pvalues(rng: np.random.Generator, n: int, pool: Optional[list[float]]
             hits = rng.integers(1, n + 1)
             for pos in rng.choice(n, size=hits, replace=False):
                 vals[pos] = pool[rng.integers(0, len(pool))]
-    return order_pvalues(vals.tolist())
+    return order_pvalues(vals)
 
 
 def random_schedule(rng: np.random.Generator, k: int, n: int) -> CriticalSchedule:
@@ -118,7 +118,7 @@ def random_schedule(rng: np.random.Generator, k: int, n: int) -> CriticalSchedul
     vals = np.sort(rng.uniform(0.0, scale, n - k + 1))
     if rng.random() < 0.3:
         vals = np.round(vals, 2)
-    return validate_schedule(k, n, vals.tolist())
+    return validate_schedule(k, n, vals)
 
 
 def random_family(rng: np.random.Generator, k: int, n: int, constant_rows: bool = False) -> LocalTestFamily:
@@ -255,7 +255,7 @@ def _trial_51(rng: np.random.Generator, t: int, n_max: int) -> Trial:
         # Aim p-values below the smallest thresholds to exercise the
         # branch where no cardinality survives.
         floor = max(min(row[0] for row in fam.rows), 1e-6)
-        p = order_pvalues(rng.uniform(0.0, floor, n).tolist())
+        p = order_pvalues(rng.uniform(0.0, floor, n))
     else:
         p = random_pvalues(rng, n, pool)
     hommel = generalized_hommel(p, fam)

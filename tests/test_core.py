@@ -1,5 +1,7 @@
-"""Core type validation, ordering, and the diagonal condition check."""
+"""Core type validation, ordering, the tuple views of the array-backed
+types, and the diagonal condition check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from kfwer import (
     BoundInput,
     CriticalSchedule,
     EmptyInputError,
+    KfwerError,
     KOutOfRangeError,
     LocalTestFamily,
     NotMonotoneError,
@@ -30,8 +33,8 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
-from kfwer.procedures import critical_values
-from oracles import unit_interval_reference
+from kfwer.procedures import critical_values, romano_shaikh_schedule
+from oracles import order_pvalues_reference, unit_interval_reference
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
@@ -338,6 +341,30 @@ def test_every_entry_point_range_checks_converted_entries(entry, bad):
         ENTRY_POINTS[entry]((0.1, bad))
 
 
+# A float64 array takes the array path of the acceptance rule, with no
+# type scan and no copy; whatever it holds, the outcome is the list's.
+ARRAY_ENTRY_POINTS = {
+    "order_pvalues": lambda xs: order_pvalues(xs).values,
+    "validate_schedule": lambda xs: validate_schedule(1, len(xs), xs).alphas,
+}
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0]), st.floats()), max_size=6),
+       st.booleans())
+@settings(max_examples=200)
+def test_float64_arrays_are_taken_as_their_lists(entry, floats, sort):
+    if sort:
+        floats.sort()
+
+    def outcome(values):
+        try:
+            return tuple(map(repr, ARRAY_ENTRY_POINTS[entry](values)))
+        except KfwerError as exc:
+            return type(exc), str(exc)
+    assert outcome(np.array(floats, dtype=np.float64)) == outcome(floats)
+
+
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=0, max_value=7),
@@ -385,3 +412,95 @@ class TestTheorem43Condition:
         assert check_theorem43_condition(constant_family(2, 4, 0.05)) is False
         assert check_theorem43_condition(constant_family(1, 2, 0.05)) is False
         assert check_theorem43_condition(constant_family(3, 3, 0.05)) is True
+
+
+# The types as frozen dataclasses with tuple fields, as they were before
+# they stored arrays: their ==, hash and repr are the reference.
+TupleVector = dataclasses.make_dataclass("PValueVector", [("values", tuple), ("order", tuple)], frozen=True)
+TupleSchedule = dataclasses.make_dataclass("CriticalSchedule", [("k", int), ("n", int), ("alphas", tuple)], frozen=True)
+
+# Ties, signed zeros, exact 0 and 1 and ints.
+MIXED = [0.5, 0, 1, -0.0, 0.5, 0.25, 1.0, 0.0, np.float32(0.25), 0.5]
+
+
+class TestTupleViews:
+    """``values``, ``order`` and ``alphas`` are tuples of Python floats and
+    ints built from the stored arrays on first read, then kept."""
+
+    def test_vector_views_equal_the_reference(self):
+        p = order_pvalues(MIXED)
+        values, order = order_pvalues_reference(MIXED)
+        assert type(p.values) is tuple and type(p.order) is tuple
+        assert list(map(repr, p.values)) == list(map(repr, values))
+        assert all(type(v) is float for v in p.values) and all(type(j) is int for j in p.order)
+        assert p.order == order
+        assert p.sorted_values() == tuple(values[j] for j in order)
+        assert p.values is p.values and p.order is p.order
+
+    def test_vector_eq_hash_repr_are_the_dataclass_ones(self):
+        p = order_pvalues(MIXED)
+        values, order = order_pvalues_reference(MIXED)
+        ref = TupleVector(values=values, order=order)
+        assert repr(p) == repr(ref)
+        assert hash(p) == hash(ref)
+        same = PValueVector(values=MIXED, order=order)
+        assert p == same and hash(p) == hash(same) and not p != same
+        assert p != order_pvalues([0.5, 0.1])
+        assert p.__eq__(ref) is NotImplemented
+        assert p == order_pvalues(np.array(values))
+
+    @pytest.mark.parametrize("build", [
+        lambda: validate_schedule(2, 6, [0, -0.0, 0.0, 0.01, 1]),
+        lambda: validate_schedule(2, 6, np.array([0.0, -0.0, 0.0, 0.01, 1.0])),
+        lambda: lehmann_romano_schedule(2, 6, 0.05),
+        lambda: romano_shaikh_schedule(lehmann_romano_schedule(2, 6, 0.05), 0.05),
+        lambda: critical_values("stepdown", "constant", 2, 6, 0.05, base=None),
+    ], ids=["ints-and-zeros", "array", "lehmann-romano", "romano-shaikh", "constant"])
+    def test_schedule_views(self, build):
+        s = build()
+        assert type(s.alphas) is tuple and all(type(a) is float for a in s.alphas)
+        assert s.alphas == tuple(s._array.tolist())
+        assert [s.alpha(i) for i in range(2, 7)] == list(s.alphas)
+        assert s.alphas is s.alphas
+        ref = TupleSchedule(k=2, n=6, alphas=s.alphas)
+        assert (repr(s), hash(s)) == (repr(ref), hash(ref))
+        again = validate_schedule(2, 6, list(s.alphas))
+        assert s == again and hash(s) == hash(again)
+
+    def test_signed_zeros_and_ints_are_kept_as_floats(self):
+        s = validate_schedule(2, 6, [0, -0.0, 0.0, 0.01, 1])
+        assert list(map(repr, s.alphas)) == ["0.0", "-0.0", "0.0", "0.01", "1.0"]
+        assert repr(s) == "CriticalSchedule(k=2, n=6, alphas=(0.0, -0.0, 0.0, 0.01, 1.0))"
+        assert repr(order_pvalues([1, -0.0])) == "PValueVector(values=(1.0, -0.0), order=(1, 0))"
+
+    def test_n_and_alpha_build_no_tuple(self):
+        p = order_pvalues([0.3, 0.1])
+        s = lehmann_romano_schedule(1, 2, 0.05)
+        assert (p.n, s.alpha(2)) == (2, 0.05)
+        assert "values" not in vars(p) and "order" not in vars(p) and "alphas" not in vars(s)
+
+    def test_instances_are_frozen(self):
+        p = order_pvalues([0.3, 0.1])
+        s = lehmann_romano_schedule(1, 2, 0.05)
+        for obj, name in ((p, "values"), (p, "order"), (s, "alphas"), (s, "k")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert p.values == (0.3, 0.1) and s.alphas == (0.025, 0.05)
+
+    def test_writing_to_the_callers_array_changes_nothing(self):
+        """The caller's array is copied: refilling it, as a loop that reuses
+        one buffer does, leaves the vector, the schedule and a decision
+        built from them as they were."""
+        from kfwer.procedures import stepdown
+
+        pvalues, alphas = [0.001, 0.02, 0.3, 0.004], [0.01, 0.02, 0.03, 0.04]
+        buf, sbuf = np.array(pvalues), np.array(alphas)
+        p, s = order_pvalues(buf), validate_schedule(1, 4, sbuf)
+        buf[:] = [0.9, 2.0, 0.0, 0.5]
+        sbuf[:] = [5.0, 0.0, 1.0, 0.5]
+        ref_p, ref_s = order_pvalues(pvalues), validate_schedule(1, 4, alphas)
+        assert (p.values, p.order, s.alphas) == (ref_p.values, ref_p.order, ref_s.alphas)
+        assert (hash(p), repr(p), hash(s), repr(s)) == (hash(ref_p), repr(ref_p), hash(ref_s), repr(ref_s))
+        assert stepdown(p, s).rejected == stepdown(ref_p, ref_s).rejected == (True, True, False, True)

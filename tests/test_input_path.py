@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,9 @@ NUMBERS = [
 OTHERS = ["abc", "", "", "0.1 0.2", "a,0.2", "b, 0.3", "1,2,3", "id,p", "0x1p-1", "1__0"]
 # NBSP, em space, ideographic space and form feed pad as str.strip sees them.
 PADDING = ["", " ", "\t", "\xa0", "\u2003", "\u3000", "\x0c"]
-# Line breaks as str.splitlines sees them.
-BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+# Every line break str.splitlines sees, \n and \r\n most often: the
+# reader cuts its text into blocks only right after a \n.
+BREAKS = ["\n", "\n", "\r\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 tokens = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(NUMBERS), st.sampled_from(NUMBERS), st.sampled_from(OTHERS))
 lines = st.tuples(st.sampled_from(PADDING), tokens,
@@ -48,11 +50,15 @@ def texts(draw):
 
 def outcome(reader, text):
     """``reader``'s numbers (as hex, so NaN and -0.0 compare), their lines,
-    or its error message."""
+    or its error message. The package's reader returns a float64 array,
+    the reference a list of floats."""
     try:
         values, where = reader(io.StringIO(text), "in")
     except InputDataError as exc:
         return str(exc)
+    if reader is cli._read_pvalues:
+        assert type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1
+        values = values.tolist()
     assert all(type(v) is float for v in values)
     return [v.hex() for v in values], where if where is not None else list(range(1, len(values) + 1))
 
@@ -70,6 +76,25 @@ def run_test(path):
 @given(texts())
 def test_reader_equals_the_line_by_line_reference(text):
     assert outcome(cli._read_pvalues, text) == outcome(read_pvalues_reference, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts(), st.integers(0, 8))
+def test_reader_cut_into_small_blocks_equals_the_reference(text, block):
+    """With blocks of a few characters every line break, blank line,
+    header and bad token lands at or next to a cut: the numbers, their
+    lines, the exit code and the message stay the reference's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.txt")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        want = reference_error(path)
+        if want is None:
+            with mock.patch.object(cli, "_read_pvalues", read_pvalues_reference):
+                want = run_test(path)
+        with mock.patch.object(cli, "_BLOCK", block):
+            assert outcome(cli._read_pvalues, text) == outcome(read_pvalues_reference, text)
+            assert run_test(path) == want
 
 
 def reference_error(path):
@@ -115,6 +140,29 @@ def test_schedule_file_shares_the_reader(tmp_path, capsys):
     sched.write_text("0.02\n\n0.025\n1_x\n0.05\n")
     assert cli.main(argv) == cli.EXIT_BAD_DATA
     assert capsys.readouterr().err == f"error: {sched}: line 4: '1_x' is not a number\n"
+
+
+def test_stepdown_at_1e5_traces_under_10_mb(tmp_path):
+    """Each value is held once, as an array, from the reader to the
+    writer, which formats the schedule a slice at a time: the allocations
+    of a whole ``kfwer test`` call at n = 10^5, the file's 1.6 MB of text
+    included, peak under 10 MB."""
+    rng = np.random.default_rng(5)
+    p = rng.uniform(size=10**5)
+    rounded = rng.random(p.size) < 0.2
+    p[rounded] = np.round(p[rounded], 4)
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in p.tolist()))
+    argv = ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepdown", "--schedule", "lehmann-romano",
+            "--input", str(pfile), "--output", str(tmp_path / "out.json")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def outcome_of_order(order, values):

@@ -201,6 +201,45 @@ def test_romano_shaikh_hommel_report_is_json_dumps(tmp_path, capsys):
     assert report["critical_values"] == [list(row) for row in scaled_family(base, alpha).rows]
 
 
+def schedule_report_case(tmp_path, kind, length):
+    """The ``kfwer test`` flags for a schedule of ``length`` values, k = 2,
+    and those values as a list, computed here from their formula or file."""
+    k, alpha = 2, 0.05
+    n = length + k - 1
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(n).uniform(size=n).tolist()))
+    argv = ["test", "--k", str(k), "--alpha", str(alpha), "--input", str(pfile), "--procedure", "stepdown"]
+    lehmann_romano = [k * alpha / (n - i + k) for i in range(k, n + 1)]
+    if kind == "lehmann-romano":
+        return argv + ["--schedule", kind], lehmann_romano
+    if kind == "constant":
+        return argv + ["--schedule", kind], [k * alpha / n] * length
+    path = tmp_path / "values.txt"
+    if kind == "romano-shaikh":
+        path.write_text("".join(f"{v!r}\n" for v in lehmann_romano))
+        d = kfwer.d1(validate_schedule(k, n, lehmann_romano))
+        return argv + ["--schedule", kind, "--base-schedule", str(path)], [alpha * a / d for a in lehmann_romano]
+    # A file schedule led by zeros of both signs, then rising values.
+    values = [(-0.0, 0.0)[i % 2] for i in range(length // 3)]
+    values += sorted(np.random.default_rng(length).uniform(0.0, alpha, length - len(values)).tolist())
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    return argv + ["--schedule", f"file:{path}"], values
+
+
+@pytest.mark.parametrize("kind", ["lehmann-romano", "romano-shaikh", "constant", "file"])
+@pytest.mark.parametrize("length", [cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 2 * cli._SLICE + 1])
+def test_schedule_reports_across_slices_are_json_dumps(kind, length, tmp_path, capsys):
+    """A schedule is written from its array a slice at a time; at and
+    around the slice boundaries the report is json's text of the same
+    report with the values as a list, signed zeros and all."""
+    argv, values = schedule_report_case(tmp_path, kind, length)
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert len(report["critical_values"]) == length
+    assert out == json.dumps(dict(report, critical_values=values), indent=2) + "\n"
+
+
 PVALUES = [0.2, 0.015, 0.8, 0.001, 0.03, 0.004, 0.015, 0.6]
 
 
