@@ -17,10 +17,11 @@ The reports of ``test`` and ``simulate`` are stable byte for byte: each is
 or to ``--output`` in pieces rather than built as one string. The
 critical values of ``test`` are written from the invariants of their
 schedule or family rather than checked entry by entry (see
-:func:`_json_chunks`): a constant row repeats one repr, rows that
-share values format each of them once, so a Romano-Shaikh family of
-n(n+1)/2 entries costs about n reprs, and a schedule is formatted from
-its array a slice at a time. A report written to ``--output``
+:func:`_json_chunks`): a constant row repeats one repr, a stepup form
+(``romano-shaikh``) formats each value of its schedule once, and a
+schedule is formatted from its array a slice at a time. A family report,
+all n(n+1)/2 entries, is refused above ``MAX_FAMILY_ENTRIES`` before any
+file is read. A report written to ``--output``
 replaces a regular file only once it is complete, so a failed write
 leaves the old file as it was (see :func:`_write_report`).
 
@@ -253,27 +254,14 @@ def _check_output(output: Optional[str]) -> None:
 # most of json's per-number work: every entry is an exact finite float in
 # [0, 1], whose JSON text is its repr, and every row is nondecreasing.
 # - A row whose first and last entries are equal and nonzero holds one
-#   value, bits and all: its text repeats one repr.
-# - Rows may share values: a Romano-Shaikh family's n(n+1)/2 entries are
-#   n values, each row a tail of its schedule. A row whose last (largest)
-#   value an earlier row has met takes each text from one value-to-text
-#   memo. Any other row is formatted value by value, at half the cost of
-#   filling the memo, and notes its last value, so values that never
-#   repeat pay for no memo.
-# - A zero can only lead a row, and a row led by one never takes the
-#   memo, which would merge 0.0 and -0.0.
+#   value, bits and all: its text repeats one repr. Every row of a
+#   stepdown form (``constant``) is one value.
+# - A stepup form's row m is the tail alpha_{n-m+k..n} of its schedule:
+#   each of the schedule's values is formatted once.
 # - A schedule is written from its array, ``_SLICE`` values per piece, so
 #   the texts of at most that many values are held at once.
 _INDENT = "  "
 _SLICE = 1 << 13
-
-
-class _Texts(dict):
-    """A memo from nonzero floats to their reprs."""
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = float.__repr__(value)
-        return text
 
 
 def _json_chunks(value, depth: int = 0) -> Iterator[str]:
@@ -307,11 +295,17 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
             sep = "," + inner
         yield "\n" + _INDENT * depth + "]"
     elif isinstance(value, LocalTestFamily):
-        texts = _Texts()
-        sep = "[" + inner
-        for row in value.rows:
-            yield sep + _row_text(row, depth + 1, texts)
-            sep = "," + inner
+        k, n, row_inner = value.k, value.n, inner + _INDENT
+        sep = "," + row_inner
+        if value._form == "stepup":
+            texts = list(map(float.__repr__, value._schedule._array.tolist()))
+            bodies = (sep.join(texts[n - m :]) for m in range(k, n + 1))
+        else:
+            bodies = (_joined(value.row(m), sep) for m in range(k, n + 1))
+        lead = "[" + inner
+        for body in bodies:
+            yield lead + "[" + row_inner + body + inner + "]"
+            lead = "," + inner
         yield "\n" + _INDENT * depth + "]"
     elif isinstance(value, CriticalSchedule):
         yield from _schedule_chunks(value._array, depth)
@@ -329,21 +323,6 @@ def _schedule_chunks(array: np.ndarray, depth: int) -> Iterator[str]:
         yield lead + _joined(array[start : start + _SLICE].tolist(), sep)
         lead = sep
     yield "\n" + _INDENT * depth + "]"
-
-
-def _row_text(row: Sequence[float], depth: int, texts: _Texts) -> str:
-    """The text of ``json.dumps(row, indent=2)`` at ``depth`` for a family
-    row. ``texts`` is the memo shared by the rows of one family."""
-    inner = "\n" + _INDENT * (depth + 1)
-    sep = "," + inner
-    first, last = row[0], row[-1]
-    if first and first != last and last in texts:
-        body = sep.join(map(texts.__getitem__, row))
-    else:
-        body = _joined(row, sep)
-        if first != last:
-            texts[last] = float.__repr__(last)
-    return "[" + inner + body + "\n" + _INDENT * depth + "]"
 
 
 def _joined(values: Sequence[float], sep: str) -> str:
@@ -441,6 +420,8 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
     proc, spec, k, n, alpha = args.procedure, args.schedule, args.k, p.n, args.alpha
     path = spec[len("file:"):] if spec.startswith("file:") else None
     check_procedure(proc, None if path else spec, k, n, alpha)
+    if proc in FAMILY_PROCEDURES:
+        check_family_size(k, n)  # the report writes every entry of the family
     if rescales_base(spec) and not args.base_schedule:
         raise ConfigError(f"--schedule {spec} requires --base-schedule PATH")
     if args.base_schedule and not rescales_base(spec):
@@ -449,7 +430,6 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
         critical = critical_values(proc, spec, k, n, alpha,
                                    base=lambda: _read_schedule_file(args.base_schedule, k, n))
     elif proc in FAMILY_PROCEDURES:
-        check_family_size(k, n)
         critical = _read_family_file(path, k, n)
     else:
         critical = _read_schedule_file(path, k, n)

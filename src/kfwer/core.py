@@ -16,7 +16,7 @@ writes can reach. Their tuple fields, ``values``,
 ``order`` and ``alphas``, are built from those arrays on first read and
 then kept, and ``==``, ``hash`` and ``repr`` are those of a frozen
 dataclass with these tuple fields. ``n`` and ``alpha(i)`` read the
-arrays. :class:`LocalTestFamily` stores its triangle as tuples.
+arrays.
 
 Indices follow the statistical convention: hypotheses are 1-based in
 user-facing messages and in the CLI, while ``PValueVector.order`` stores
@@ -26,7 +26,7 @@ user-facing messages and in the CLI, while ``PValueVector.order`` stores
 from __future__ import annotations
 
 import functools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Any, Iterable
 
 import numpy as np
@@ -142,8 +142,9 @@ def _unvalidated(cls, **fields):
     Only for values that are valid by construction: :func:`order_pvalues`
     and the package's own schedule and family constructors. Callers pass
     every field the class's own constructor would set, as the arrays it
-    stores, which no one else holds. Everything built from a caller's data
-    goes through the class itself."""
+    stores, which no one else holds, or, for a stepdown or stepup family,
+    the schedule and the form its values derive from. Everything built
+    from a caller's data goes through the class itself."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # frozen: fill the instance dict directly
     return obj
@@ -276,6 +277,8 @@ class CriticalSchedule(_Frozen):
     def __init__(self, k: int, n: int, alphas: Iterable[float]):
         if not 1 <= k <= n:
             raise KOutOfRangeError(k, n)
+        if not isinstance(alphas, np.ndarray):  # a float64 array is range-checked whole
+            alphas = tuple(alphas)
         if len(alphas) != n - k + 1:
             raise BadShapeError(f"schedule for k={k}, n={n} needs {n - k + 1} values, got {len(alphas)}")
         array = _check_unit_interval(alphas, "critical value")
@@ -293,8 +296,7 @@ class CriticalSchedule(_Frozen):
         return self._array.item(i - self.k)
 
 
-@dataclass(frozen=True)
-class LocalTestFamily:
+class LocalTestFamily(_Frozen):
     """Symmetric family of local tests as a triangular critical-value table.
 
     ``rows[m - k]`` holds the values compared against the k-th through m-th
@@ -302,28 +304,37 @@ class LocalTestFamily:
     nondecreasing left to right and each column nonincreasing as the
     subset grows; both are enforced here, and a violating table is
     rejected at construction.
+
+    A table is kept as tuples. A stepdown or stepup form holds only its
+    schedule, ``_schedule``, and ``_form``: value(i, m) is alpha_{n-m+k} or
+    alpha_{n-m+i}, read from the schedule, and ``rows`` is built on first
+    read. ``==``, ``hash`` and ``repr`` are a frozen dataclass's with the
+    fields ``k``, ``n`` and ``rows``, so a form equals its table.
     """
 
-    k: int
-    n: int
-    rows: tuple[tuple[float, ...], ...]
+    _fields = ("k", "n", "rows")
+    _schedule = _form = None  # a table's; a form sets both
 
-    def __post_init__(self):
-        k, n = self.k, self.n
+    def __init__(self, k: int, n: int, rows: Iterable[Iterable[float]]):
         if not 1 <= k <= n:
             raise KOutOfRangeError(k, n)
-        if len(self.rows) != n - k + 1:
-            raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(self.rows)}")
+        table = []
+        for m, row in enumerate(rows, start=k):
+            try:
+                table.append(tuple(row))
+            except TypeError:
+                raise BadShapeError(f"row for cardinality m={m} must be a sequence of values, got {row!r}") from None
+        if len(table) != n - k + 1:
+            raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(table)}")
         # One range check over the whole table. Only when it fails does each
         # row get its own, so the first fault is named where the row-by-row
         # walk meets it: shape, range and order in i for each row in turn.
-        rows = tuple(map(tuple, self.rows))
         try:
-            flat = tuple(_check_unit_interval([v for row in rows for v in row], "family value").tolist())
+            flat = tuple(_check_unit_interval([v for row in table for v in row], "family value").tolist())
         except OutOfRangeError:
             flat = None
         checked, start = [], 0
-        for m, row in enumerate(rows, start=k):
+        for m, row in enumerate(table, start=k):
             if len(row) != m - k + 1:
                 raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
             if flat is None:
@@ -334,19 +345,30 @@ class LocalTestFamily:
                 if row[i - k] < row[i - k - 1]:
                     raise NotMonotoneInIError(i, m)
             checked.append(row)
-        object.__setattr__(self, "rows", tuple(checked))
         for i in range(k, n + 1):
-            for m in range(max(i, k) + 1, n + 1):
-                if self.value(i, m) > self.value(i, m - 1):
+            for m in range(i + 1, n + 1):
+                if checked[m - k][i - k] > checked[m - k - 1][i - k]:
                     raise NotMonotoneInMError(i, m)
+        self.__dict__.update(k=k, n=n, rows=tuple(checked))
+
+    # A table's rows sit in the instance dict, so this runs for a form only.
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(self.row, range(self.k, self.n + 1)))
 
     def value(self, i: int, m: int) -> float:
         """Critical value for the i-th smallest p-value of a size-m subset."""
-        return self.rows[m - self.k][i - self.k]
+        if self._form is None:
+            return self.rows[m - self.k][i - self.k]
+        return self._schedule.alpha(self.n - m + (self.k if self._form == "stepdown" else i))
 
     def row(self, m: int) -> tuple[float, ...]:
         """Critical values for subsets of cardinality m."""
-        return self.rows[m - self.k]
+        if self._form is None:
+            return self.rows[m - self.k]
+        if self._form == "stepdown":
+            return (self._schedule.alpha(self.n - m + self.k),) * (m - self.k + 1)
+        return self._schedule.alphas[self.n - m :]
 
 
 def _ordered(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -374,14 +396,13 @@ def order_pvalues(values: Iterable[float]) -> PValueVector:
 
 def validate_schedule(k: int, n: int, alphas: Iterable[float]) -> CriticalSchedule:
     """Build a :class:`CriticalSchedule`, rejecting ill-shaped or decreasing
-    input. An array is passed on as it is, so that a float64 one is
-    range-checked whole."""
-    return CriticalSchedule(k=k, n=n, alphas=alphas if isinstance(alphas, np.ndarray) else tuple(alphas))
+    input."""
+    return CriticalSchedule(k=k, n=n, alphas=alphas)
 
 
 def validate_family(k: int, n: int, table: Iterable[Iterable[float]]) -> LocalTestFamily:
     """Build a :class:`LocalTestFamily` from a triangular table of rows m = k..n."""
-    return LocalTestFamily(k=k, n=n, rows=tuple(table))
+    return LocalTestFamily(k=k, n=n, rows=table)
 
 
 def check_theorem43_condition(family: LocalTestFamily) -> bool:

@@ -50,7 +50,7 @@ EXHAUSTIVE_LIMIT = 18
 # Entries of a materialized local-test family table, (n-k+1)(n-k+2)/2, which
 # is n(n+1)/2 at k = 1. At up to about 32 bytes per entry (a float and its
 # slot in a row tuple) the cap keeps a table under 1 GB; at k = 1 it admits
-# n <= 7745. The family constructors refuse a larger table before building it.
+# n <= 7745. simes_family and `kfwer test`'s family report refuse a larger one.
 MAX_FAMILY_ENTRIES = 30_000_000
 
 
@@ -253,19 +253,17 @@ def check_family_size(k: int, n: int) -> None:
         raise FamilyTooLargeError(n, entries, MAX_FAMILY_ENTRIES)
 
 
-# The family constructors below skip LocalTestFamily's O(n^2) checks. Their
-# tables are valid by construction: each starts from a validated schedule or
-# from (k, n, alpha) checked by _check_level, and every entry is a product or
-# quotient of nonnegative values whose operands move monotonically with i and
-# m. Correctly rounded arithmetic is monotone in each operand, so rows stay
-# nondecreasing in i and columns nonincreasing in m.
+# The family constructors below skip LocalTestFamily's O(n^2) checks; their
+# families are valid by construction. The stepdown and stepup forms read a
+# validated schedule, which never decreases, at alpha_{n-m+k} or
+# alpha_{n-m+i}: rising with i, falling with m. Simes' i*alpha/m divides
+# nonnegative values checked by _check_level, and correctly rounded
+# division is monotone in each operand.
 
 
 def constant_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     """Local tests with constant row values k*alpha/m for cardinality m:
     the stepdown form of the Lehmann-Romano schedule."""
-    _check_level(k, n, alpha)
-    check_family_size(k, n)
     return stepdown_as_family(lehmann_romano_schedule(k, n, alpha))
 
 
@@ -286,7 +284,6 @@ def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
     reproduces that schedule exactly; every row's Type-I bound is at most
     alpha by construction of D1.
     """
-    check_family_size(base.k, base.n)
     return stepup_as_family(romano_shaikh_schedule(base, alpha))
 
 
@@ -295,13 +292,9 @@ def stepdown_as_family(s: CriticalSchedule) -> LocalTestFamily:
 
     Row m is constant at alpha_{n-m+k}: a size-m subset is tested against
     the schedule value its rank-k member would face globally in the worst
-    case. Materialized as a full table so it exercises the same
-    closed-testing path as user-supplied families.
+    case. The family holds s only; ``rows`` is built on first read.
     """
-    k, n = s.k, s.n
-    check_family_size(k, n)
-    rows = tuple((s.alphas[n - m],) * (m - k + 1) for m in range(k, n + 1))
-    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
+    return _unvalidated(LocalTestFamily, k=s.k, n=s.n, _schedule=s, _form="stepdown")
 
 
 def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
@@ -309,12 +302,10 @@ def stepup_as_family(s: CriticalSchedule) -> LocalTestFamily:
 
     Row m holds alpha_{n-m+i} for i = k..m; diagonals i -> (i, (n-j)+i)
     are constant, which is exactly the condition under which closed
-    testing collapses to a stepup scan.
+    testing collapses to a stepup scan. The family holds s only; ``rows``
+    is built on first read.
     """
-    k, n = s.k, s.n
-    check_family_size(k, n)
-    rows = tuple(s.alphas[n - m :] for m in range(k, n + 1))
-    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
+    return _unvalidated(LocalTestFamily, k=s.k, n=s.n, _schedule=s, _form="stepup")
 
 
 # The resolver: the one place that maps the procedure and schedule names of
@@ -333,9 +324,9 @@ CriticalValues = Union[CriticalSchedule, LocalTestFamily]
 def check_procedure(procedure: str, schedule: Optional[str], k: int, n: int, alpha: float) -> None:
     """Refuse a request before anything is built or read: k and alpha out
     of range, an unknown name, or a schedule with no form for the
-    procedure. No procedure has a size limit of its own here; a family's
-    table size is checked by its constructor, or by :func:`check_family_size`
-    before a family file is read. ``schedule`` is None when the caller
+    procedure. No procedure has a size limit of its own here: a family
+    table is capped where it is built (:func:`simes_family`) or written
+    (``kfwer test``'s report). ``schedule`` is None when the caller
     supplies the critical values itself."""
     _check_level(k, n, alpha)
     if procedure not in PROCEDURES:
@@ -426,7 +417,9 @@ def _hommel_j_hats(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
 
 
 def _rank_k_values(f: LocalTestFamily) -> np.ndarray:
-    """Index i - k holds the rank-k value of the size-i test."""
+    """Index i - k holds the rank-k value of the size-i test; a form's is its schedule reversed."""
+    if f._form is not None:
+        return f._schedule._array[::-1]
     return np.array([row[0] for row in f.rows])
 
 

@@ -76,6 +76,11 @@ class SimulationConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        # A string would fail the range checks below with TypeError, a bool pass.
+        for name in ("alpha", "rho", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.n_true <= self.n:

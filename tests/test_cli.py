@@ -239,6 +239,24 @@ class TestCmdTest:
         assert code == EXIT_BAD_DATA
         assert out == "" and err == f"error: {tmp_path / 'absent.csv'}: No such file or directory\n"
 
+    def test_oversized_romano_shaikh_family_exits_3_before_its_base_is_opened(self, pfile, tmp_path, capsys,
+                                                                              monkeypatch):
+        """The report of a family writes every entry, so the cap applies to
+        every family procedure as soon as n is known: a missing
+        ``--base-schedule`` file is reported as too large, not as missing."""
+        from kfwer import procedures
+
+        monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 14)
+        argv = ["test", "--k", "1", "--alpha", "0.05", "--procedure", "hommel", "--schedule", "romano-shaikh",
+                "--base-schedule", str(tmp_path / "absent.txt"), "--input", pfile]
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_BAD_FLAGS
+        assert out == "" and err == f"error: {FamilyTooLargeError(5, 15, 14)}\n"
+        monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 15)
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_BAD_DATA
+        assert out == "" and err == f"error: {tmp_path / 'absent.txt'}: No such file or directory\n"
+
     def test_k_larger_than_n_exits_3(self, pfile, capsys):
         code, _, _ = run_main(
             ["test", "--k", "9", "--alpha", "0.05", "--procedure", "stepdown",

@@ -3,6 +3,7 @@ types, and the diagonal condition check."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ from oracles import order_pvalues_reference, unit_interval_reference
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
+
+# Every kind of iterable a caller may pass for a schedule or a row.
+ITERABLES = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda xs: (x for x in xs),
+    "map": lambda xs: map(float, xs),
+    "array": np.array,
+}
 
 
 class TestOrderPValues:
@@ -167,6 +177,14 @@ class TestValidateSchedule:
             validate_schedule(1, 2, [0.1, flag])
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize("form", ITERABLES)
+    def test_any_iterable_of_values(self, form):
+        """A generator or map of values used to fail with TypeError on len()."""
+        s = CriticalSchedule(k=1, n=2, alphas=ITERABLES[form]([0.05, 0.1]))
+        assert s == validate_schedule(1, 2, (0.05, 0.1))
+        with pytest.raises(BadShapeError, match="needs 2 values, got 3"):
+            CriticalSchedule(k=1, n=2, alphas=ITERABLES[form]([0.05, 0.1, 0.2]))
+
 
 class TestValidateFamily:
     def test_constant_family_shape(self):
@@ -213,6 +231,21 @@ class TestValidateFamily:
         with pytest.raises(OutOfRangeError, match="row m=3") as exc:
             validate_family(2, 3, [[0.05], [flag, 0.04]])
         assert exc.value.position == 1
+
+    @pytest.mark.parametrize("outer", ["list", "tuple", "generator"])
+    @pytest.mark.parametrize("inner", ITERABLES)
+    def test_any_iterable_of_rows(self, outer, inner):
+        """A generator of rows used to fail with TypeError on len()."""
+        table = [[0.1], [0.05, 0.1]]
+        rows = ITERABLES[outer](map(ITERABLES[inner], table))
+        fam = LocalTestFamily(k=1, n=2, rows=rows)
+        assert fam == validate_family(1, 2, table) and fam.rows == ((0.1,), (0.05, 0.1))
+
+    @pytest.mark.parametrize("row", [0.5, None, 1, np.float64(0.1)])
+    def test_a_row_that_is_no_sequence_is_a_shape_error(self, row):
+        """A number in place of a row used to fail with TypeError."""
+        with pytest.raises(BadShapeError, match=re.escape(f"row for cardinality m=2 must be a sequence of values, got {row!r}")):
+            validate_family(1, 2, [[0.1], row])
 
     # Tables with faults in several rows, and the first error each raises:
     # rows in turn (shape, range, then order in i), then order in m.

@@ -37,6 +37,7 @@ from kfwer import (
     validate_schedule,
 )
 from kfwer import procedures
+from kfwer.procedures import FAMILY_PROCEDURES
 from kfwer.verify import random_family, random_pvalues, random_schedule
 from oracles import (
     closed_testing_detail_oracle,
@@ -47,6 +48,16 @@ from oracles import (
 )
 
 LR_2_5 = lehmann_romano_schedule(2, 5, 0.05)
+
+
+def stepdown_table(s):
+    """The stepdown form of s as a table: row m repeats alpha_{n-m+k}."""
+    return [(s.alphas[s.n - m],) * (m - s.k + 1) for m in range(s.k, s.n + 1)]
+
+
+def stepup_table(s):
+    """The stepup form of s as a table: row m holds alpha_{n-m+i}, i = k..m."""
+    return [s.alphas[s.n - m :] for m in range(s.k, s.n + 1)]
 
 
 def rejected_set(result):
@@ -457,6 +468,60 @@ class TestFamilyConstructors:
         # diagonals (l, (n-i)+l) are constant in l
         assert fam.value(1, 2) == fam.value(2, 3)
 
+    def test_formed_families_equal_their_tables(self):
+        """Each formed constructor's family equals its table twin, the
+        triangle it stood for when it was built as one, in ==, hash and repr,
+        and its row(m) and value(i, m) are the twin's, bit for bit, read
+        from the schedule before any row tuple is built."""
+        rng = np.random.default_rng(18)
+        for trial in range(90):
+            n = int(rng.integers(1, 40))
+            k = (1, n, int(rng.integers(1, n + 1)))[trial % 3]
+            alpha = float(rng.uniform(0.001, 0.999))
+            s = random_schedule(rng, k, n)
+            lehmann_romano = lehmann_romano_schedule(k, n, alpha)
+            cases = [
+                (stepdown_as_family(s), stepdown_table(s)),
+                (stepup_as_family(s), stepup_table(s)),
+                (constant_family(k, n, alpha), stepdown_table(lehmann_romano)),
+                (scaled_family(lehmann_romano, alpha), stepup_table(romano_shaikh_schedule(lehmann_romano, alpha))),
+            ]
+            if s.alphas[-1] > 0.0:
+                cases.append((scaled_family(s, alpha), stepup_table(romano_shaikh_schedule(s, alpha))))
+            for fam, table in cases:
+                twin = validate_family(k, n, table)
+                for m in range(k, n + 1):
+                    assert list(map(repr, fam.row(m))) == list(map(repr, twin.row(m)))
+                    assert [repr(fam.value(i, m)) for i in range(k, m + 1)] == list(map(repr, twin.row(m)))
+                assert "rows" not in vars(fam)
+                assert fam == twin and twin == fam and hash(fam) == hash(twin) and repr(fam) == repr(twin)
+                assert fam == validate_family(k, n, fam.rows)
+                assert fam.rows is fam.rows
+
+    def test_formed_and_table_families_decide_alike(self):
+        """generalized_hommel and bind_batch reject the same hypotheses with
+        a formed family as with its table twin, on p-values with ties and
+        values planted on the schedule, n <= 60, without building a row
+        tuple; so does closed_testing, at n <= 12."""
+        rng = np.random.default_rng(60)
+        for trial in range(150):
+            n = int(rng.integers(1, 61))
+            k = (1, n, int(rng.integers(1, n + 1)))[trial % 3]
+            s = random_schedule(rng, k, n)
+            for fam, table in ((stepdown_as_family(s), stepdown_table(s)), (stepup_as_family(s), stepup_table(s))):
+                twin = validate_family(k, n, table)
+                batch = [random_pvalues(rng, n, pool=list(s.alphas)) for _ in range(4)]
+                for p in batch:
+                    got, want = generalized_hommel(p, fam), generalized_hommel(p, twin)
+                    assert (got.rejected, got.detail) == (want.rejected, want.detail)
+                sorted_p = np.array([p.sorted_values() for p in batch])
+                for procedure in FAMILY_PROCEDURES:
+                    counts = procedures.bind_batch(procedure, fam)(sorted_p)
+                    assert counts.tolist() == procedures.bind_batch(procedure, twin)(sorted_p).tolist()
+                assert "rows" not in vars(fam)
+                if n <= 12:
+                    assert closed_testing(batch[0], fam).rejected == closed_testing(batch[0], twin).rejected
+
     def test_stepwise_family_rows_equal_their_per_entry_definition(self):
         """Every row of the stepdown and stepup forms holds, entry for entry,
         alpha_{n-m+k} and alpha_{n-m+i}, on schedules with ties and zeros."""
@@ -474,24 +539,15 @@ class TestFamilyConstructors:
         fam = simes_family(1, 4, 0.04)
         assert fam.row(4) == (0.01, 0.02, 0.03, 0.04)
 
-    FAMILY_BUILDERS = {
-        "constant": lambda base: constant_family(base.k, base.n, 0.05),
-        "simes": lambda base: simes_family(base.k, base.n, 0.05),
-        "scaled": lambda base: scaled_family(base, 0.05),
-        "stepdown-as": stepdown_as_family,
-        "stepup-as": stepup_as_family,
-    }
+    TABLE_BUILDERS = {"simes": lambda base: simes_family(base.k, base.n, 0.05)}
 
-    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(TABLE_BUILDERS))
     def test_oversized_table_refused_before_building(self, name, monkeypatch):
         """With the cap lowered to 100,000 entries, n = 447 (100,128 entries,
-        about 3 MB if built) is refused before d1 or any row runs, and
-        n = 446 (99,681 entries) is built."""
-        build = self.FAMILY_BUILDERS[name]
-        d1_calls = []
-        real_d1 = procedures.d1
+        about 3 MB if built) is refused before any row runs, and n = 446
+        (99,681 entries) is built."""
+        build = self.TABLE_BUILDERS[name]
         monkeypatch.setattr(procedures, "MAX_FAMILY_ENTRIES", 100_000)
-        monkeypatch.setattr(procedures, "d1", lambda s: d1_calls.append(s.n) or real_d1(s))
         over = lehmann_romano_schedule(1, 447, 0.05)
         tracemalloc.start()
         try:
@@ -502,8 +558,38 @@ class TestFamilyConstructors:
             tracemalloc.stop()
         assert (exc.value.n, exc.value.entries, exc.value.cap) == (447, 100_128, 100_000)
         assert "n=447" in str(exc.value) and "100000" in str(exc.value)
-        assert d1_calls == [] and peak < 64_000
+        assert peak < 64_000
         assert build(lehmann_romano_schedule(1, 446, 0.05)).n == 446
+
+    FORMED_BUILDERS = {
+        "constant": lambda base: constant_family(base.k, base.n, 0.05),
+        "scaled": lambda base: scaled_family(base, 0.05),
+        "stepdown-as": stepdown_as_family,
+        "stepup-as": stepup_as_family,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMED_BUILDERS))
+    def test_formed_family_builds_no_table(self, name):
+        """A stepdown or stepup form holds its schedule only: at n = 10^5,
+        where the table would hold 5 * 10^9 entries, building it and
+        deciding Hommel with it peak under 16 MB (d1's transforms are most
+        of that for ``scaled``), and no row tuple is built."""
+        n = 10**5
+        values = np.random.default_rng(5).uniform(size=n)
+        values[: n // 100] = 1e-12
+        p = order_pvalues(values)
+        base = lehmann_romano_schedule(1, n, 0.05)
+        tracemalloc.start()
+        try:
+            fam = self.FORMED_BUILDERS[name](base)
+            result = generalized_hommel(p, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert (fam.k, fam.n, fam._form) == (1, n, "stepup" if name in ("scaled", "stepup-as") else "stepdown")
+        assert "rows" not in vars(fam)
+        assert result.num_rejected >= n // 100 and result.detail["j_hat"] is not None
 
     def test_entry_cap_sizing(self):
         """About 32 bytes per entry keeps the largest table under 1 GB; at

@@ -25,6 +25,7 @@ from kfwer import (
     romano_shaikh_schedule,
     scaled_family,
     simes_family,
+    stepdown_as_family,
     stepup_as_family,
     validate_family,
     validate_schedule,
@@ -124,12 +125,14 @@ def schedules(draw, size=sizes()):
 
 @st.composite
 def families(draw):
-    """Constant, stepup-form (rows share one schedule's values), Simes and
+    """Constant, the stepdown and stepup forms of a schedule, Simes and
     random doubly monotone families, as validated or as built."""
     k, n = draw(sizes())
-    kind = draw(st.sampled_from(["constant", "stepup", "simes", "product"]))
+    kind = draw(st.sampled_from(["constant", "stepdown", "stepup", "simes", "product"]))
     if kind == "simes":
         return simes_family(k, n, draw(st.floats(0.001, 0.999)))
+    if kind == "stepdown":
+        return stepdown_as_family(draw(schedules(st.just((k, n)))))
     if kind == "stepup":
         return stepup_as_family(draw(schedules(st.just((k, n)))))
     width = n - k + 1
@@ -167,6 +170,9 @@ def test_table_writer_matches_json_dumps(critical):
     validate_family(2, 4, [[0.03], [-0.0, 0.02], [0.0, -0.0, 0.01]]),
     validate_family(1, 3, [[0.5], [0.0, 0.5], [-0.0, 0.0, 0.5]]),
     stepup_as_family(validate_schedule(1, 4, [0.0, -0.0, 0.0, 0.05])),
+    stepup_as_family(validate_schedule(1, 4, [-0.0, 0.0, 0.01, 0.05])),
+    stepdown_as_family(validate_schedule(1, 4, [-0.0, 0.0, 0.01, 0.05])),
+    stepdown_as_family(validate_schedule(2, 5, [-0.0, 0.0, -0.0, 0.0])),
     validate_family(3, 3, [[0.05]]),
     validate_family(1, 1, [[-0.0]]),
     constant_family(1, 1, 0.05),
@@ -180,13 +186,14 @@ def test_table_writer_matches_json_dumps(critical):
 ], ids=lambda critical: type(critical).__name__)
 def test_table_writer_on_zeros_and_single_rows(critical):
     """Zero rows and zero prefixes of either sign, in one row and across
-    rows, n = k, k = 1 and single values."""
+    rows, n = k, k = 1 and single values: the stepdown and stepup forms
+    of a schedule led by -0.0 and 0.0 keep each zero's sign in every row."""
     assert_written_as_json(critical)
 
 
 def test_romano_shaikh_hommel_report_is_json_dumps(tmp_path, capsys):
-    """A Romano-Shaikh family's rows share its schedule's values, so the
-    writer formats each once; the report is still json's text."""
+    """A Romano-Shaikh family's rows are tails of its schedule, so the
+    writer formats each value once; the report is still json's text."""
     k, n, alpha = 2, 300, 0.05
     pfile = tmp_path / "p.txt"
     pfile.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(3).uniform(size=n).tolist()))

@@ -2,6 +2,7 @@
 error-rate counting, and level control at reduced replication counts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ class TestConfigValidation:
         """A float seed used to run the truncated seed's stream, and a
         float n, k, n_true or reps failed mid-run with TypeError."""
         with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha", "rho", "delta"])
+    @pytest.mark.parametrize("value", ["0.5", True, np.bool_(False), None, 0.5j])
+    def test_rejects_non_real_levels(self, field, value):
+        """A string alpha, rho or delta used to fail with a bare TypeError,
+        and a bool passed the range checks as 0 or 1."""
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be a real number, got {value!r}")):
             config(**{field: value})
 
     def test_numpy_integers_are_stored_as_int(self):
