@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     BadShapeError,
-    CardinalityOutOfRangeError,
     CriticalSchedule,
     LocalTestFamily,
     NotMonotoneError,
@@ -72,8 +71,6 @@ def type1_bound(family: LocalTestFamily, m: int) -> float:
     Evaluates the ordered-p-value bound with t = m and thresholds equal
     to row m of the family padded with k-1 leading zeros.
     """
-    if not family.k <= m <= family.n:
-        raise CardinalityOutOfRangeError(m, family.k, family.n)
     betas = (0.0,) * (family.k - 1) + family.row(m)
     return lemma31_bound(BoundInput(t=m, betas=betas))
 

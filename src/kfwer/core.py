@@ -97,11 +97,12 @@ class AlphaOutOfRangeError(KfwerError):
 
 
 class CardinalityOutOfRangeError(KfwerError):
-    """A subset cardinality m is outside {k, ..., n}."""
+    """A subset cardinality m, or an ordered index i, is outside {k, ..., n}
+    (for i of a size-m test, {k, ..., m}); ``n`` holds the upper bound."""
 
-    def __init__(self, m: int, k: int, n: int):
+    def __init__(self, m: int, k: int, n: int, what: str = "cardinality m", top: str = "n"):
         self.m, self.k, self.n = m, k, n
-        super().__init__(f"cardinality m={m} must satisfy k={k} <= m <= n={n}")
+        super().__init__(f"{what}={m} must satisfy k={k} <= {what[-1]} <= {top}={n}")
 
 
 class LengthMismatchError(KfwerError):
@@ -293,6 +294,8 @@ class CriticalSchedule(_Frozen):
 
     def alpha(self, i: int) -> float:
         """Critical value for ordered index i (k <= i <= n)."""
+        if not self.k <= i <= self.n:
+            raise CardinalityOutOfRangeError(i, self.k, self.n, "index i")
         return self._array.item(i - self.k)
 
 
@@ -357,13 +360,19 @@ class LocalTestFamily(_Frozen):
         return tuple(map(self.row, range(self.k, self.n + 1)))
 
     def value(self, i: int, m: int) -> float:
-        """Critical value for the i-th smallest p-value of a size-m subset."""
+        """Critical value for the i-th smallest p-value of a size-m subset, k <= i <= m <= n."""
+        if not self.k <= m <= self.n:
+            raise CardinalityOutOfRangeError(m, self.k, self.n)
+        if not self.k <= i <= m:
+            raise CardinalityOutOfRangeError(i, self.k, m, "index i", "m")
         if self._form is None:
             return self.rows[m - self.k][i - self.k]
         return self._schedule.alpha(self.n - m + (self.k if self._form == "stepdown" else i))
 
     def row(self, m: int) -> tuple[float, ...]:
-        """Critical values for subsets of cardinality m."""
+        """Critical values for subsets of cardinality m (k <= m <= n)."""
+        if not self.k <= m <= self.n:
+            raise CardinalityOutOfRangeError(m, self.k, self.n)
         if self._form is None:
             return self.rows[m - self.k]
         if self._form == "stepdown":

@@ -14,7 +14,9 @@ Stepdown, stepup and Hommel each have one implementation: a batch kernel
 that decides a matrix of sorted p-values, one row per replication.
 ``kfwer simulate`` runs it over chunks of replications; the public
 functions :func:`stepdown`, :func:`stepup` and :func:`generalized_hommel`
-run it over the one row of a single p-value vector.
+run it over the one row of a single p-value vector. Hommel on a stepdown
+or stepup form runs the form's stepwise kernel: by Theorems 4.2, 4.4 and
+5.1 the two reject the same hypotheses.
 """
 
 from __future__ import annotations
@@ -188,13 +190,12 @@ def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     j whose top-j p-values all clear the size-j local test; then rejects
     every hypothesis with p-value at or below the rank-k critical value
     of the size-j test. When no cardinality survives, everything is
-    rejected and the estimate is recorded as absent.
+    rejected and the estimate is recorded as absent. A stepdown or stepup
+    form runs its stepwise kernel, which rejects the same (:func:`_hommel`).
     """
     _require_same_n(p, f.n, "family")
-    sorted_p = _one_row(p)
-    j_hat = _hommel_j_hats(sorted_p, f)
-    count = int(_hommel_counts(sorted_p, f, j_hat)[0])
-    return ProcedureResult(_prefix_flags(p, count), {"j_hat": int(j_hat[0]) or None}, "generalized_hommel", family=f)
+    count, j_hat = (int(column[0]) for column in _hommel(_one_row(p), f))
+    return ProcedureResult(_prefix_flags(p, count), {"j_hat": j_hat or None}, "generalized_hommel", family=f)
 
 
 def _check_level(k: int, n: int, alpha: float) -> None:
@@ -368,11 +369,8 @@ def critical_values(
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 
-# Batch kernels: the one implementation of the stepwise and Hommel rules.
-# Each takes a matrix of sorted p-values, one replication per row, and
-# returns each row's count of rejected most significant hypotheses.
-# `kfwer simulate` runs them over chunks of replications; the public rules
-# above run them over the one row of a single p-value vector.
+# Batch kernels: each maps a matrix of sorted p-values, one replication per
+# row, to each row's count of rejected most significant hypotheses.
 
 
 def _one_row(p: PValueVector) -> np.ndarray:
@@ -392,58 +390,54 @@ def _stepup_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
     return np.where(hits.any(axis=1), s.n - hits[:, ::-1].argmax(axis=1), s.k - 1)
 
 
-def _hommel_j_hats(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
-    """Each row's Hommel ``j_hat``, 0 where no cardinality survives.
+def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Hommel count and ``j_hat`` (0 where no size survives).
 
-    Size i survives when the top i p-values clear row i of the family.
-    Sizes are scanned downward over the rows still open, and the scan
-    stops once every row has its survivor. Sizes whose rank-k value (the
-    first of the size's row) no row clears are skipped without comparing
-    the row; one comparison finds them for all sizes.
+    Size j survives when the top j p-values clear row j; ``j_hat`` is the
+    largest survivor. The count is n if none survives, else at least k - 1
+    and every p-value at or below the size-``j_hat`` row's rank-k value.
+
+    A form runs its stepwise kernel: that rule is closed testing with the
+    form (Theorems 4.2 and 4.4), which this shortcut equals (Theorem 5.1),
+    so both count r. Row j starts at rank t = n - j + k and holds alpha_t
+    (stepdown) or alpha_t..alpha_n (stepup), so size j survives iff p_(t) >
+    alpha_t (stepdown) or every rank from t on exceeds its value (stepup).
+    The least such t, r + 1 either way (the stepdown scan's first miss, the
+    rank past the stepup scan's last hit), gives ``j_hat`` = n - r + k - 1
+    for r < n; r = n leaves no survivor.
+
+    A table's sizes are scanned downward over the rows still open; sizes
+    whose rank-k value no row clears are skipped without comparing a row.
     """
     n, k = f.n, f.k
-    # The rank-k member of the top i is column n - i + k - 1; reversed,
-    # entry i - k belongs to size i. ``initial`` admits a batch of no rows.
-    reachable = sorted_p[:, k - 1:].max(axis=0, initial=-np.inf)[::-1] > _rank_k_values(f)
+    if f._form is not None:
+        counts = _RULES[f._form][1](sorted_p, f._schedule)
+        return counts, np.where(counts < n, n - counts + k - 1, 0)
+    # thresholds[j]: size j's rank-k value, inf at 0, where it admits every p-value.
+    thresholds = np.full(n + 1, np.inf)
+    thresholds[k:] = [row[0] for row in f.rows]
+    # Size j's rank-k member is column n - j + k - 1, so the reversed column
+    # maxima line up with thresholds[k:]. ``initial`` admits a batch of no rows.
+    reachable = sorted_p[:, k - 1:].max(axis=0, initial=-np.inf)[::-1] > thresholds[k:]
     j_hat = np.zeros(len(sorted_p), dtype=np.intp)
     open_rows = np.arange(len(sorted_p))
-    for i in (np.flatnonzero(reachable)[::-1] + k).tolist():
-        survives = (sorted_p[open_rows, n - i + k - 1:] > np.asarray(f.row(i))).all(axis=1)
-        j_hat[open_rows[survives]] = i
+    for j in (np.flatnonzero(reachable)[::-1] + k).tolist():
+        survives = (sorted_p[open_rows, n - j + k - 1:] > np.asarray(f.row(j))).all(axis=1)
+        j_hat[open_rows[survives]] = j
         open_rows = open_rows[~survives]
         if open_rows.size == 0:
             break
-    return j_hat
-
-
-def _rank_k_values(f: LocalTestFamily) -> np.ndarray:
-    """Index i - k holds the rank-k value of the size-i test; a form's is its schedule reversed."""
-    if f._form is not None:
-        return f._schedule._array[::-1]
-    return np.array([row[0] for row in f.rows])
-
-
-def _hommel_counts(sorted_p: np.ndarray, f: LocalTestFamily, j_hat: np.ndarray) -> np.ndarray:
-    """At least k - 1, and every p-value at or below the rank-k value of
-    the size-``j_hat`` test; n where no cardinality survives (``j_hat`` 0)."""
-    # Index j holds the rank-k value of the size-j test; inf at 0 admits every p-value.
-    thresholds = np.full(f.n + 1, np.inf)
-    thresholds[f.k:] = _rank_k_values(f)
-    below = (sorted_p <= thresholds[j_hat, None]).sum(axis=1)
-    return np.maximum(f.k - 1, below)
+    return np.maximum(k - 1, (sorted_p <= thresholds[j_hat, None]).sum(axis=1)), j_hat
 
 
 def _hommel_kernel(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
-    return _hommel_counts(sorted_p, f, _hommel_j_hats(sorted_p, f))
+    return _hommel(sorted_p, f)[0]
 
 
 # Procedure name -> (name of its public rule, batch kernel). ``closed`` maps
-# to generalized Hommel: every family the package admits is nondecreasing
-# in i and nonincreasing in m, and for such a family Theorem 5.1 makes the
-# shortcut reject exactly what closed testing rejects, at any n and without
-# enumerating subsets. :func:`closed_testing` stays the exhaustive
-# reference. The public rule is looked up by name when bound, like the
-# resolver's constructors, so a rebound module name takes effect.
+# to generalized Hommel, which Theorem 5.1 makes equal to closed testing for
+# every family the package admits. The public rule is looked up by name when
+# bound, like the resolver's constructors, so a rebound module name takes effect.
 _RULES = {
     "stepdown": ("stepdown", _stepdown_counts),
     "stepup": ("stepup", _stepup_counts),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kfwer import (
     BadShapeError,
     BoundInput,
+    CardinalityOutOfRangeError,
     CriticalSchedule,
     EmptyInputError,
     KfwerError,
@@ -424,6 +425,39 @@ def test_constructors_produce_valid_families(k, extra, alpha, data):
             families.append(scaled_family(base, alpha))
     for fam in families:
         assert LocalTestFamily(k=fam.k, n=fam.n, rows=fam.rows) == fam
+
+
+LR_2_5 = lehmann_romano_schedule(2, 5, 0.05)
+INDEXED = {
+    "schedule": LR_2_5,
+    "table": validate_family(2, 5, [LR_2_5.alphas[5 - m :] for m in range(2, 6)]),
+    "stepdown form": constant_family(2, 5, 0.05),
+    "stepup form": stepup_as_family(LR_2_5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_indices_outside_their_range_raise(name):
+    """``alpha(i)`` needs k <= i <= n, ``row(m)`` k <= m <= n and
+    ``value(i, m)`` k <= i <= m <= n: a negative index no longer wraps
+    around and an m past n no longer returns a short row."""
+    critical = INDEXED[name]
+    if name == "schedule":
+        assert [critical.alpha(i) for i in range(2, 6)] == list(critical.alphas)
+        bad = [(critical.alpha, (i,)) for i in (-1, 0, 1, 6)]
+    else:
+        assert [critical.row(m) for m in range(2, 6)] == list(critical.rows)
+        assert [critical.value(i, 5) for i in range(2, 6)] == list(critical.rows[-1])
+        bad = [(critical.row, (m,)) for m in (-1, 0, 1, 6, 7)]
+        bad += [(critical.value, im) for im in ((1, 3), (0, 5), (-1, 5), (4, 3), (2, 1), (2, 6), (6, 6))]
+    for method, args in bad:
+        with pytest.raises(CardinalityOutOfRangeError):
+            method(*args)
+    if name != "schedule":
+        with pytest.raises(CardinalityOutOfRangeError, match=re.escape("index i=4 must satisfy k=2 <= i <= m=3")):
+            critical.value(4, 3)
+        with pytest.raises(CardinalityOutOfRangeError, match=re.escape("cardinality m=6 must satisfy k=2 <= m <= n=5")):
+            critical.value(2, 6)
 
 
 class TestTheorem43Condition:

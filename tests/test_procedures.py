@@ -501,16 +501,21 @@ class TestFamilyConstructors:
     def test_formed_and_table_families_decide_alike(self):
         """generalized_hommel and bind_batch reject the same hypotheses with
         a formed family as with its table twin, on p-values with ties and
-        values planted on the schedule, n <= 60, without building a row
-        tuple; so does closed_testing, at n <= 12."""
+        values planted on the schedule, and on p-values one ulp above every
+        schedule value, the top one on its value or above it; at n <= 60,
+        n = 1 and k = n included, without building a row tuple; so does
+        closed_testing, at n <= 12."""
         rng = np.random.default_rng(60)
+        sizes = [(1, 1), (5, 5), (60, 60), (60, 1), (60, 2)]
         for trial in range(150):
             n = int(rng.integers(1, 61))
-            k = (1, n, int(rng.integers(1, n + 1)))[trial % 3]
+            sizes.append((n, (1, n, int(rng.integers(1, n + 1)))[trial % 3]))
+        for n, k in sizes:
             s = random_schedule(rng, k, n)
             for fam, table in ((stepdown_as_family(s), stepdown_table(s)), (stepup_as_family(s), stepup_table(s))):
                 twin = validate_family(k, n, table)
                 batch = [random_pvalues(rng, n, pool=list(s.alphas)) for _ in range(4)]
+                batch += [order_pvalues(one_ulp_above(s, top_on_value)) for top_on_value in (True, False)]
                 for p in batch:
                     got, want = generalized_hommel(p, fam), generalized_hommel(p, twin)
                     assert (got.rejected, got.detail) == (want.rejected, want.detail)
@@ -783,7 +788,7 @@ def check_against_oracle(name, critical, sorted_p):
     family = name in procedures.FAMILY_PROCEDURES
     k = critical.k
     counts = procedures.bind_batch(name, critical)(sorted_p).tolist()
-    j_hats = procedures._hommel_j_hats(sorted_p, critical).tolist() if family else None
+    j_hats = procedures._hommel(sorted_p, critical)[1].tolist() if family else None
     rule = procedures.bind_procedure(name, critical)
     for row, values in enumerate(sorted_p.tolist()):
         if family:
@@ -867,7 +872,7 @@ def test_hommel_j_hats_against_oracle_and_closure_up_to_enumeration_limit(seed):
                 *rng.choice(pool + [0.0, 1.0], size=(4, n)).tolist(),
             ]
             sorted_p = np.sort(np.array(rows), axis=1)
-            j_hats = procedures._hommel_j_hats(sorted_p, fam).tolist()
+            j_hats = procedures._hommel(sorted_p, fam)[1].tolist()
             for values, got in zip(sorted_p.tolist(), j_hats):
                 want_set, want_j = hommel_oracle(values, k, fam.rows)
                 assert (got or None) == want_j
@@ -878,14 +883,42 @@ def test_hommel_j_hats_against_oracle_and_closure_up_to_enumeration_limit(seed):
 
 def test_hommel_compares_rows_only_where_rank_k_clears(monkeypatch):
     """With no size whose rank-k value is cleared the kernel compares no
-    full row, so a no-survivor input costs one comparison per size."""
-    fam = constant_family(2, 3_000, 0.05)
+    full row of a table, so a no-survivor input costs one comparison per
+    size."""
+    fam = simes_family(2, 300, 0.05)
     calls = []
     row = type(fam).row
     monkeypatch.setattr(type(fam), "row", lambda self, m: calls.append(m) or row(self, m))
-    res = generalized_hommel(order_pvalues([1e-12] * 3_000), fam)
-    assert res.detail == {"j_hat": None} and res.num_rejected == 3_000
+    res = generalized_hommel(order_pvalues([1e-12] * 300), fam)
+    assert res.detail == {"j_hat": None} and res.num_rejected == 300
     assert calls == []
-    values = [1e-12] * 2_000 + [0.9] * 1_000
+    values = [1e-12] * 200 + [0.9] * 100
     res = generalized_hommel(order_pvalues(values), fam)
-    assert res.detail == {"j_hat": 1_001} and calls == [1_001]
+    assert res.detail == {"j_hat": 101} and calls == [101]
+
+
+def one_ulp_above(s, top_on_value):
+    """Sorted p-values with p_(t) one ulp above alpha_t for t = k..n, zeros
+    before rank k, and p_(n) on alpha_n when ``top_on_value``: the input on
+    which a row-by-row Hommel scan of a stepup form compares every row."""
+    p = np.concatenate((np.zeros(s.k - 1), np.nextafter(s._array, 1.0)))
+    if top_on_value:
+        p[-1] = s._array[-1]
+    return p
+
+
+@pytest.mark.parametrize("top_on_value", [True, False])
+def test_stepup_form_decides_as_stepup_at_scale(top_on_value):
+    """At n = 2*10^4, on p-values one ulp above a Romano-Shaikh schedule,
+    Hommel on its stepup form rejects what stepup rejects, with ``j_hat``
+    n - r + k - 1 (absent at r = n)."""
+    n, k = 20_000, 2
+    lr = lehmann_romano_schedule(k, n, 0.05)
+    s = romano_shaikh_schedule(lr, 0.05)
+    p = order_pvalues(one_ulp_above(s, top_on_value))
+    want = stepup(p, s)
+    r = want.num_rejected
+    assert r == (n if top_on_value else k - 1)
+    got = generalized_hommel(p, scaled_family(lr, 0.05))
+    assert got.rejected == want.rejected
+    assert got.detail == {"j_hat": n - r + k - 1 if r < n else None}
