@@ -2,31 +2,24 @@
 error rates by simulation, or run the randomized theorem checks.
 
 Input files are read as UTF-8; a file or stream that cannot be opened,
-read or decoded is bad input data. A p-value file, and a schedule file,
-is read in one pass into a float64 array: its text is split into lines,
-a block at a time, and every line converted by ``float()``, which strips
-surrounding whitespace as ``str.strip`` does. Only when a line fails to
-convert (a blank line, the ``id,p`` header of a CSV p-value file, or a
-bad token) are the lines walked one at a time, and a bad token is
-reported with its line number. The range check is
-:func:`kfwer.core.order_pvalues`'s, which keeps the array as the
-vector's values; its position is mapped back to a line.
+read or decoded is bad input data. A p-value or schedule file is read in
+one pass into a float64 array (:func:`_read_numbers`); a family file, CSV
+``m,i,alpha``, is read in one pass into columns that one lexsort places
+(:func:`_read_family_file`). A bad line is named by its number; the range
+check of p-values is :func:`kfwer.core.order_pvalues`'s, whose position is
+mapped back to a line.
 
-The reports of ``test`` and ``simulate`` are stable byte for byte: each is
-``json.dumps(report, indent=2)`` followed by a newline, streamed to stdout
-or to ``--output`` in pieces rather than built as one string. The
-critical values of ``test`` are written from the invariants of their
-schedule or family rather than checked entry by entry (see
-:func:`_json_chunks`): a constant row repeats one repr, a stepup form
-(``romano-shaikh``) formats each value of its schedule once, and a
-schedule is formatted from its array a slice at a time. A family report,
-all n(n+1)/2 entries, is refused above ``MAX_FAMILY_ENTRIES`` before any
-file is read. A report written to ``--output``
-replaces a regular file only once it is complete, so a failed write
-leaves the old file as it was (see :func:`_write_report`).
+The reports of ``test`` and ``simulate`` are ``json.dumps(report,
+indent=2)`` and a newline, byte for byte, streamed in pieces and written
+from the invariants of the schedule or family (:func:`_json_chunks`). A
+family report, all n(n+1)/2 entries, is refused above
+``MAX_FAMILY_ENTRIES`` before any file is read. A report written to
+``--output`` replaces a regular file only once it is complete
+(:func:`_write_report`).
 
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
-data, 3 invalid flags or flag combinations, or a report that could not be
+data, 3 invalid flags or flag combinations, a size too large to allocate
+(``error: not enough memory: ...``), or a report that could not be
 written (``error: stdout: ...`` or ``error: PATH: ...``).
 """
 
@@ -42,6 +35,7 @@ import json
 import os
 import stat
 import sys
+from array import array
 from dataclasses import asdict
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -109,18 +103,14 @@ _BLOCK = 1 << 16
 
 def _read_numbers(text: str, name: str, header: Optional[str] = None) -> tuple[np.ndarray, Optional[list[int]]]:
     """The numbers of ``text``, one per line, as a float64 array, and the
-    line each came from.
+    line each came from (None when number j came from line j).
 
-    Every line goes through ``float()`` in one pass, which strips the same
-    whitespace ``str.strip`` does, straight into the array: the text is cut
-    into blocks of about ``_BLOCK`` characters, each right after a
-    ``\\n``. That is never inside a line break (``\\r\\n`` ends with it),
-    so the blocks' lines are the text's. Only when that raises, on a blank
-    line, a header or a bad token, are the lines walked one at a time:
-    blank lines are skipped, a first line equal to ``header`` (case and
-    spaces aside) makes the rest CSV rows whose second field is the
-    number, and a bad token is named with its line. The line list is None
-    when number j came from line j.
+    Every line goes through ``float()``, which strips whitespace as
+    ``str.strip`` does, in blocks of about ``_BLOCK`` characters, each cut
+    right after a ``\\n`` and so never inside a line break. Only when that
+    raises are the lines walked one at a time: blank lines are skipped, a
+    first line equal to ``header`` (case and spaces aside) makes the rest
+    CSV rows whose second field is the number, and a bad token is named.
     """
     try:
         numbers = itertools.chain.from_iterable(map(float, block.splitlines()) for block in _blocks(text))
@@ -185,34 +175,62 @@ def _read_schedule_file(path: str, k: int, n: int) -> CriticalSchedule:
 
 
 def _read_family_file(path: str, k: int, n: int) -> LocalTestFamily:
-    """CSV with header m,i,alpha, one row per triangular entry."""
+    """CSV with header m,i,alpha, one row per triangular entry.
+
+    The rows are parsed in one pass into columns, and one stable lexsort
+    by (m, i) finds a repeated pair and places the entries row after row.
+    The fault named is the first a walk down the file meets, and only once
+    the whole file is read: text that cannot be decoded is named first.
+    """
+    lines, ms, is_, alphas = array("q"), [], [], array("d")
+    fault = None
     with _reading(path), open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(idx, row) for idx, row in enumerate(reader, start=1) if row and any(f.strip() for f in row)]
-    if not rows or [f.strip().lower() for f in rows[0][1]] != ["m", "i", "alpha"]:
-        raise InputDataError(f"{path}: expected CSV header 'm,i,alpha'")
-    entries: dict[tuple[int, int], float] = {}
-    for idx, row in rows[1:]:
-        if len(row) != 3:
-            raise InputDataError(f"{path}: line {idx}: expected three fields 'm,i,alpha'")
-        try:
-            m, i, a = int(row[0]), int(row[1]), float(row[2])
-        except ValueError:
-            raise InputDataError(f"{path}: line {idx}: could not parse 'm,i,alpha' from {row!r}") from None
-        if (i, m) in entries:
-            raise InputDataError(f"{path}: line {idx}: duplicate entry for i={i}, m={m}")
-        entries[(i, m)] = a
-    expected = {(i, m) for m in range(k, n + 1) for i in range(k, m + 1)}
-    missing = expected - set(entries)
-    extra = set(entries) - expected
-    if missing or extra:
+        records = enumerate(csv.reader(fh), start=1)
+        header = next((row for _, row in records if any(f.strip() for f in row)), None)
+        if header is None or [f.strip().lower() for f in header] != ["m", "i", "alpha"]:
+            fault, records = "expected CSV header 'm,i,alpha'", ()
+        for idx, row in records:
+            try:
+                m, i, a = row
+                m, i, a = int(m), int(i), float(a)
+            except ValueError:
+                if not any(f.strip() for f in row):
+                    continue  # a blank row
+                fault = (f"line {idx}: expected three fields 'm,i,alpha'" if len(row) != 3
+                         else f"line {idx}: could not parse 'm,i,alpha' from {row!r}")
+                break
+            lines.append(idx)
+            ms.append(m)
+            is_.append(i)
+            alphas.append(a)
+        fh.read()  # to the end: text past a fault that cannot be decoded is named instead
+    # int64 columns, or Python ints where one does not fit (such a pair is unexpected)
+    m, i = (np.array(c, dtype=np.int64 if max(map(abs, c), default=0) < 2**63 else object) for c in (ms, is_))
+    del ms, is_
+    order = np.lexsort((i, m))
+    m, i = m[order], i[order]
+    repeats = np.flatnonzero((m[1:] == m[:-1]) & (i[1:] == i[:-1])) + 1
+    if repeats.size:
+        first = repeats[order[repeats].argmin()]  # the repeat on the earliest line
+        fault = f"line {lines[order[first]]}: duplicate entry for i={i[first]}, m={m[first]}"
+    if fault is not None:
+        raise InputDataError(f"{path}: {fault}")
+    width = n - k + 1
+    inside = (k <= i) & (i <= m) & (m <= n)
+    if order.size != width * (width + 1) // 2 or not inside.all():
+        absent = np.tri(width, dtype=bool)  # [m - k, i - k] for every pair expected
+        absent[(m[inside] - k).astype(np.intp), (i[inside] - k).astype(np.intp)] = False
+        gap_i, gap_m = np.nonzero(absent.T)  # sorted by (i, m), as the extra pairs are next
+        extra = np.lexsort((m[~inside], i[~inside]))
+        missing = zip((gap_i[:5] + k).tolist(), (gap_m[:5] + k).tolist())
+        unexpected = zip(i[~inside][extra[:5]].tolist(), m[~inside][extra[:5]].tolist())
         raise InputDataError(
             f"{path}: family table must cover exactly i=k..m, m=k..n for k={k}, n={n}; (i, m) pairs "
-            f"missing {len(missing)}, first {sorted(missing)[:5]}; unexpected {len(extra)}, first {sorted(extra)[:5]}"
+            f"missing {gap_i.size}, first {list(missing)}; unexpected {extra.size}, first {list(unexpected)}"
         )
-    table = [[entries[(i, m)] for i in range(k, m + 1)] for m in range(k, n + 1)]
+    flat = np.frombuffer(alphas)[order].tolist()
     try:
-        return validate_family(k, n, table)
+        return validate_family(k, n, [flat[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2] for j in range(width)])
     except KfwerError as exc:
         raise InputDataError(f"{path}: {exc}") from None
 
@@ -250,16 +268,13 @@ def _check_output(output: Optional[str]) -> None:
 
 # The report is ``json.dumps(payload, indent=2)`` plus a newline, byte for
 # byte, written in pieces. The critical values reach the writer as the
-# CriticalSchedule or LocalTestFamily itself, and its invariants spare
-# most of json's per-number work: every entry is an exact finite float in
-# [0, 1], whose JSON text is its repr, and every row is nondecreasing.
-# - A row whose first and last entries are equal and nonzero holds one
-#   value, bits and all: its text repeats one repr. Every row of a
-#   stepdown form (``constant``) is one value.
-# - A stepup form's row m is the tail alpha_{n-m+k..n} of its schedule:
-#   each of the schedule's values is formatted once.
-# - A schedule is written from its array, ``_SLICE`` values per piece, so
-#   the texts of at most that many values are held at once.
+# CriticalSchedule or LocalTestFamily itself, whose invariants spare most
+# of json's per-number work: every entry is an exact finite float in
+# [0, 1], whose JSON text is its repr, and every row is nondecreasing. So a
+# row whose first and last entries are equal and nonzero (every row of a
+# stepdown form) repeats one repr; a stepup form's row m is the tail
+# alpha_{n-m+k..n} of its schedule, whose values are each formatted once;
+# and a schedule is written from its array, ``_SLICE`` values per piece.
 _INDENT = "  "
 _SLICE = 1 << 13
 
@@ -308,21 +323,13 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
             lead = "," + inner
         yield "\n" + _INDENT * depth + "]"
     elif isinstance(value, CriticalSchedule):
-        yield from _schedule_chunks(value._array, depth)
+        lead = "[" + inner
+        for start in range(0, value._array.size, _SLICE):
+            yield lead + _joined(value._array[start : start + _SLICE].tolist(), "," + inner)
+            lead = "," + inner
+        yield "\n" + _INDENT * depth + "]"
     else:
         yield json.dumps(value)
-
-
-def _schedule_chunks(array: np.ndarray, depth: int) -> Iterator[str]:
-    """The text of ``json.dumps(list(array), indent=2)`` at ``depth`` for a
-    schedule's values, in one piece per ``_SLICE`` values."""
-    inner = "\n" + _INDENT * (depth + 1)
-    sep = "," + inner
-    lead = "[" + inner
-    for start in range(0, array.size, _SLICE):
-        yield lead + _joined(array[start : start + _SLICE].tolist(), sep)
-        lead = sep
-    yield "\n" + _INDENT * depth + "]"
 
 
 def _joined(values: Sequence[float], sep: str) -> str:
@@ -346,14 +353,11 @@ def _write_report(path: str, chunks: Iterator[str]) -> None:
     """Write ``chunks`` to ``path``, all of them or none.
 
     A regular file, or a path with no file yet, is replaced only once the
-    whole report is written: the text goes to a new file beside it, with
-    the file's mode if it has one, and ``os.replace`` moves it over the
-    path. A failed write removes the new file and leaves ``path`` as it
-    was. A device, a FIFO or anything else that is not a regular file is
-    written in place, as is a file in a directory that admits no new file.
-    A symbolic link is followed, so the file it names is replaced; a link
-    to anything else, such as ``/dev/stdout`` on a pipe, is opened as the
-    kernel resolves it.
+    whole report is in a new file beside it, with the file's mode if it has
+    one, by ``os.replace``; a failed write removes the new file. A symbolic
+    link to a regular file is followed. Anything else, such as a FIFO or
+    ``/dev/stdout`` on a pipe, is written in place, as is a file in a
+    directory that admits no new file.
     """
     try:
         mode = os.stat(path).st_mode
@@ -593,6 +597,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # families from flags are flag problems; file-sourced problems
         # were wrapped as InputDataError.
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
+    except MemoryError as exc:
+        # A size too large to allocate came from the flags, as numpy reports it.
+        print(f"error: not enough memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_BAD_FLAGS
 
 

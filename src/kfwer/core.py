@@ -3,20 +3,16 @@ value schedules and local test families.
 
 All types are immutable and validated at construction. A caller's
 numbers are converted and range-checked in one place,
-:func:`_check_unit_interval`, which takes a float64 array whole, without
-a type scan; only ``order_pvalues``, the Lehmann-Romano,
-Romano-Shaikh and single-step constant schedules and the package's
-family constructors, whose output is otherwise valid by construction,
-skip the repeat checks.
+:func:`_check_unit_interval`; only ``order_pvalues`` and the package's
+schedule and family constructors, valid by construction, skip the checks.
 
-Arrays inside, tuples at the edge: a :class:`PValueVector` and a
-:class:`CriticalSchedule` hold each value once, in the arrays the
-decision rules and ``d1`` read: private arrays that no caller's later
-writes can reach. Their tuple fields, ``values``,
-``order`` and ``alphas``, are built from those arrays on first read and
-then kept, and ``==``, ``hash`` and ``repr`` are those of a frozen
-dataclass with these tuple fields. ``n`` and ``alpha(i)`` read the
-arrays.
+Arrays inside, tuples at the edge: a :class:`PValueVector`, a
+:class:`CriticalSchedule` and a table :class:`LocalTestFamily` hold each
+value once, in private float64 arrays that the decision rules and ``d1``
+read and no caller's later writes can reach; a family's holds its
+triangle row after row. Their tuple fields, ``values``, ``order``,
+``alphas`` and ``rows``, are built on first read and then kept, and
+``==``, ``hash`` and ``repr`` are a frozen dataclass's with those fields.
 
 Indices follow the statistical convention: hypotheses are 1-based in
 user-facing messages and in the CLI, while ``PValueVector.order`` stores
@@ -26,6 +22,8 @@ user-facing messages and in the CLI, while ``PValueVector.order`` stores
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import FrozenInstanceError
 from typing import Any, Iterable
 
@@ -139,13 +137,10 @@ class ConfigError(KfwerError):
 
 
 def _unvalidated(cls, **fields):
-    """An instance of ``cls`` with ``fields`` set and its checks not run.
-    Only for values that are valid by construction: :func:`order_pvalues`
-    and the package's own schedule and family constructors. Callers pass
-    every field the class's own constructor would set, as the arrays it
-    stores, which no one else holds, or, for a stepdown or stepup family,
-    the schedule and the form its values derive from. Everything built
-    from a caller's data goes through the class itself."""
+    """An instance of ``cls`` with ``fields`` set and its checks not run,
+    for values valid by construction. Callers pass every field the class's
+    constructor would set, as arrays no one else holds, or, for a stepdown
+    or stepup family, the schedule and the form its values derive from."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # frozen: fill the instance dict directly
     return obj
@@ -155,16 +150,12 @@ def _check_unit_interval(values: Iterable[Any], what: str) -> np.ndarray:
     """``values`` as a float64 array, each a finite number in [0, 1].
 
     The one acceptance rule for a caller's numbers: Python ints and floats
-    and numpy real scalars (a float32 array's elements, say) are taken and
-    converted to float. Anything else is refused with
-    :class:`OutOfRangeError` naming the first bad entry: strings, and
-    ``bool`` and ``np.bool_``, which the range check alone would take as
-    0 or 1. A one-dimensional float64 array holds exact floats already: it
-    is copied without a type scan, so a caller's later writes to it reach
-    nothing built from it. Python floats are checked as one array, by its
-    minimum and maximum (a NaN makes both NaN, which fails the
-    comparison); any other input, and any that fails, is checked entry by
-    entry.
+    and numpy real scalars are taken as floats; anything else, ``bool``
+    and ``np.bool_`` included, is refused with :class:`OutOfRangeError`
+    naming the first bad entry. A one-dimensional float64 array is copied
+    without a type scan. Python floats are checked as one array by its
+    minimum and maximum (a NaN fails both); any other input, and any that
+    fails, is checked entry by entry.
     """
     if type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1:
         array = values.copy()
@@ -225,10 +216,8 @@ class PValueVector(_Frozen):
     ``order`` holds 0-based original positions such that
     ``values[order[0]] <= values[order[1]] <= ...``; ties are broken by
     ascending original position, so the permutation is unique. Use
-    :func:`order_pvalues` to construct one. Each is stored once, as an
-    array: ``_values``, ``_order_array`` and ``_sorted_array`` (the order
-    statistics) serve the decision rules, and no code writes to them.
-    ``values`` and ``order`` are tuples built from them on first read.
+    :func:`order_pvalues` to construct one. The arrays ``_values``,
+    ``_order_array`` and ``_sorted_array`` (the order statistics) hold them.
     """
 
     _fields = ("values", "order")
@@ -265,12 +254,10 @@ class PValueVector(_Frozen):
 class CriticalSchedule(_Frozen):
     """Nondecreasing critical values for a stepwise procedure.
 
-    ``alphas[i - k]`` is the critical value compared against the i-th
-    smallest p-value, for i = k..n. Values for i < k are never stored:
-    the k-1 most significant hypotheses are rejected unconditionally.
-    The values are stored once, as the array ``_array`` that ``d1`` and
-    the decision rules read and no code writes to; ``alphas`` is their
-    tuple, built on first read.
+    ``alphas[i - k]``, held in the array ``_array``, is the critical value
+    compared against the i-th smallest p-value, for i = k..n. Values for
+    i < k are never stored: the k-1 most significant hypotheses are
+    rejected unconditionally.
     """
 
     _fields = ("k", "n", "alphas")
@@ -303,16 +290,15 @@ class LocalTestFamily(_Frozen):
     """Symmetric family of local tests as a triangular critical-value table.
 
     ``rows[m - k]`` holds the values compared against the k-th through m-th
-    smallest p-values of a size-m subset. Validity requires each row to be
-    nondecreasing left to right and each column nonincreasing as the
-    subset grows; both are enforced here, and a violating table is
-    rejected at construction.
+    smallest p-values of a size-m subset. Each row must be nondecreasing
+    and each column nonincreasing as the subset grows; a table that is not
+    is rejected at construction.
 
-    A table is kept as tuples. A stepdown or stepup form holds only its
-    schedule, ``_schedule``, and ``_form``: value(i, m) is alpha_{n-m+k} or
-    alpha_{n-m+i}, read from the schedule, and ``rows`` is built on first
-    read. ``==``, ``hash`` and ``repr`` are a frozen dataclass's with the
-    fields ``k``, ``n`` and ``rows``, so a form equals its table.
+    A table is stored as the float64 array ``_array``, the triangle row
+    after row, row m at offset (m-k)(m-k+1)/2. A stepdown or stepup form
+    holds only ``_schedule`` and ``_form``: value(i, m) is alpha_{n-m+k} or
+    alpha_{n-m+i}, and its ``_array`` is built on first read. ``rows`` is
+    built on first read for every family, so a form equals its table.
     """
 
     _fields = ("k", "n", "rows")
@@ -329,32 +315,45 @@ class LocalTestFamily(_Frozen):
                 raise BadShapeError(f"row for cardinality m={m} must be a sequence of values, got {row!r}") from None
         if len(table) != n - k + 1:
             raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(table)}")
-        # One range check over the whole table. Only when it fails does each
-        # row get its own, so the first fault is named where the row-by-row
-        # walk meets it: shape, range and order in i for each row in turn.
+        # The first fault a walk meets: shape, range and order in i row by
+        # row, then order in m. The ``width`` rows before a bad shape or
+        # range are checked for order in i as one array before it is raised.
+        width = next((j for j, row in enumerate(table) if len(row) != j + 1), len(table))
+        fault = None
+        if width < len(table):
+            fault = BadShapeError(f"row for cardinality m={k + width} needs {width + 1} values, got {len(table[width])}")
         try:
-            flat = tuple(_check_unit_interval([v for row in table for v in row], "family value").tolist())
-        except OutOfRangeError:
-            flat = None
-        checked, start = [], 0
-        for m, row in enumerate(table, start=k):
-            if len(row) != m - k + 1:
-                raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
-            if flat is None:
-                row = tuple(_check_unit_interval(row, f"family value in row m={m}").tolist())
-            else:
-                row, start = flat[start : start + len(row)], start + len(row)
-            for i in range(k + 1, m + 1):
-                if row[i - k] < row[i - k - 1]:
-                    raise NotMonotoneInIError(i, m)
-            checked.append(row)
-        for i in range(k, n + 1):
-            for m in range(i + 1, n + 1):
-                if checked[m - k][i - k] > checked[m - k - 1][i - k]:
-                    raise NotMonotoneInMError(i, m)
-        self.__dict__.update(k=k, n=n, rows=tuple(checked))
+            array = _check_unit_interval(itertools.chain.from_iterable(table), "family value")
+        except OutOfRangeError as exc:
+            row = (math.isqrt(8 * exc.position - 7) - 1) // 2  # the row holding that position
+            if row < width:
+                width, position = row, exc.position - row * (row + 1) // 2
+                fault = OutOfRangeError(position, exc.value, f"family value in row m={k + row}")
+            array = _check_unit_interval(itertools.chain.from_iterable(table[:width]), "family value")
+        array = array[: width * (width + 1) // 2]
+        row_of, at = _steps(width)
+        before, after = array[at], array[at + 1]
+        drops = after < before
+        if drops.any():
+            x = int(drops.argmax())
+            j = int(row_of[x])
+            raise NotMonotoneInIError(k + int(at[x]) - j * (j + 1) // 2 + 1, k + j)
+        if fault is not None:
+            raise fault
+        rises = before > array[: at.size]
+        if rises.any():
+            x = np.flatnonzero(rises)
+            j = row_of[x]
+            i = at[x] - j * (j + 1) // 2
+            first = np.lexsort((j, i))[0]  # the walk runs over i, then m
+            raise NotMonotoneInMError(k + int(i[first]), k + int(j[first]))
+        self.__dict__.update(k=k, n=n, _array=array)
 
-    # A table's rows sit in the instance dict, so this runs for a form only.
+    # A table's array sits in the instance dict, so this runs for a form only.
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(self.rows), np.float64)
+
     @functools.cached_property
     def rows(self) -> tuple[tuple[float, ...], ...]:
         return tuple(map(self.row, range(self.k, self.n + 1)))
@@ -366,18 +365,30 @@ class LocalTestFamily(_Frozen):
         if not self.k <= i <= m:
             raise CardinalityOutOfRangeError(i, self.k, m, "index i", "m")
         if self._form is None:
-            return self.rows[m - self.k][i - self.k]
+            return self._array.item((m - self.k) * (m - self.k + 1) // 2 + i - self.k)
         return self._schedule.alpha(self.n - m + (self.k if self._form == "stepdown" else i))
 
     def row(self, m: int) -> tuple[float, ...]:
         """Critical values for subsets of cardinality m (k <= m <= n)."""
         if not self.k <= m <= self.n:
             raise CardinalityOutOfRangeError(m, self.k, self.n)
+        width = m - self.k + 1
         if self._form is None:
-            return self.rows[m - self.k]
+            start = (width - 1) * width // 2
+            return tuple(self._array[start : start + width].tolist())
         if self._form == "stepdown":
-            return (self._schedule.alpha(self.n - m + self.k),) * (m - self.k + 1)
+            return (self._schedule.alpha(self.n - m + self.k),) * width
         return self._schedule.alphas[self.n - m :]
+
+
+def _steps(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row m - k and the offset ``at`` of each entry (i, m), i < m, of a
+    triangle of ``width`` rows stored row after row. ``array[at]`` and
+    ``array[at + 1]`` are each row without its last and without its first
+    entry: each lays out row m as ``array[:at.size]`` lays out row m - 1."""
+    rows = np.arange(width)
+    row_of = np.repeat(rows, rows)
+    return row_of, row_of + np.arange(row_of.size)
 
 
 def _ordered(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -420,14 +431,9 @@ def check_theorem43_condition(family: LocalTestFamily) -> bool:
     For each i >= k, the values along the diagonal l -> (l, (n - i) + l)
     must be nondecreasing in l over the entries that exist in the
     triangular table (l = k..i). Families derived from a single schedule
-    by the stepup transform have constant diagonals and always pass.
+    by the stepup transform have constant diagonals and always pass. Every
+    diagonal step, from (l, m) to (l + 1, m + 1), is compared at once.
     """
-    k, n = family.k, family.n
-    for i in range(k, n + 1):
-        prev = None
-        for l in range(k, i + 1):
-            v = family.value(l, (n - i) + l)
-            if prev is not None and v < prev:
-                return False
-            prev = v
-    return True
+    array = family._array
+    at = _steps(family.n - family.k + 1)[1]
+    return bool((array[at + 1] >= array[: at.size]).all())

@@ -11,12 +11,10 @@ at any n. ``closed_testing`` enumerates every subset exhaustively and
 stays the reference the shortcuts are checked against.
 
 Stepdown, stepup and Hommel each have one implementation: a batch kernel
-that decides a matrix of sorted p-values, one row per replication.
-``kfwer simulate`` runs it over chunks of replications; the public
-functions :func:`stepdown`, :func:`stepup` and :func:`generalized_hommel`
-run it over the one row of a single p-value vector. Hommel on a stepdown
-or stepup form runs the form's stepwise kernel: by Theorems 4.2, 4.4 and
-5.1 the two reject the same hypotheses.
+that decides a matrix of sorted p-values, one row per replication, which
+``kfwer simulate`` runs over chunks of replications and the public
+functions over the one row of a p-value vector. Hommel on a stepdown or
+stepup form runs the form's stepwise kernel (Theorems 4.2, 4.4 and 5.1).
 """
 
 from __future__ import annotations
@@ -50,9 +48,10 @@ from .core import (
 EXHAUSTIVE_LIMIT = 18
 
 # Entries of a materialized local-test family table, (n-k+1)(n-k+2)/2, which
-# is n(n+1)/2 at k = 1. At up to about 32 bytes per entry (a float and its
-# slot in a row tuple) the cap keeps a table under 1 GB; at k = 1 it admits
-# n <= 7745. simes_family and `kfwer test`'s family report refuse a larger one.
+# is n(n+1)/2 at k = 1; at k = 1 the cap admits n <= 7745. A stored table
+# takes 8 bytes per entry, 240 MB at the cap; its ``rows`` view, once read,
+# about 32 more (a float and its slot in a row tuple). simes_family and
+# `kfwer test`'s family report refuse a larger table.
 MAX_FAMILY_ENTRIES = 30_000_000
 
 
@@ -143,27 +142,22 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     rejected by the local test; subsets where it sits among the first
     k-1 members impose no constraint, which also makes the k-1 globally
     most significant hypotheses automatic rejections. Enumeration is
-    deliberately unpruned: this function is the reference the shortcut
-    procedures are validated against. ``kfwer test`` and ``kfwer
-    simulate`` never call it; their ``closed`` procedure is
-    :func:`generalized_hommel`, which Theorem 5.1 makes equal to it.
+    deliberately unpruned: this is the reference the shortcuts are checked
+    against. ``kfwer test`` and ``simulate`` never call it; their
+    ``closed`` is :func:`generalized_hommel`, which Theorem 5.1 makes equal.
 
-    Every one of the 2**n - 1 intersection hypotheses is decided by array
-    operations, one comparison per subset size, on cached read-only tables
-    of the member positions of every size-m subset of the n sorted
-    positions, built once per (n, m) from :func:`itertools.combinations`.
-    The tables for one n take about 2.4 MB at n = ``EXHAUSTIVE_LIMIT`` = 18;
-    a larger n raises :class:`TooLargeError`.
+    All 2**n - 1 intersection hypotheses are decided with one comparison
+    per subset size, on the family's array and the member tables of
+    :func:`_members`; n above ``EXHAUSTIVE_LIMIT`` raises :class:`TooLargeError`.
     """
     _require_same_n(p, f.n, "family")
     n, k = f.n, f.k
     if n > EXHAUSTIVE_LIMIT:
         raise TooLargeError(n, EXHAUSTIVE_LIMIT)
     # h[offset of (m, r)]: how many sorted p-values lie at or below the
-    # rank-r value of a size-m test. The sorted values never decrease, so
-    # the member at sorted position pos clears that value iff pos < h.
-    values = np.fromiter(itertools.chain.from_iterable(f.rows), dtype=np.float64)
-    h = np.searchsorted(p._sorted_array, values, side="right").astype(np.uint8)[:, None]
+    # rank-r value of a size-m test, so the member at sorted position pos
+    # clears that value iff pos < h.
+    h = np.searchsorted(p._sorted_array, f._array, side="right").astype(np.uint8)[:, None]
     blocked = np.zeros(n, dtype=bool)
     accepted_cardinalities = []
     start = 0
@@ -254,7 +248,7 @@ def check_family_size(k: int, n: int) -> None:
         raise FamilyTooLargeError(n, entries, MAX_FAMILY_ENTRIES)
 
 
-# The family constructors below skip LocalTestFamily's O(n^2) checks; their
+# The family constructors below skip LocalTestFamily's checks; their
 # families are valid by construction. The stepdown and stepup forms read a
 # validated schedule, which never decreases, at alpha_{n-m+k} or
 # alpha_{n-m+i}: rising with i, falling with m. Simes' i*alpha/m divides
@@ -269,13 +263,13 @@ def constant_family(k: int, n: int, alpha: float) -> LocalTestFamily:
 
 
 def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
-    """Local tests with values i*alpha/m; at k = 1 these are Simes'
-    critical values, turning the Hommel shortcut into the classical
-    Hommel procedure."""
+    """Local tests with values i*alpha/m, each rounded as the scalar is; at
+    k = 1 these are Simes' critical values, turning the Hommel shortcut
+    into the classical Hommel procedure."""
     _check_level(k, n, alpha)
     check_family_size(k, n)
-    rows = tuple(tuple(i * alpha / m for i in range(k, m + 1)) for m in range(k, n + 1))
-    return _unvalidated(LocalTestFamily, k=k, n=n, rows=rows)
+    m, i = np.tril_indices(n - k + 1)  # m - k and i - k, row after row
+    return _unvalidated(LocalTestFamily, k=k, n=n, _array=(i + k) * alpha / (m + k))
 
 
 def scaled_family(base: CriticalSchedule, alpha: float) -> LocalTestFamily:
@@ -413,9 +407,9 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     if f._form is not None:
         counts = _RULES[f._form][1](sorted_p, f._schedule)
         return counts, np.where(counts < n, n - counts + k - 1, 0)
-    # thresholds[j]: size j's rank-k value, inf at 0, where it admits every p-value.
+    # thresholds[j]: size j's rank-k value, first in its row; inf at 0, where it admits every p-value.
     thresholds = np.full(n + 1, np.inf)
-    thresholds[k:] = [row[0] for row in f.rows]
+    thresholds[k:] = f._array[np.arange(n - k + 1).cumsum()]
     # Size j's rank-k member is column n - j + k - 1, so the reversed column
     # maxima line up with thresholds[k:]. ``initial`` admits a batch of no rows.
     reachable = sorted_p[:, k - 1:].max(axis=0, initial=-np.inf)[::-1] > thresholds[k:]

@@ -21,6 +21,7 @@ from .core import (
     CriticalSchedule,
     LocalTestFamily,
     PValueVector,
+    _steps,
     check_theorem43_condition,
     order_pvalues,
     validate_family,
@@ -131,21 +132,16 @@ def random_family(rng: np.random.Generator, k: int, n: int, constant_rows: bool 
     stepdown scan).
     """
     scale = float(rng.choice([0.05, 0.2, 1.0]))
-    rows: dict[int, np.ndarray] = {}
-    rows[n] = np.sort(rng.uniform(0.0, scale, n - k + 1))
+    rows = [np.sort(rng.uniform(0.0, scale, n - k + 1))]  # m = n, n - 1, ..., k
     for m in range(n - 1, k - 1, -1):
         if rng.random() < 0.25:
             bump = np.zeros(m - k + 1)  # keep equalities in play
         else:
             bump = np.sort(rng.uniform(0.0, scale / 2.0, m - k + 1))
-        rows[m] = np.minimum(rows[m + 1][: m - k + 1] + bump, 1.0)
-    table = []
-    for m in range(k, n + 1):
-        row = rows[m]
-        if constant_rows:
-            row = np.full(m - k + 1, row[0])
-        table.append(row.tolist())
-    return validate_family(k, n, table)
+        rows.append(np.minimum(rows[-1][: m - k + 1] + bump, 1.0))
+    if constant_rows:
+        rows = [np.full(row.size, row[0]) for row in rows]
+    return validate_family(k, n, [row.tolist() for row in reversed(rows)])
 
 
 def random_diagonal_family(rng: np.random.Generator, k: int, n: int) -> LocalTestFamily:
@@ -169,20 +165,15 @@ def random_diagonal_family(rng: np.random.Generator, k: int, n: int) -> LocalTes
 
 def schedule_from_family(f: LocalTestFamily) -> CriticalSchedule:
     """The stepwise schedule a family induces: value at rank k of the
-    worst-case subset containing the i-th ordered p-value."""
-    k, n = f.k, f.n
-    return validate_schedule(k, n, [f.value(k, (n - i) + k) for i in range(k, n + 1)])
+    worst-case subset containing the i-th ordered p-value: the first
+    value of row (n - i) + k, for i = k..n."""
+    return validate_schedule(f.k, f.n, f._array[np.arange(f.n - f.k + 1).cumsum()[::-1]])
 
 
 def _draw_size(rng: np.random.Generator, n_max: int) -> tuple[int, int]:
     n = int(rng.integers(2, n_max + 1))
     k = int(rng.integers(1, n + 1))
     return n, k
-
-
-def _pool(fam: LocalTestFamily) -> list[float]:
-    """Every table entry, for p-values planted exactly on a threshold."""
-    return [v for row in fam.rows for v in row]
 
 
 # A trial draws one instance, decides it with the theorem's shortcut and
@@ -203,8 +194,9 @@ def _trial_41(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     else:
         fam = constant_family(k, n, float(rng.uniform(0.005, 0.5)))
     sched = schedule_from_family(fam)
-    p = random_pvalues(rng, n, _pool(fam))
-    rows_constant = all(all(v == row[0] for v in row) for row in fam.rows)
+    p = random_pvalues(rng, n, fam._array.tolist())
+    _, at = _steps(n - k + 1)
+    rows_constant = bool((fam._array[at + 1] == fam._array[at]).all())
     return p, fam, stepdown(p, sched), "equality" if rows_constant else "inclusion", int(rows_constant)
 
 
@@ -233,7 +225,7 @@ def _trial_43(rng: np.random.Generator, t: int, n_max: int) -> Trial:
         else:
             fam = random_diagonal_family(rng, k, n)
     sched = schedule_from_family(fam)
-    p = random_pvalues(rng, fam.n, _pool(fam))
+    p = random_pvalues(rng, fam.n, fam._array.tolist())
     return p, fam, stepup(p, sched), "inclusion", filtered
 
 
@@ -250,14 +242,13 @@ def _trial_51(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     doubly monotone family, including the reject-all branch."""
     n, k = _draw_size(rng, n_max)
     fam = random_family(rng, k, n)
-    pool = _pool(fam)
     if t % 5 == 0:
-        # Aim p-values below the smallest thresholds to exercise the
-        # branch where no cardinality survives.
-        floor = max(min(row[0] for row in fam.rows), 1e-6)
+        # Aim p-values below the smallest thresholds, the rank-k value of
+        # size n, to exercise the branch where no cardinality survives.
+        floor = max(fam.value(k, n), 1e-6)
         p = order_pvalues(rng.uniform(0.0, floor, n))
     else:
-        p = random_pvalues(rng, n, pool)
+        p = random_pvalues(rng, n, fam._array.tolist())
     hommel = generalized_hommel(p, fam)
     return p, fam, hommel, "equality", int(hommel.detail["j_hat"] is None)
 

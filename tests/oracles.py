@@ -17,8 +17,11 @@ references are the plain forms the array-native ones replaced:
 ``read_pvalues_reference``, the line-by-line p-value file reader, and
 ``order_pvalues_reference``, a key sort behind
 ``unit_interval_reference``, the entry-by-entry acceptance rule every
-numeric entry point must follow. They import ``kfwer`` when called, so
-loading this module never needs it.
+numeric entry point must follow. Two family references are the loops
+the triangle array replaced: ``validate_family_reference``, the
+row-by-row walk that names a table's first fault, and
+``theorem43_reference``, the diagonal condition entry by entry. They
+import ``kfwer`` when called, so loading this module never needs it.
 """
 
 import csv
@@ -376,3 +379,49 @@ def order_pvalues_reference(values):
     if not vals:
         raise EmptyInputError("need at least one p-value")
     return vals, tuple(sorted(range(len(vals)), key=lambda j: vals[j]))
+
+
+def validate_family_reference(k, n, rows):
+    """Reference for ``kfwer.validate_family``: the rows as tuples of plain
+    floats, or the first fault of a row-by-row walk.
+
+    Each row in turn is checked for shape, then by
+    ``unit_interval_reference``, then for order in i; then each column i in
+    turn, over m, for order in m.
+    """
+    from kfwer import BadShapeError, KOutOfRangeError, NotMonotoneInIError, NotMonotoneInMError
+
+    if not 1 <= k <= n:
+        raise KOutOfRangeError(k, n)
+    table = []
+    for m, row in enumerate(rows, start=k):
+        try:
+            table.append(tuple(row))
+        except TypeError:
+            raise BadShapeError(f"row for cardinality m={m} must be a sequence of values, got {row!r}") from None
+    if len(table) != n - k + 1:
+        raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(table)}")
+    checked = []
+    for m, row in enumerate(table, start=k):
+        if len(row) != m - k + 1:
+            raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
+        row = unit_interval_reference(row, f"family value in row m={m}")
+        for i in range(k + 1, m + 1):
+            if row[i - k] < row[i - k - 1]:
+                raise NotMonotoneInIError(i, m)
+        checked.append(row)
+    for i in range(k, n + 1):
+        for m in range(i + 1, n + 1):
+            if checked[m - k][i - k] > checked[m - k - 1][i - k]:
+                raise NotMonotoneInMError(i, m)
+    return tuple(checked)
+
+
+def theorem43_reference(k, n, rows):
+    """Reference for ``kfwer.check_theorem43_condition`` on the rows m = k..n:
+    every diagonal l -> (l, (n - i) + l), l = k..i, is nondecreasing."""
+    for i in range(k, n + 1):
+        diagonal = [rows[(n - i) + l - k][l - k] for l in range(k, i + 1)]
+        if any(later < earlier for earlier, later in zip(diagonal, diagonal[1:])):
+            return False
+    return True

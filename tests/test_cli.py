@@ -21,7 +21,7 @@ from kfwer import (
     order_pvalues,
     scaled_family,
 )
-from kfwer import cli
+from kfwer import cli, procedures, validate_family
 from kfwer.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
@@ -497,6 +497,69 @@ def test_test_and_simulate_resolve_alike(procedure, schedule, k, tmp_path, capsy
     assert report["rejected"] == [j + 1 for j in result.rejected_indices()]
 
 
+# A valid k = 1, n = 3 family file, and the same file with one fault each,
+# with the message the reader gives for it after "error: PATH: ". These are
+# the messages of the row-by-row reader the one-lexsort reader replaced.
+FAMILY_ROWS = [("1", "1", "0.05"), ("2", "1", "0.025"), ("2", "2", "0.05"),
+               ("3", "1", "0.01"), ("3", "2", "0.02"), ("3", "3", "0.05")]
+COVER = "family table must cover exactly i=k..m, m=k..n for k=1, n=3; (i, m) pairs "
+
+
+def family_csv(rows):
+    return "m,i,alpha\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def with_entry(m, i, alpha):
+    return [(m, i, alpha) if row[:2] == (m, i) else row for row in FAMILY_ROWS]
+
+
+FAMILY_FILE_FAULTS = {
+    "unparsable-field": (with_entry("3", "2", "abc"), "line 6: could not parse 'm,i,alpha' from ['3', '2', 'abc']"),
+    "two-fields": (FAMILY_ROWS[:4] + [("3", "2")] + FAMILY_ROWS[5:], "line 6: expected three fields 'm,i,alpha'"),
+    "four-fields": (FAMILY_ROWS + [("4", "1", "0.01", "")], "line 8: expected three fields 'm,i,alpha'"),
+    "duplicate-inside": (FAMILY_ROWS + [("2", "1", "0.025")], "line 8: duplicate entry for i=1, m=2"),
+    "duplicate-outside": (FAMILY_ROWS + [("4", "1", "0.01")] * 2, "line 9: duplicate entry for i=1, m=4"),
+    "missing-pair": (FAMILY_ROWS[:4] + FAMILY_ROWS[5:], COVER + "missing 1, first [(2, 3)]; unexpected 0, first []"),
+    "extra-pair": (FAMILY_ROWS + [("4", "1", "0.01")], COVER + "missing 0, first []; unexpected 1, first [(1, 4)]"),
+    "out-of-range": (with_entry("3", "2", "1.5"),
+                     "family value in row m=3 at position 2 is 1.5, expected a finite number in [0, 1]"),
+    "nan": (with_entry("3", "2", "nan"),
+            "family value in row m=3 at position 2 is nan, expected a finite number in [0, 1]"),
+    "not-monotone-in-i": (with_entry("3", "2", "0.005"),
+                          "family values must be nondecreasing in i: entry (i=2, m=3) is smaller than (i=1, m=3)"),
+    "not-monotone-in-m": (with_entry("2", "1", "0.005"),
+                          "family values must be nonincreasing in m: entry (i=1, m=3) is larger than (i=1, m=2)"),
+}
+
+
+class TestFamilyFile:
+    def run(self, tmp_path, capsys, data):
+        pv = tmp_path / "p.txt"
+        pv.write_text("0.01\n0.04\n0.5\n")
+        fam = tmp_path / "family.csv"
+        fam.write_bytes(data.encode())
+        argv = ["test", "--k", "1", "--alpha", "0.05", "--procedure", "hommel", "--schedule", f"file:{fam}",
+                "--input", str(pv)]
+        code, out, err = run_main(argv, capsys)
+        return code, out, err.replace(str(fam), "PATH")
+
+    @pytest.mark.parametrize("case", FAMILY_FILE_FAULTS)
+    def test_one_fault(self, case, tmp_path, capsys):
+        rows, message = FAMILY_FILE_FAULTS[case]
+        assert self.run(tmp_path, capsys, family_csv(rows)) == (EXIT_BAD_DATA, "", f"error: PATH: {message}\n")
+
+    def test_quotes_crlf_and_blank_lines_read_as_the_plain_file(self, tmp_path, capsys):
+        spelled = tmp_path / "spelled.csv"
+        spelled.write_bytes(('\r\n"M"," i ",ALPHA \r\n\r\n' + "".join(
+            f'"{m}", {i} ,"{a}"\r\n , , \r\n' for m, i, a in reversed(FAMILY_ROWS))).encode())
+        plain = tmp_path / "plain.csv"
+        plain.write_text(family_csv(FAMILY_ROWS))
+        want = validate_family(1, 3, [[0.05], [0.025, 0.05], [0.01, 0.02, 0.05]])
+        assert cli._read_family_file(str(spelled), 1, 3) == cli._read_family_file(str(plain), 1, 3) == want
+        code, out, _ = self.run(tmp_path, capsys, family_csv(FAMILY_ROWS))
+        assert code == EXIT_OK and json.loads(out)["critical_values"] == [list(row) for row in want.rows]
+
+
 class TestUndecodableInput:
     """Every reader of `kfwer test` refuses text that is not UTF-8 with exit 2,
     naming the file or stream, instead of a traceback."""
@@ -538,6 +601,22 @@ class TestUndecodableInput:
         bad.write_bytes(b"m,i,alpha\n1,1,0.05\n2,1,\xff\n")
         self.check([*self.COMMON, "--procedure", "hommel", "--schedule", f"file:{bad}", "--input", str(pv)],
                    str(bad), capsys)
+
+
+@pytest.mark.parametrize("error, detail", [
+    (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"),
+     "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"),
+    (MemoryError(), "an allocation failed"),
+], ids=["numpy", "bare"])
+def test_a_size_too_large_to_allocate_exits_3(error, detail, capsys, monkeypatch):
+    """numpy refuses the Lehmann-Romano schedule of n = 10^13 with
+    ``MemoryError``; the CLI names it on one line and exits 3, not 1 with a
+    traceback. The constructor raises here, so nothing large is allocated."""
+    def refuse(*args):
+        raise error
+    monkeypatch.setattr(procedures, "lehmann_romano_schedule", refuse)
+    argv = ["simulate", "--n", "10", "--true-nulls", "0", "--k", "1", "--alpha", "0.05", "--reps", "1"]
+    assert run_main(argv, capsys) == (EXIT_BAD_FLAGS, "", f"error: not enough memory: {detail}\n")
 
 
 class TestCmdSimulate:

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kfwer import (
@@ -36,7 +36,13 @@ from kfwer import (
     validate_schedule,
 )
 from kfwer.procedures import critical_values, romano_shaikh_schedule
-from oracles import order_pvalues_reference, unit_interval_reference
+from kfwer.verify import random_family, random_schedule
+from oracles import (
+    order_pvalues_reference,
+    theorem43_reference,
+    unit_interval_reference,
+    validate_family_reference,
+)
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
@@ -479,6 +485,105 @@ class TestTheorem43Condition:
         assert check_theorem43_condition(constant_family(2, 4, 0.05)) is False
         assert check_theorem43_condition(constant_family(1, 2, 0.05)) is False
         assert check_theorem43_condition(constant_family(3, 3, 0.05)) is True
+
+
+# Entries a planted range fault puts in a table: out of range, NaN, or no
+# real number at all.
+BAD_ENTRIES = st.sampled_from([1.5, -0.25, math.nan, math.inf, "0.1", True, np.False_, None, np.float32(1.5), 10**400])
+# Fault kinds, repeated by weight: a fault in the row structure hides the rest.
+FAULTS = ("shape",) * 2 + ("range", "order-in-i") * 3 + ("order-in-m",) * 4 + ("row-count", "not-a-row")
+
+
+@st.composite
+def planted_tables(draw):
+    """(k, n, rows): a doubly monotone product table f(i) * g(m), with ties
+    and zeros, and up to four faults planted in it in any rows, in any
+    order: a row one entry short or long, a bad entry, an entry below its
+    left neighbour, a column rising with m, a row too many or too few, or
+    a row that is no sequence."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, k + 5))
+    width = n - k + 1
+    unit = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    f = sorted(draw(st.lists(unit, min_size=width, max_size=width)))
+    g = sorted(draw(st.lists(unit, min_size=width, max_size=width)), reverse=True)
+    rows = [[f[c] * g[j] for c in range(j + 1)] for j in range(width)]
+    for kind in draw(st.lists(st.sampled_from(FAULTS), max_size=4)):
+        j = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        row = rows[j] if rows and isinstance(rows[j], list) else None
+        if kind == "row-count":
+            if rows and draw(st.booleans()):
+                rows.pop()
+            else:
+                rows.append([0.0] * (len(rows) + 1))
+        elif row is None:
+            continue
+        elif kind == "not-a-row":
+            rows[j] = draw(st.sampled_from([0.5, None, np.float64(0.1)]))
+        elif kind == "shape":
+            if row and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(row[-1] if row else 0.0)
+        elif not row:
+            continue
+        elif kind == "range":
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_ENTRIES)
+        elif kind == "order-in-i" and len(row) > 1:
+            c = draw(st.integers(1, len(row) - 1))
+            row[c - 1], row[c] = 0.75, 0.25
+        elif kind == "order-in-m":  # 1 from entry c on: above row m - 1 there, unless it holds 1
+            c = draw(st.integers(0, len(row) - 1))
+            row[c:] = [1.0] * (len(row) - c)
+    return k, n, rows
+
+
+@given(planted_tables())
+@example((1, 4, [[0.5], [0.25, 0.5], [0.25, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]))  # order in m: (1, 4) before (2, 3)
+@example((1, 3, [[0.5], [0.25, "0.5"], [0.1, 0.1]]))  # a range fault in a row before a shape fault
+@example((2, 4, [[0.5], [0.5, 0.25], [0.1, math.nan, 0.1]]))  # order in i in a row before a range fault
+@settings(max_examples=400)
+def test_first_fault_is_the_row_by_row_walks(case):
+    """``validate_family`` raises the error of the walk the triangle array
+    replaced, type and message alike, or keeps the walk's floats."""
+    k, n, rows = case
+    try:
+        want = validate_family_reference(k, n, rows)
+    except KfwerError as exc:
+        with pytest.raises(KfwerError) as got:
+            validate_family(k, n, rows)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    assert [list(map(repr, row)) for row in validate_family(k, n, rows).rows] == [list(map(repr, row)) for row in want]
+
+
+def product_table(rng, k, n):
+    """f(i) * g(m - i) with f nondecreasing and g nonincreasing: doubly
+    monotone, with diagonals that never decrease."""
+    f = np.sort(rng.uniform(0.0, 1.0, n - k + 1))
+    g = np.sort(rng.uniform(0.0, 1.0, n - k + 1))[::-1]
+    return validate_family(k, n, [[float(f[i - k] * g[m - i]) for i in range(k, m + 1)] for m in range(k, n + 1)])
+
+
+FAMILY_KINDS = {
+    "random table": random_family,
+    "product table": product_table,
+    "stepup form": lambda rng, k, n: stepup_as_family(random_schedule(rng, k, n)),
+    "table of a stepup form": lambda rng, k, n: validate_family(k, n, stepup_as_family(random_schedule(rng, k, n)).rows),
+    "stepdown form": lambda rng, k, n: stepdown_as_family(random_schedule(rng, k, n)),
+    "constant": lambda rng, k, n: constant_family(k, n, float(rng.uniform(0.005, 0.5))),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_theorem43_condition_is_the_loops(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 15))
+    k = int(rng.integers(1, n + 1))
+    fam = FAMILY_KINDS[kind](rng, k, n)
+    assert check_theorem43_condition(fam) is theorem43_reference(k, n, fam.rows)
 
 
 # The types as frozen dataclasses with tuple fields, as they were before
