@@ -37,7 +37,7 @@ import stat
 import sys
 from array import array
 from dataclasses import asdict
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
     CriticalSchedule,
     KfwerError,
     LocalTestFamily,
+    NotMonotoneError,
     OutOfRangeError,
     PValueVector,
     order_pvalues,
@@ -86,15 +87,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _reading(name: str) -> Iterator[None]:
-    """Report a file or stream that cannot be opened, read or decoded as
-    bad input data naming it (exit 2)."""
+def _reading(name: str, line: Optional[Callable[[], int]] = None) -> Iterator[None]:
+    """Report a file or stream that cannot be opened, read or decoded, or
+    that holds a row ``csv`` cannot read, as bad input data naming it
+    (exit 2). ``line`` gives the line of such a row, where it is known."""
     try:
         yield
     except OSError as exc:
         raise InputDataError(f"{name}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{name}: not valid {exc.encoding} text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise InputDataError(f"{name}: line {line()}: {exc}" if line else f"{name}: {exc}") from None
 
 
 # Characters of text converted per block by the reader's one pass.
@@ -122,11 +126,12 @@ def _read_numbers(text: str, name: str, header: Optional[str] = None) -> tuple[n
     if header and numbered and numbered[0][1].lower().replace(" ", "") == header:
         numbered = numbered[1:]
         values = []
-        for idx, line in numbered:
-            row = next(csv.reader([line]))
-            if len(row) != 2:
-                raise InputDataError(f"{name}: line {idx}: expected two fields {header!r}, got {line!r}")
-            values.append(_parse_number(row[1], name, idx))
+        with _reading(name, lambda: idx):
+            for idx, line in numbered:
+                row = next(csv.reader([line]))
+                if len(row) != 2:
+                    raise InputDataError(f"{name}: line {idx}: expected two fields {header!r}, got {line!r}")
+                values.append(_parse_number(row[1], name, idx))
         if not values:
             raise InputDataError(f"{name}: no p-values found after header")
     else:
@@ -164,12 +169,24 @@ def _read_pvalues(stream: TextIO, name: str) -> tuple[np.ndarray, Optional[list[
     return values, lines
 
 
+def _at_line(name: str, lines: Optional[list[int]], position: int, fault: str) -> InputDataError:
+    """``fault`` in number ``position`` of a file :func:`_read_numbers` read, named by its line."""
+    return InputDataError(f"{name}: line {lines[position - 1] if lines else position}: {fault}")
+
+
 def _read_schedule_file(path: str, k: int, n: int) -> CriticalSchedule:
-    """One critical value per line; must supply exactly n-k+1 values."""
+    """One critical value per line; must supply exactly n-k+1 values. A
+    value out of range or below the one before it is named by its line."""
     with _reading(path), open(path, encoding="utf-8") as fh:
         text = fh.read()
+    values, lines = _read_numbers(text, path)
     try:
-        return validate_schedule(k, n, _read_numbers(text, path)[0])
+        return validate_schedule(k, n, values)
+    except OutOfRangeError as exc:
+        raise _at_line(path, lines, exc.position, f"critical value {exc.value!r} outside [0, 1]") from None
+    except NotMonotoneError as exc:
+        fault = f"critical value {values.item(exc.position - 1)!r} is smaller than the one before it"
+        raise _at_line(path, lines, exc.position, fault) from None
     except KfwerError as exc:
         raise InputDataError(f"{path}: {exc}") from None
 
@@ -184,8 +201,9 @@ def _read_family_file(path: str, k: int, n: int) -> LocalTestFamily:
     """
     lines, ms, is_, alphas = array("q"), [], [], array("d")
     fault = None
-    with _reading(path), open(path, encoding="utf-8", newline="") as fh:
-        records = enumerate(csv.reader(fh), start=1)
+    with _reading(path, lambda: reader.line_num), open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        records = enumerate(reader, start=1)
         header = next((row for _, row in records if any(f.strip() for f in row)), None)
         if header is None or [f.strip().lower() for f in header] != ["m", "i", "alpha"]:
             fault, records = "expected CSV header 'm,i,alpha'", ()
@@ -275,6 +293,7 @@ def _check_output(output: Optional[str]) -> None:
 # stepdown form) repeats one repr; a stepup form's row m is the tail
 # alpha_{n-m+k..n} of its schedule, whose values are each formatted once;
 # and a schedule is written from its array, ``_SLICE`` values per piece.
+# Any other value but a dict or a list of exact ints is json.dumps's text.
 _INDENT = "  "
 _SLICE = 1 << 13
 
@@ -283,10 +302,7 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2)``, in pieces: one for each
     row of a family."""
     inner = "\n" + _INDENT * (depth + 1)
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
+    if isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in value.items():
             # json quotes the text of a number, bool or None key.
@@ -294,21 +310,13 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
             yield from _json_chunks(item, depth + 1)
             sep = "," + inner
         yield "\n" + _INDENT * depth + "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
         # Exact ints, such as the rejected indices, print as their repr;
         # subclasses such as bool do not.
-        if set(map(type, value)) == {int}:
-            yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + "\n" + _INDENT * depth + "]"
-            return
-        sep = "[" + inner
-        for item in value:
-            yield sep
-            yield from _json_chunks(item, depth + 1)
-            sep = "," + inner
-        yield "\n" + _INDENT * depth + "]"
+        yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + "\n" + _INDENT * depth + "]"
+    elif isinstance(value, (list, tuple)):
+        # json escapes a newline in a string: each one it writes breaks a line.
+        yield json.dumps(value, indent=2).replace("\n", "\n" + _INDENT * depth)
     elif isinstance(value, LocalTestFamily):
         k, n, row_inner = value.k, value.n, inner + _INDENT
         sep = "," + row_inner
@@ -431,8 +439,11 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
     if args.base_schedule and not rescales_base(spec):
         raise ConfigError(f"--base-schedule applies only to --schedule romano-shaikh, not --schedule {spec}")
     if path is None:
-        critical = critical_values(proc, spec, k, n, alpha,
-                                   base=lambda: _read_schedule_file(args.base_schedule, k, n))
+        try:
+            critical = critical_values(proc, spec, k, n, alpha,
+                                       base=lambda: _read_schedule_file(args.base_schedule, k, n))
+        except KfwerError as exc:  # the request was checked: only rescaling the base file's values fails
+            raise InputDataError(f"{args.base_schedule}: {exc}") from None
     elif proc in FAMILY_PROCEDURES:
         critical = _read_family_file(path, k, n)
     else:
@@ -453,8 +464,7 @@ def cmd_test(args) -> int:
     try:
         p = order_pvalues(values)
     except OutOfRangeError as exc:
-        line = lines[exc.position - 1] if lines else exc.position
-        raise InputDataError(f"{name}: line {line}: p-value {exc.value!r} outside [0, 1]") from None
+        raise _at_line(name, lines, exc.position, f"p-value {exc.value!r} outside [0, 1]") from None
     del values, lines  # p holds its own copy; at 10^6 this is 8 MB off the peak
     result = _run_procedure(args, p)
     payload = {
@@ -523,8 +533,6 @@ def cmd_verify(args) -> int:
     if args.self_test:
         return _self_test(theorems)
     seed = _resolve_seed(args.seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     failed = False
     for theorem in theorems:
         report = run_theorem_trials(theorem, args.trials, args.n_max, seed)

@@ -5,6 +5,7 @@ All types are immutable and validated at construction. A caller's
 numbers are converted and range-checked in one place,
 :func:`_check_unit_interval`; only ``order_pvalues`` and the package's
 schedule and family constructors, valid by construction, skip the checks.
+A family table is checked whole; only a refused one is walked, to name its fault.
 
 Arrays inside, tuples at the edge: a :class:`PValueVector`, a
 :class:`CriticalSchedule` and a table :class:`LocalTestFamily` hold each
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import FrozenInstanceError
 from typing import Any, Iterable
 
@@ -132,8 +132,8 @@ class DegenerateScheduleError(KfwerError):
 
 class ConfigError(KfwerError):
     """An invalid request: an unknown procedure or schedule name, a pairing
-    of the two that has no meaning, a simulation setting out of range, or a
-    command-line flag the CLI refuses (exit code 3)."""
+    of the two that has no meaning, a simulation or verification setting
+    out of range, or a command-line flag the CLI refuses (exit code 3)."""
 
 
 def _unvalidated(cls, **fields):
@@ -291,8 +291,8 @@ class LocalTestFamily(_Frozen):
 
     ``rows[m - k]`` holds the values compared against the k-th through m-th
     smallest p-values of a size-m subset. Each row must be nondecreasing
-    and each column nonincreasing as the subset grows; a table that is not
-    is rejected at construction.
+    and each column nonincreasing as the subset grows. A table is checked
+    whole; only one that fails is walked row by row, to name its first fault.
 
     A table is stored as the float64 array ``_array``, the triangle row
     after row, row m at offset (m-k)(m-k+1)/2. A stepdown or stepup form
@@ -315,38 +315,9 @@ class LocalTestFamily(_Frozen):
                 raise BadShapeError(f"row for cardinality m={m} must be a sequence of values, got {row!r}") from None
         if len(table) != n - k + 1:
             raise BadShapeError(f"family for k={k}, n={n} needs {n - k + 1} rows, got {len(table)}")
-        # The first fault a walk meets: shape, range and order in i row by
-        # row, then order in m. The ``width`` rows before a bad shape or
-        # range are checked for order in i as one array before it is raised.
-        width = next((j for j, row in enumerate(table) if len(row) != j + 1), len(table))
-        fault = None
-        if width < len(table):
-            fault = BadShapeError(f"row for cardinality m={k + width} needs {width + 1} values, got {len(table[width])}")
-        try:
-            array = _check_unit_interval(itertools.chain.from_iterable(table), "family value")
-        except OutOfRangeError as exc:
-            row = (math.isqrt(8 * exc.position - 7) - 1) // 2  # the row holding that position
-            if row < width:
-                width, position = row, exc.position - row * (row + 1) // 2
-                fault = OutOfRangeError(position, exc.value, f"family value in row m={k + row}")
-            array = _check_unit_interval(itertools.chain.from_iterable(table[:width]), "family value")
-        array = array[: width * (width + 1) // 2]
-        row_of, at = _steps(width)
-        before, after = array[at], array[at + 1]
-        drops = after < before
-        if drops.any():
-            x = int(drops.argmax())
-            j = int(row_of[x])
-            raise NotMonotoneInIError(k + int(at[x]) - j * (j + 1) // 2 + 1, k + j)
-        if fault is not None:
-            raise fault
-        rises = before > array[: at.size]
-        if rises.any():
-            x = np.flatnonzero(rises)
-            j = row_of[x]
-            i = at[x] - j * (j + 1) // 2
-            first = np.lexsort((j, i))[0]  # the walk runs over i, then m
-            raise NotMonotoneInMError(k + int(i[first]), k + int(j[first]))
+        array = _triangle(table)
+        if array is None:
+            _first_fault(k, table)
         self.__dict__.update(k=k, n=n, _array=array)
 
     # A table's array sits in the instance dict, so this runs for a form only.
@@ -381,14 +352,45 @@ class LocalTestFamily(_Frozen):
         return self._schedule.alphas[self.n - m :]
 
 
-def _steps(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row m - k and the offset ``at`` of each entry (i, m), i < m, of a
-    triangle of ``width`` rows stored row after row. ``array[at]`` and
+def _steps(width: int) -> np.ndarray:
+    """The offset ``at`` of each entry (i, m), i < m, of a triangle of
+    ``width`` rows stored row after row. ``array[at]`` and
     ``array[at + 1]`` are each row without its last and without its first
     entry: each lays out row m as ``array[:at.size]`` lays out row m - 1."""
     rows = np.arange(width)
-    row_of = np.repeat(rows, rows)
-    return row_of, row_of + np.arange(row_of.size)
+    return np.repeat(rows, rows) + np.arange(width * (width - 1) // 2)
+
+
+def _triangle(table: list[tuple]) -> np.ndarray | None:
+    """The rows of ``table`` as one float64 array, row after row, or None
+    when a row has the wrong length, a value is not in [0, 1], or the
+    values fall in i or rise in m. Each check runs on the whole array."""
+    if any(len(row) != j + 1 for j, row in enumerate(table)):
+        return None
+    try:
+        array = _check_unit_interval(itertools.chain.from_iterable(table), "family value")
+    except OutOfRangeError:
+        return None
+    at = _steps(len(table))
+    before = array[at]
+    return None if (array[at + 1] < before).any() or (before > array[: at.size]).any() else array
+
+
+def _first_fault(k: int, table: list[tuple]) -> None:
+    """Raise the first fault of a row-by-row walk: each row in turn for
+    shape, range and order in i, then each column i over m for order in m.
+    Runs only for a table :func:`_triangle` refused, to name its fault."""
+    checked = []
+    for m, row in enumerate(table, start=k):
+        if len(row) != m - k + 1:
+            raise BadShapeError(f"row for cardinality m={m} needs {m - k + 1} values, got {len(row)}")
+        checked.append(_check_unit_interval(row, f"family value in row m={m}"))
+        drop = _first_drop(checked[-1])
+        if drop:
+            raise NotMonotoneInIError(k + drop - 1, m)
+    for i, j in itertools.combinations(range(len(checked)), 2):  # over i, then m
+        if checked[j][i] > checked[j - 1][i]:
+            raise NotMonotoneInMError(k + i, k + j)
 
 
 def _ordered(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -435,5 +437,5 @@ def check_theorem43_condition(family: LocalTestFamily) -> bool:
     diagonal step, from (l, m) to (l + 1, m + 1), is compared at once.
     """
     array = family._array
-    at = _steps(family.n - family.k + 1)[1]
+    at = _steps(family.n - family.k + 1)
     return bool((array[at + 1] >= array[: at.size]).all())

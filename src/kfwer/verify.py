@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    ConfigError,
     CriticalSchedule,
     LocalTestFamily,
     PValueVector,
@@ -28,6 +29,7 @@ from .core import (
     validate_schedule,
 )
 from .procedures import (
+    EXHAUSTIVE_LIMIT,
     ProcedureResult,
     closed_testing,
     constant_family,
@@ -195,7 +197,7 @@ def _trial_41(rng: np.random.Generator, t: int, n_max: int) -> Trial:
         fam = constant_family(k, n, float(rng.uniform(0.005, 0.5)))
     sched = schedule_from_family(fam)
     p = random_pvalues(rng, n, fam._array.tolist())
-    _, at = _steps(n - k + 1)
+    at = _steps(n - k + 1)
     rows_constant = bool((fam._array[at + 1] == fam._array[at]).all())
     return p, fam, stepdown(p, sched), "equality" if rows_constant else "inclusion", int(rows_constant)
 
@@ -266,11 +268,16 @@ THEOREMS = tuple(_TRIALS)
 
 def run_theorem_trials(theorem: str, trials: int, n_max: int, seed: int) -> TheoremReport:
     """Run randomized trials for one theorem id from THEOREMS: each trial's
-    shortcut is compared with exhaustive closed testing on its family."""
+    shortcut is compared with exhaustive closed testing on its family.
+    Sizes are drawn from 2..``n_max`` <= ``EXHAUSTIVE_LIMIT``; ``seed`` is >= 0."""
     try:
         trial, note = _TRIALS[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}") from None
+    if not 2 <= n_max <= EXHAUSTIVE_LIMIT:
+        raise ConfigError(f"n_max must lie in 2..{EXHAUSTIVE_LIMIT}, got {n_max}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     report = TheoremReport(theorem, trials)
     hits = 0

@@ -17,9 +17,9 @@ references are the plain forms the array-native ones replaced:
 ``read_pvalues_reference``, the line-by-line p-value file reader, and
 ``order_pvalues_reference``, a key sort behind
 ``unit_interval_reference``, the entry-by-entry acceptance rule every
-numeric entry point must follow. Two family references are the loops
-the triangle array replaced: ``validate_family_reference``, the
-row-by-row walk that names a table's first fault, and
+numeric entry point must follow. Two family references are plain
+loops: ``validate_family_reference``, the row-by-row walk whose first
+fault the library must name for a table it refuses, and
 ``theorem43_reference``, the diagonal condition entry by entry. They
 import ``kfwer`` when called, so loading this module never needs it.
 """

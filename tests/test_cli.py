@@ -1,6 +1,7 @@
 """Command-line surface: file formats, JSON schema, exit codes, and
 reproducibility."""
 
+import csv
 import io
 import json
 import os
@@ -601,6 +602,66 @@ class TestUndecodableInput:
         bad.write_bytes(b"m,i,alpha\n1,1,0.05\n2,1,\xff\n")
         self.check([*self.COMMON, "--procedure", "hommel", "--schedule", f"file:{bad}", "--input", str(pv)],
                    str(bad), capsys)
+
+
+class TestRowsCsvCannotRead:
+    """A field above the csv module's size limit exits 2 naming the file and
+    the line, in a family file and in an id,p file; the limit stays as it is."""
+
+    FIELD = "0" * 200_000
+    COMMON = ["test", "--k", "1", "--alpha", "0.05"]
+
+    def check(self, argv, path, capsys):
+        limit = csv.field_size_limit()
+        assert run_main(argv, capsys) == (
+            EXIT_BAD_DATA, "", f"error: {path}: line 3: field larger than field limit ({limit})\n")
+        assert csv.field_size_limit() == limit
+
+    def test_family_file(self, tmp_path, capsys):
+        pv = tmp_path / "p.txt"
+        pv.write_text("0.01\n")
+        fam = tmp_path / "family.csv"
+        fam.write_text(f"m,i,alpha\n\n1,1,{self.FIELD}\n")
+        self.check([*self.COMMON, "--procedure", "hommel", "--schedule", f"file:{fam}", "--input", str(pv)],
+                   fam, capsys)
+
+    def test_pvalue_file(self, tmp_path, capsys):
+        pv = tmp_path / "p.csv"
+        pv.write_text(f"id,p\n\n1,{self.FIELD}\n")
+        self.check([*self.COMMON, "--procedure", "stepdown", "--schedule", "lehmann-romano", "--input", str(pv)],
+                   pv, capsys)
+
+
+class TestScheduleFileLines:
+    """A schedule or base file names a value out of range or below the one
+    before it by its line, blank lines counted; an all-zero base, which
+    cannot be rescaled, exits 2 naming the file."""
+
+    FAULTS = {
+        "range": ("0.01\n\n\n0.02\n1.5\n0.6\n0.7\n", "line 5: critical value 1.5 outside [0, 1]"),
+        "drop": ("0.01\n\n\n0.02\n0.015\n0.6\n0.7\n", "line 5: critical value 0.015 is smaller than the one before it"),
+        "zero": ("0\n0\n\n0\n0\n0\n", "base schedule is identically zero"),
+    }
+
+    def run(self, flags, pfile, capsys):
+        return run_main(["test", "--k", "1", "--alpha", "0.05", *flags, "--input", pfile], capsys)
+
+    @pytest.mark.parametrize("fault", ["range", "drop"])
+    def test_schedule_file(self, fault, pfile, tmp_path, capsys):
+        text, message = self.FAULTS[fault]
+        sched = tmp_path / "S"
+        sched.write_text(text)
+        flags = ["--procedure", "stepdown", "--schedule", f"file:{sched}"]
+        assert self.run(flags, pfile, capsys) == (EXIT_BAD_DATA, "", f"error: {sched}: {message}\n")
+
+    @pytest.mark.parametrize("procedure", ["stepup", "hommel"])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_base_file(self, fault, procedure, pfile, tmp_path, capsys):
+        text, message = self.FAULTS[fault]
+        base = tmp_path / "Z"
+        base.write_text(text)
+        flags = ["--procedure", procedure, "--schedule", "romano-shaikh", "--base-schedule", str(base)]
+        assert self.run(flags, pfile, capsys) == (EXIT_BAD_DATA, "", f"error: {base}: {message}\n")
 
 
 @pytest.mark.parametrize("error, detail", [

@@ -35,6 +35,7 @@ from kfwer import (
     validate_family,
     validate_schedule,
 )
+from kfwer import cli, core
 from kfwer.procedures import critical_values, romano_shaikh_schedule
 from kfwer.verify import random_family, random_schedule
 from oracles import (
@@ -555,6 +556,29 @@ def test_first_fault_is_the_row_by_row_walks(case):
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return
     assert [list(map(repr, row)) for row in validate_family(k, n, rows).rows] == [list(map(repr, row)) for row in want]
+
+
+def test_valid_tables_never_reach_the_walk(monkeypatch, tmp_path):
+    """The row-by-row walk runs only to name a fault: with it replaced by
+    one that raises, every valid table still builds."""
+    def walk(k, table):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(core, "_first_fault", walk)
+    with pytest.raises(AssertionError, match="the walk ran"):
+        validate_family(1, 2, [[0.5], [0.75, 0.75]])  # rises in m: the patched walk is the one called
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 14):
+        for k in sorted({1, 2, n} & set(range(1, n + 1))):
+            simes = simes_family(k, n, 0.05)
+            assert validate_family(k, n, simes.rows) == simes
+            random_family(rng, k, n)
+            random_family(rng, k, n, constant_rows=True)
+    simes = simes_family(1, 30, 0.05)
+    path = tmp_path / "simes.csv"
+    path.write_text("m,i,alpha\n" + "".join(
+        f"{m},{i},{v!r}\n" for m, row in enumerate(simes.rows, start=1) for i, v in enumerate(row, start=1)))
+    assert cli._read_family_file(str(path), 1, 30) == simes
 
 
 def product_table(rng, k, n):

@@ -9,6 +9,7 @@ import pytest
 
 import kfwer.verify
 from kfwer import (
+    ConfigError,
     check_theorem43_condition,
     closed_testing,
     generalized_hommel,
@@ -90,6 +91,23 @@ def test_reject_all_branch_exercised():
 def test_unknown_theorem_rejected():
     with pytest.raises(ValueError):
         run_theorem_trials("9.9", trials=10, n_max=6, seed=0)
+
+
+@pytest.mark.parametrize("n_max, seed, message", [
+    (25, 0, "n_max must lie in 2..18, got 25"),
+    (1, 0, "n_max must lie in 2..18, got 1"),
+    (14, -1, "seed must be a nonnegative integer, got -1"),
+])
+def test_bad_size_or_seed_refused_before_any_trial(n_max, seed, message, monkeypatch):
+    """An ``n_max`` past the enumeration limit or below 2, or a negative
+    seed, is a ConfigError naming it, raised before the first trial."""
+    def trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(kfwer.verify._TRIALS, "4.2", (trial, None))
+    with pytest.raises(ConfigError) as exc:
+        run_theorem_trials("4.2", 200, n_max, seed)
+    assert str(exc.value) == message
 
 
 def test_failure_description_is_replayable():
