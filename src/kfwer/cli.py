@@ -11,11 +11,12 @@ mapped back to a line.
 
 The reports of ``test`` and ``simulate`` are ``json.dumps(report,
 indent=2)`` and a newline, byte for byte, streamed in pieces and written
-from the invariants of the schedule or family (:func:`_json_chunks`). A
-family report, all n(n+1)/2 entries, is refused above
-``MAX_FAMILY_ENTRIES`` before any file is read. A report written to
-``--output`` replaces a regular file only once it is complete
-(:func:`_write_report`).
+from the invariants of the schedule or family (:func:`_json_chunks`); a
+schedule's values are formatted in numpy, a slice at a time, as
+``float.__repr__`` writes them (:func:`_reprs`). A family report, all
+n(n+1)/2 entries, is refused above ``MAX_FAMILY_ENTRIES`` before any file
+is read. A report written to ``--output`` replaces a regular file only
+once it is complete (:func:`_write_report`).
 
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 data, 3 invalid flags or flag combinations, a size too large to allocate
@@ -197,27 +198,29 @@ def _read_family_file(path: str, k: int, n: int) -> LocalTestFamily:
     The rows are parsed in one pass into columns, and one stable lexsort
     by (m, i) finds a repeated pair and places the entries row after row.
     The fault named is the first a walk down the file meets, and only once
-    the whole file is read: text that cannot be decoded is named first.
+    the whole file is read: text that cannot be decoded is named first. A
+    row is named by the line it ends on, as a row ``csv`` cannot read is,
+    so a quoted field over several lines does not shift the lines after it.
     """
     lines, ms, is_, alphas = array("q"), [], [], array("d")
     fault = None
     with _reading(path, lambda: reader.line_num), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        records = enumerate(reader, start=1)
-        header = next((row for _, row in records if any(f.strip() for f in row)), None)
+        header = next((row for row in reader if any(f.strip() for f in row)), None)
+        records = reader
         if header is None or [f.strip().lower() for f in header] != ["m", "i", "alpha"]:
             fault, records = "expected CSV header 'm,i,alpha'", ()
-        for idx, row in records:
+        for row in records:
             try:
                 m, i, a = row
                 m, i, a = int(m), int(i), float(a)
             except ValueError:
                 if not any(f.strip() for f in row):
                     continue  # a blank row
-                fault = (f"line {idx}: expected three fields 'm,i,alpha'" if len(row) != 3
-                         else f"line {idx}: could not parse 'm,i,alpha' from {row!r}")
+                fault = (f"line {reader.line_num}: expected three fields 'm,i,alpha'" if len(row) != 3
+                         else f"line {reader.line_num}: could not parse 'm,i,alpha' from {row!r}")
                 break
-            lines.append(idx)
+            lines.append(reader.line_num)  # the last line of the row, as csv.Error names it
             ms.append(m)
             is_.append(i)
             alphas.append(a)
@@ -293,7 +296,11 @@ def _check_output(output: Optional[str]) -> None:
 # stepdown form) repeats one repr; a stepup form's row m is the tail
 # alpha_{n-m+k..n} of its schedule, whose values are each formatted once;
 # and a schedule is written from its array, ``_SLICE`` values per piece.
-# Any other value but a dict or a list of exact ints is json.dumps's text.
+# The schedule's values are formatted by _reprs, which computes in numpy
+# the digits float.__repr__ writes and leaves to it what it cannot
+# settle. Other table rows stay on float.__repr__: a call per row would
+# not repay the kernel's fixed cost. Any other value but a dict or a list
+# of exact ints is json.dumps's text.
 _INDENT = "  "
 _SLICE = 1 << 13
 
@@ -321,8 +328,10 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
         k, n, row_inner = value.k, value.n, inner + _INDENT
         sep = "," + row_inner
         if value._form == "stepup":
-            texts = list(map(float.__repr__, value._schedule._array.tolist()))
-            bodies = (sep.join(texts[n - m :]) for m in range(k, n + 1))
+            # Row m is the tail of the schedule from value n - m. Under
+            # MAX_FAMILY_ENTRIES the schedule is shorter than one _SLICE.
+            text, starts = _reprs(value._schedule._array, sep)
+            bodies = (text[start:] for start in reversed(starts.tolist()))
         else:
             bodies = (_joined(value.row(m), sep) for m in range(k, n + 1))
         lead = "[" + inner
@@ -333,7 +342,7 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
     elif isinstance(value, CriticalSchedule):
         lead = "[" + inner
         for start in range(0, value._array.size, _SLICE):
-            yield lead + _joined(value._array[start : start + _SLICE].tolist(), "," + inner)
+            yield lead + _joined(value._array[start : start + _SLICE], "," + inner)
             lead = "," + inner
         yield "\n" + _INDENT * depth + "]"
     else:
@@ -343,12 +352,205 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
 def _joined(values: Sequence[float], sep: str) -> str:
     """The reprs of ``values`` joined by ``sep``: nonempty, nondecreasing,
     and every entry an exact float in [0, 1]. Where the first and last
-    are equal and nonzero, that is one text repeated."""
+    are equal and nonzero, that is one text repeated; a float64 array is
+    otherwise written by :func:`_reprs`."""
     first, last = values[0], values[-1]
     if first and first == last:
         one = float.__repr__(first)
         return (one + sep) * (len(values) - 1) + one
+    if isinstance(values, np.ndarray):
+        return _reprs(values, sep)[0]
     return sep.join(map(float.__repr__, values))
+
+
+# Tables of the shortest-repr kernel: 10^s rounded to a float and the
+# error of that rounding, also rounded, for s = 0..57; and 10^0..10^18.
+_TENS = np.array([float(10**s) for s in range(58)])
+_TENS_ERROR = np.array([float(10**s - int(float(10**s))) for s in range(58)])
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_VELTKAMP = 2.0**27 + 1.0
+_MARGIN = 2.0**-30
+
+
+def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decimal ``repr(x)`` writes for each float64 x, as q * 10^power
+    with q an int64 of no trailing zero, and whether that entry was
+    settled. Where it was not, q and power are meaningless and the text
+    is ``float.__repr__``'s.
+
+    Python's repr is the shortest decimal that reads back to the float,
+    and of those the nearest (Gay 1990; Adams, Ryu, PLDI 2018). Here it
+    is screened in numpy, then confirmed, as :func:`kfwer.bounds.d1` is.
+
+    *Domain.* x normal in [1e-40, 1) with a significand other than 1/2
+    (frexp x = m * 2^e, m in (1/2, 1)): its round-trip interval is then
+    x +- 2^(e-54), as wide on both sides. Scaled by 10^s, s = 16 -
+    floor(log10 x), and kept only when fl(x * 10^s) lies in [1e16, 1e17),
+    x becomes y with half-width h = y * 2^(e-54) / x in (0.55, 11.2).
+
+    *Screen.* y = Y + f, Y an int64 and |f| <= 1/2: P = fl(10^s) and E =
+    fl(10^s - P) come from the tables; Dekker's product (Veltkamp split;
+    no partial product underflows for x >= 1e-40) gives hi + lo_d = x * P
+    exactly; lo = fl(lo_d + fl(x * E)); Y = hi + rint(lo) and f = lo -
+    rint(lo), exact by Sterbenz. The 17-digit decimals that read back to
+    x are the integers A..B strictly inside Y + f +- h, h = 2^(e-54) * P;
+    t is the largest power of ten with a multiple in [A, B], and q * 10^t
+    the multiple of 10^t nearest y. q has no trailing zero (t is largest)
+    and at most 17 digits (2h > 10 where y nears 1e17); power = t - s.
+
+    *Bound.* With u = 2^-53: |10^s - P - E| <= u^2 * P, and x * u^2 * P <
+    1.3e-15; |x * E| <= u * x * P < 11.2, rounded within 1.3e-15; |lo_d|
+    <= 8, half an ulp of hi < 2^57, so |lo| < 19.2 is rounded within
+    2.2e-15. So f is within 4.8e-15 of y - Y. h errs by 2^(e-54) * |10^s -
+    P| <= u * h < 1.3e-15 and f +- h is rounded within 1.3e-15: each
+    interval end is within 7.4e-15 of its computed value.
+
+    *Confirm.* An entry is not settled when an interval end lies within
+    ``_MARGIN`` = 2^-30 of an integer (an end on an integer is a 17-digit
+    decimal that reads back by the parity of m), or when y lies within it
+    of a midpoint between two multiples of 10^t (a tie). The margin is
+    five orders of magnitude above the bound, and no float of the domain
+    needs it. For s <= 22, P is exact and E = 0, so f is exact and each end
+    is one rounding of exact operands, which cannot cross an integer (a
+    float). For s >= 23 a misjudged comparison changes a digit only where
+    y lies within the bound of a half-integer or of an odd multiple of 5
+    (t <= 1: as h < 11.2, a multiple of 100 in [A, B] is far from its
+    midpoints), or an interval end within it of a multiple of 10. Those
+    floats can be listed by Euclid's descent on M * 5^s mod 2^(53-s-e),
+    x = M * 2^(e-53): within 8e-15 there are 10,700, and the strict
+    comparisons alone judge each one right (the tests check those within
+    1e-15, with and without the margin). Last, q * 10^t must lie in
+    [A, B]. On an interval symmetric about y the nearer of two multiples
+    is inside whenever the farther is, so this confirms the derivation;
+    it does not fire on the domain.
+    """
+    ok = (values >= 1e-40) & (values < 1.0)
+    x = np.where(ok, values, 0.5)  # the others are not settled
+    mantissa, e = np.frexp(x)
+    ok &= mantissa != 0.5
+    s = 16 - np.floor(np.log10(x)).astype(np.intp)
+    tens = _TENS[s]
+    hi = x * tens
+    ok &= (hi >= 1e16) & (hi < 1e17)
+    x_hi, x_lo = _split(x)
+    t_hi, t_lo = _split(tens)
+    lo = ((x_hi * t_hi - hi) + x_hi * t_lo + x_lo * t_hi) + x_lo * t_lo
+    lo += x * _TENS_ERROR[s]
+    whole = np.rint(lo)
+    f = lo - whole
+    y = hi.astype(np.int64) + whole.astype(np.int64)
+    half = np.ldexp(tens, e - 54)
+    low, high = f - half, f + half
+    low_up, high_down = np.ceil(low), np.floor(high)
+    ok &= (low_up - low > _MARGIN) & (high - high_down > _MARGIN)
+    a, b = y + low_up.astype(np.int64), y + high_down.astype(np.int64)
+
+    # t, by dividing B and A - 1 by ten until they agree
+    t = np.zeros(values.size, np.intp)
+    live = np.flatnonzero(ok)
+    b_div, a_div = b[live], a[live] - 1
+    for power in range(1, 19):
+        b_div //= 10
+        a_div //= 10
+        more = b_div > a_div
+        live, b_div, a_div = live[more], b_div[more], a_div[more]
+        if not live.size:
+            break
+        t[live] = power
+    step = _POW10[t]
+    rest = y % step
+    # y lies rest + f above a multiple of 10^t; its midpoint is step / 2 above
+    above = rest - step // 2
+    up = (t > 0) & (above + f > 0)
+    tie = np.where(t > 0, (above == 0) & (np.abs(f) <= _MARGIN), np.abs(f) >= 0.5 - _MARGIN)
+    multiple = y - rest + np.where(up, step, 0)
+    ok &= ~tie & (a <= multiple) & (multiple <= b)
+    return np.where(ok, multiple // step, 1), t - s, ok
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each float into two halves that sum to it exactly."""
+    c = _VELTKAMP * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """The byte templates of :func:`_reprs`: for each layout, the source
+    column of each character, and the text's length.
+
+    A value's source row holds the 18 digits of q, zero-padded (columns
+    0..17), then ``0``, ``.``, ``e``, ``-`` (18..21) and the two digits of
+    1 - decpt (22, 23). Layout 17*z + nd - 1 is ``0.``, z zeros and the nd
+    digits of q, for decpt = -z, z = 0..3; layout 68 + nd - 1 is q's first
+    digit, ``.`` and the rest where nd > 1, then ``e-`` and the exponent.
+    """
+    fixed = [[18, 19] + [18] * z + list(range(18 - nd, 18)) for z in range(4) for nd in range(1, 18)]
+    exponent = [[18 - nd] + ([19] + list(range(19 - nd, 18)) if nd > 1 else []) + [20, 21, 22, 23]
+                for nd in range(1, 18)]
+    layouts = fixed + exponent
+    table = np.zeros((len(layouts), 22), np.intp)
+    for row, columns in zip(table, layouts):
+        row[: len(columns)] = columns
+    return table, np.array([len(columns) for columns in layouts])
+
+
+_LAYOUT_COLUMNS, _LAYOUT_LENGTHS = _layouts()
+_CONSTANTS = np.frombuffer(b"0.e-", np.uint8)
+# Widest text: a fallback such as -2.2250738585072014e-308 has 24 characters.
+_TEXT_WIDTH = 24
+
+
+def _reprs(values: np.ndarray, sep: str) -> tuple[str, np.ndarray]:
+    """``sep.join(map(float.__repr__, values.tolist()))`` for a nonempty
+    float64 array, and the offset in that text where each value's starts.
+
+    Each value settled by :func:`_shortest` is laid out by Python's repr
+    rules, fixed notation for decpt > -4 and ``d.ddde-XX`` below, through
+    one byte template per layout; every other value is written by
+    ``float.__repr__``. One boolean compaction and one decode make the text.
+    """
+    size = values.size
+    q, power, settled = _shortest(values)
+    digit_count = np.searchsorted(_POW10, q, side="right")
+    decpt = digit_count + power  # the repr is 0.<digits of q> * 10^decpt
+    layout = np.where(settled, np.where(decpt > -4, -17 * decpt, 68) + digit_count - 1, 0)
+    width = _TEXT_WIDTH + len(sep)
+    columns = 24  # of a source row: 18 digits, 4 constants, 2 exponent digits
+    source = np.empty((size, columns), np.uint8)
+    halves = np.empty((size, 2))
+    halves[:, 0] = q // 10**9
+    halves[:, 1] = q - halves[:, 0].astype(np.int64) * 10**9
+    digits = np.empty((size, 2, 9), np.uint8)  # each half's nine digits
+    for column in range(8, -1, -1):  # floor(v * 0.1) is v // 10 for integers v < 2^53
+        tenth = np.floor(halves * 0.1)
+        digits[:, :, column] = halves - 10.0 * tenth + 48.0  # as ASCII
+        halves = tenth
+    source[:, :18] = digits.reshape(size, 18)
+    source[:, 18:22] = _CONSTANTS
+    exponent = 1 - decpt
+    source[:, 22] = exponent // 10 + 48
+    source[:, 23] = exponent % 10 + 48
+    index = _LAYOUT_COLUMNS[layout]
+    index += np.arange(0, size * columns, columns)[:, None]
+    chars = np.empty((size, width), np.uint8)
+    chars[:, :22] = source.ravel().take(index)
+    lengths = _LAYOUT_LENGTHS[layout]
+
+    fallback = np.flatnonzero(~settled)
+    if fallback.size:
+        texts = list(map(float.__repr__, values[fallback].tolist()))
+        counts = np.fromiter(map(len, texts), np.intp, fallback.size)
+        rows = np.repeat(fallback * width - np.cumsum(counts) + counts, counts)
+        chars.ravel()[rows + np.arange(rows.size)] = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
+        lengths[fallback] = counts
+    ends = np.arange(0, size * width, width) + lengths
+    for offset, char in enumerate(sep.encode("ascii")):
+        chars.ravel()[ends + offset] = char
+    lengths += len(sep)
+    lengths[-1] -= len(sep)
+    text = chars[np.arange(width) < lengths[:, None]].tobytes().decode("ascii")
+    return text, np.cumsum(lengths) - lengths
 
 
 # Bytes buffered per write call to an ``--output`` file. A Hommel report of

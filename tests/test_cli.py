@@ -549,6 +549,16 @@ class TestFamilyFile:
         rows, message = FAMILY_FILE_FAULTS[case]
         assert self.run(tmp_path, capsys, family_csv(rows)) == (EXIT_BAD_DATA, "", f"error: PATH: {message}\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,1,abc", "line 4: could not parse 'm,i,alpha' from ['2', '1', 'abc']"),
+        ("1,1,0.05", "line 4: duplicate entry for i=1, m=1"),
+    ])
+    def test_rows_after_a_field_over_two_lines_are_named_by_their_line(self, row, message, tmp_path, capsys):
+        """A quoted field over lines 2-3 puts the next row on line 4, which
+        the message names, as csv names a row it cannot read."""
+        data = f'm,i,alpha\n1,1,"0.05\n"\n{row}\n'
+        assert self.run(tmp_path, capsys, data) == (EXIT_BAD_DATA, "", f"error: PATH: {message}\n")
+
     def test_quotes_crlf_and_blank_lines_read_as_the_plain_file(self, tmp_path, capsys):
         spelled = tmp_path / "spelled.csv"
         spelled.write_bytes(('\r\n"M"," i ",ALPHA \r\n\r\n' + "".join(

@@ -6,10 +6,12 @@ write exits 3 naming where it went."""
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +247,161 @@ def test_schedule_reports_across_slices_are_json_dumps(kind, length, tmp_path, c
     report = json.loads(out)
     assert len(report["critical_values"]) == length
     assert out == json.dumps(dict(report, critical_values=values), indent=2) + "\n"
+
+
+# The vectorized repr: its text and offsets must be the plain join's for
+# any float64, on the values its fast path settles and on those it leaves
+# to float.__repr__ alike.
+SEPS = [",", ",\n    ", ",\n      ", ", "]
+
+
+def assert_reprs(values, sep=",\n    "):
+    values = np.asarray(values, dtype=np.float64)
+    texts = list(map(float.__repr__, values.tolist()))
+    text, starts = cli._reprs(values, sep)
+    assert text == sep.join(texts)
+    lengths = [len(t) + len(sep) for t in texts]
+    assert starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
+
+
+ONE_BITS = 0x3FF0000000000000
+unit_bits = st.one_of(
+    st.integers(0, ONE_BITS),  # any bit pattern in [0, 1]: mostly below 1e-40
+    st.builds(lambda exponent, mantissa: (exponent << 52) | mantissa,
+              st.integers(1023 - 140, 1022), st.integers(0, (1 << 52) - 1)),  # normal, 1e-42 to 1
+    st.builds(lambda exponent: exponent << 52, st.integers(0, 1023)),  # 0.0, powers of two and 1.0
+    st.just(0x8000000000000000),  # -0.0
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(unit_bits, min_size=1, max_size=60), st.sampled_from(SEPS))
+def test_reprs_of_unit_bit_patterns(bits, sep):
+    assert_reprs(np.array(bits, dtype=np.uint64).view(np.float64), sep)
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, 1.0)])
+
+
+def test_reprs_of_powers_of_two_and_their_neighbours():
+    powers = np.ldexp(1.0, -np.arange(1, 1075))
+    assert_reprs(np.concatenate([[1.0], neighbours(powers)]))
+
+
+def test_reprs_of_short_decimals_and_their_neighbours():
+    """d * 10^-j for d up to three digits, the floats just below and above."""
+    decimals = [float(f"{d}e-{j}") for j in range(1, 45) for d in range(1, 1000, 7)]
+    assert_reprs(neighbours([v for v in decimals if v < 1.0]))
+
+
+def test_reprs_of_decimals_ending_in_five():
+    """17-digit decimals ending in 5 and their neighbours, and the floats
+    c / 2^j, c odd, whose exact decimals end in 5: at j = 17 in [1/2, 1)
+    each lies midway between two 16-digit decimals that both read back."""
+    rng = np.random.default_rng(17)
+    decimals = [float(f"0.{m}5e-{j}") for j in range(0, 40) for m in rng.integers(10**15, 10**16, 40).tolist()]
+    dyadic = [c / 2.0**j for j in range(17, 40) for c in rng.integers(2 ** (j - 1), 2**j, 60).tolist() if c % 2]
+    assert_reprs(neighbours(decimals + dyadic + [c / 2.0**17 for c in range(2**16 + 1, 2**16 + 2001, 2)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_reprs_of_schedules(k, alpha):
+    for n in (k, 7, 1000, 100_000):
+        schedule = lehmann_romano_schedule(k, n, alpha)
+        assert_reprs(schedule._array)
+        assert_reprs(romano_shaikh_schedule(schedule, alpha)._array)
+
+
+def test_fast_path_settles_the_large_schedule():
+    """At least 99% of the n = 10^5 Lehmann-Romano schedule, the size the
+    benchmark writes, is settled without float.__repr__."""
+    _, _, settled = cli._shortest(lehmann_romano_schedule(2, 100_000, 0.05)._array)
+    assert settled.mean() >= 0.99
+
+
+def first_in_range(a, m, lo, hi):
+    """The least x >= 0 with lo <= a*x mod m <= hi, for 0 <= lo <= hi < m,
+    or None: Euclid's descent on the modular range problem."""
+    a %= m
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = first_in_range(m % a, a, (-hi) % a, (-lo) % a)
+    if y is None:
+        return None
+    x = -(-(lo + m * y) // a)
+    return x if a * x - m * y <= hi else None
+
+
+def near(a, b, m, start, stop, centre, width):
+    """Every M in [start, stop) with a*M + b within ``width`` of ``centre``,
+    mod m, for 2 * width < m."""
+    found = set()
+    while start < stop:
+        c = (a * start + b - centre + width) % m  # in [0, 2 * width] when near
+        step = 0 if c <= 2 * width else first_in_range(a, m, m - c, m - c + 2 * width)
+        if step is None or start + step >= stop:
+            break
+        found.add(start + step)
+        start += step + 1
+    return found
+
+
+@pytest.fixture(scope="module")
+def boundary_floats():
+    """Every float x in [1e-40, 1e-6), where 10^s is not a float (s >= 23),
+    whose y = x * 10^s lies within 1e-15 of a half-integer or of an odd
+    multiple of 5 (a tie for t = 0 or 1), or whose interval end y +- h
+    lies within 1e-15 of a multiple of 10 (a shorter candidate): the
+    places where a misjudged comparison of ``_shortest`` changes a digit.
+    x = M * 2^(e-53) with M in [2^52, 2^53), so y = M * 5^s / 2^(53-s-e)."""
+    distance = Fraction(1, 10**15)
+    xs = set()
+    for s in range(23, 57):
+        low, high = Fraction(10) ** (16 - s), Fraction(10) ** (17 - s)
+        for e in range(-140, 1):
+            unit = Fraction(2) ** (e - 53)
+            start = max(2**52, math.ceil(max(low, unit * 2**52) / unit))
+            stop = min(2**53, math.ceil(high / unit))
+            if start >= stop:
+                continue
+            bits = 53 - s - e
+            ties = near(5**s, 0, 2**bits, start, stop, 2 ** (bits - 1), int(2**bits * distance))
+            ties |= near(5 ** (s - 1), 0, 2 ** (bits + 1), start, stop, 2**bits, int(2**bits * distance / 5))
+            # the ends (2M +- 1) * 5^(s-1) / 2^(bits+2) are (y +- h) / 10
+            for sign in (-1, 1):
+                ties |= near(2 * 5 ** (s - 1), sign * 5 ** (s - 1), 2 ** (bits + 2), start, stop, 0,
+                             int(2 ** (bits + 2) * distance / 10))
+            xs |= {float(M * unit) for M in ties}
+    return np.array(sorted(xs))
+
+
+def test_near_search_finds_what_a_scan_finds():
+    rnd = np.random.default_rng(5)
+    for _ in range(400):
+        m = 2 ** int(rnd.integers(2, 12))
+        a, b, centre = (int(v) for v in rnd.integers(0, m, 3))
+        start = int(rnd.integers(0, 3 * m))
+        stop, width = start + int(rnd.integers(0, 3 * m)), int(rnd.integers(0, m // 2))
+        want = {M for M in range(start, stop) if min((a * M + b - centre) % m, (centre - a * M - b) % m) <= width}
+        assert near(a, b, m, start, stop, centre, width) == want
+
+
+@pytest.mark.parametrize("margin", [cli._MARGIN, 0.0])
+def test_reprs_next_to_every_decision_boundary(boundary_floats, margin, monkeypatch):
+    """The floats nearest the kernel's decision boundaries, at its margin
+    and with none: the strict comparisons alone already judge each of
+    them right, as ``_shortest``'s docstring says of the whole domain."""
+    assert boundary_floats.size > 1000
+    monkeypatch.setattr(cli, "_MARGIN", margin)
+    assert_reprs(boundary_floats)
 
 
 PVALUES = [0.2, 0.015, 0.8, 0.001, 0.03, 0.004, 0.015, 0.6]
