@@ -23,6 +23,7 @@ from .core import (
     NotMonotoneError,
     _check_unit_interval,
     _first_drop,
+    _integer,
 )
 
 
@@ -38,6 +39,7 @@ class BoundInput:
     betas: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "t", _integer("t", self.t))
         if self.t < 1:
             raise BadShapeError(f"t must be >= 1, got {self.t}")
         m = len(self.betas)

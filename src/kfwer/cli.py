@@ -9,14 +9,15 @@ one pass into a float64 array (:func:`_read_numbers`); a family file, CSV
 check of p-values is :func:`kfwer.core.order_pvalues`'s, whose position is
 mapped back to a line.
 
-The reports of ``test`` and ``simulate`` are ``json.dumps(report,
-indent=2)`` and a newline, byte for byte, streamed in pieces and written
-from the invariants of the schedule or family (:func:`_json_chunks`); a
-schedule's values are formatted in numpy, a slice at a time, as
-``float.__repr__`` writes them (:func:`_reprs`). A family report, all
-n(n+1)/2 entries, is refused above ``MAX_FAMILY_ENTRIES`` before any file
-is read. A report written to ``--output`` replaces a regular file only
-once it is complete (:func:`_write_report`).
+The reports of ``test`` and ``simulate``, one-level dicts with string
+keys, are ``json.dumps(report, indent=2)`` and a newline, byte for byte,
+streamed in pieces and written from the invariants of the schedule or
+family (:func:`_json_chunks`); a schedule's values are formatted in
+numpy, a slice at a time, as ``float.__repr__`` writes them
+(:func:`_reprs`). A family report, all (n-k+1)(n-k+2)/2 entries, is
+refused above ``MAX_FAMILY_ENTRIES`` before any file is read. A report
+written to ``--output`` replaces a regular file only once it is complete
+(:func:`_write_report`).
 
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 data, 3 invalid flags or flag combinations, a size too large to allocate
@@ -37,7 +38,7 @@ import os
 import stat
 import sys
 from array import array
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -287,66 +288,57 @@ def _check_output(output: Optional[str]) -> None:
     raise ConfigError(f"{output}: {os.strerror(problem)}")
 
 
-# The report is ``json.dumps(payload, indent=2)`` plus a newline, byte for
-# byte, written in pieces. The critical values reach the writer as the
-# CriticalSchedule or LocalTestFamily itself, whose invariants spare most
-# of json's per-number work: every entry is an exact finite float in
-# [0, 1], whose JSON text is its repr, and every row is nondecreasing. So a
-# row whose first and last entries are equal and nonzero (every row of a
-# stepdown form) repeats one repr; a stepup form's row m is the tail
-# alpha_{n-m+k..n} of its schedule, whose values are each formatted once;
-# and a schedule is written from its array, ``_SLICE`` values per piece.
-# The schedule's values are formatted by _reprs, which computes in numpy
-# the digits float.__repr__ writes and leaves to it what it cannot
-# settle. Other table rows stay on float.__repr__: a call per row would
-# not repay the kernel's fixed cost. Any other value but a dict or a list
-# of exact ints is json.dumps's text.
-_INDENT = "  "
+# A report, a nonempty dict with string keys, is ``json.dumps(report,
+# indent=2)`` plus a newline, byte for byte, written in pieces. The
+# critical values reach the writer as the CriticalSchedule or
+# LocalTestFamily itself, whose invariants spare most of json's per-number
+# work: every entry is an exact finite float in [0, 1], whose JSON text is
+# its repr, and every row is nondecreasing. So a row whose first and last
+# entries are equal and nonzero (every row of a stepdown form) repeats one
+# repr; a stepup form's row m is the tail alpha_{n-m+k..n} of its
+# schedule, whose values are each formatted once; and a schedule is
+# written from its array, ``_SLICE`` values per piece. The schedule's
+# values are formatted by _reprs, which computes in numpy the digits
+# float.__repr__ writes and leaves to it what it cannot settle. Other
+# table rows stay on float.__repr__: a call per row would not repay the
+# kernel's fixed cost. A nonempty list of exact ints is joined; any other
+# value is json.dumps's text, indented one level.
 _SLICE = 1 << 13
 
 
-def _json_chunks(value, depth: int = 0) -> Iterator[str]:
-    """The text of ``json.dumps(value, indent=2)``, in pieces: one for each
-    row of a family."""
-    inner = "\n" + _INDENT * (depth + 1)
-    if isinstance(value, dict) and value:
-        sep = "{" + inner
-        for key, item in value.items():
-            # json quotes the text of a number, bool or None key.
-            yield f"{sep}{json.dumps(key if isinstance(key, str) else json.dumps(key))}: "
-            yield from _json_chunks(item, depth + 1)
-            sep = "," + inner
-        yield "\n" + _INDENT * depth + "}"
-    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
-        # Exact ints, such as the rejected indices, print as their repr;
-        # subclasses such as bool do not.
-        yield "[" + inner + ("," + inner).join(map(int.__repr__, value)) + "\n" + _INDENT * depth + "]"
-    elif isinstance(value, (list, tuple)):
-        # json escapes a newline in a string: each one it writes breaks a line.
-        yield json.dumps(value, indent=2).replace("\n", "\n" + _INDENT * depth)
-    elif isinstance(value, LocalTestFamily):
-        k, n, row_inner = value.k, value.n, inner + _INDENT
-        sep = "," + row_inner
-        if value._form == "stepup":
-            # Row m is the tail of the schedule from value n - m. Under
-            # MAX_FAMILY_ENTRIES the schedule is shorter than one _SLICE.
-            text, starts = _reprs(value._schedule._array, sep)
-            bodies = (text[start:] for start in reversed(starts.tolist()))
+def _json_chunks(report: dict) -> Iterator[str]:
+    """The text of ``json.dumps(report, indent=2)``, in pieces: one for
+    each row of a family."""
+    sep = "{\n  "
+    for key, value in report.items():
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ",\n  "
+        if isinstance(value, LocalTestFamily):
+            if value._form == "stepup":
+                # Row m is the tail of the schedule from value n - m. Under
+                # MAX_FAMILY_ENTRIES the schedule is shorter than one _SLICE.
+                text, starts = _reprs(value._schedule._array, ",\n      ")
+                bodies = (text[start:] for start in reversed(starts.tolist()))
+            else:
+                bodies = (_joined(value.row(m), ",\n      ") for m in range(value.k, value.n + 1))
+            lead = "[\n    "
+            for body in bodies:
+                yield lead + "[\n      " + body + "\n    ]"
+                lead = ",\n    "
+            yield "\n  ]"
+        elif isinstance(value, CriticalSchedule):
+            lead = "[\n    "
+            for start in range(0, value._array.size, _SLICE):
+                yield lead + _joined(value._array[start : start + _SLICE], ",\n    ")
+                lead = ",\n    "
+            yield "\n  ]"
+        elif isinstance(value, list) and value and set(map(type, value)) == {int}:
+            # Exact ints print as their repr; subclasses such as bool do not.
+            yield "[\n    " + ",\n    ".join(map(int.__repr__, value)) + "\n  ]"
         else:
-            bodies = (_joined(value.row(m), sep) for m in range(k, n + 1))
-        lead = "[" + inner
-        for body in bodies:
-            yield lead + "[" + row_inner + body + inner + "]"
-            lead = "," + inner
-        yield "\n" + _INDENT * depth + "]"
-    elif isinstance(value, CriticalSchedule):
-        lead = "[" + inner
-        for start in range(0, value._array.size, _SLICE):
-            yield lead + _joined(value._array[start : start + _SLICE], "," + inner)
-            lead = "," + inner
-        yield "\n" + _INDENT * depth + "]"
-    else:
-        yield json.dumps(value)
+            # json escapes a newline in a string: each one it writes breaks a line.
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _joined(values: Sequence[float], sep: str) -> str:
@@ -655,14 +647,10 @@ def _run_procedure(args, p: PValueVector) -> ProcedureResult:
 
 def cmd_test(args) -> int:
     _check_output(args.output)
-    if args.input and args.input != "-":
-        name = args.input
-        with _reading(name), open(name, encoding="utf-8") as fh:
-            values, lines = _read_pvalues(fh, name)
-    else:
-        name = "stdin"
-        with _reading(name):
-            values, lines = _read_pvalues(sys.stdin, name)
+    path = args.input if args.input != "-" else None
+    name = path or "stdin"
+    with _reading(name), (open(path, encoding="utf-8") if path else contextlib.nullcontext(sys.stdin)) as fh:
+        values, lines = _read_pvalues(fh, name)
     try:
         p = order_pvalues(values)
     except OutOfRangeError as exc:
@@ -684,19 +672,9 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_output(args.output)
-    config = SimulationConfig(
-        n=args.n,
-        n_true=args.true_nulls,
-        k=args.k,
-        alpha=args.alpha,
-        procedure=args.procedure,
-        schedule=args.schedule,
-        reps=args.reps,
-        dependence=args.dependence,
-        rho=args.rho,
-        delta=args.delta,
-        seed=_resolve_seed(args.seed),
-    )
+    flags = {field.name: getattr(args, field.name) for field in fields(SimulationConfig) if field.name in args}
+    flags["seed"] = _resolve_seed(flags.get("seed"))
+    config = SimulationConfig(**flags)
     result = estimate_kfwer(config)
     payload = {
         "kfwer_estimate": result.kfwer_estimate,
@@ -764,20 +742,20 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--output", help="write the JSON report here instead of stdout")
     t.set_defaults(fn=cmd_test)
 
-    s = sub.add_parser("simulate", help="Monte Carlo k-FWER and power estimation")
+    # Dests are SimulationConfig's fields; a flag not given takes its default.
+    s = sub.add_parser("simulate", help="Monte Carlo k-FWER and power estimation", argument_default=argparse.SUPPRESS)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--true-nulls", type=int, required=True)
+    s.add_argument("--true-nulls", dest="n_true", metavar="TRUE_NULLS", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--procedure", default="stepdown", choices=PROCEDURES)
-    s.add_argument("--schedule", default="lehmann-romano", choices=SCHEDULES,
-                   help="romano-shaikh rescales the lehmann-romano values")
-    s.add_argument("--reps", type=int, default=10_000)
-    s.add_argument("--dependence", default="independent", choices=DEPENDENCE)
-    s.add_argument("--rho", type=float, default=0.0)
-    s.add_argument("--delta", type=float, default=0.0)
+    s.add_argument("--procedure", choices=PROCEDURES)
+    s.add_argument("--schedule", choices=SCHEDULES, help="romano-shaikh rescales the lehmann-romano values")
+    s.add_argument("--reps", type=int)
+    s.add_argument("--dependence", choices=DEPENDENCE)
+    s.add_argument("--rho", type=float)
+    s.add_argument("--delta", type=float)
     s.add_argument("--seed", type=int, help="defaults to KFWER_SEED, then 0")
-    s.add_argument("--output", help="write the JSON report here instead of stdout")
+    s.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
     s.set_defaults(fn=cmd_simulate)
 
     v = sub.add_parser("verify", help="randomized equivalence/dominance checks of the procedures")

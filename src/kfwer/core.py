@@ -136,6 +136,14 @@ class ConfigError(KfwerError):
     out of range, or a command-line flag the CLI refuses (exit code 3)."""
 
 
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an int. A float or bool would pass a range check and
+    fail later, mid-run, or run as another number; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _unvalidated(cls, **fields):
     """An instance of ``cls`` with ``fields`` set and its checks not run,
     for values valid by construction. Callers pass every field the class's
@@ -263,6 +271,7 @@ class CriticalSchedule(_Frozen):
     _fields = ("k", "n", "alphas")
 
     def __init__(self, k: int, n: int, alphas: Iterable[float]):
+        k, n = _integer("k", k), _integer("n", n)
         if not 1 <= k <= n:
             raise KOutOfRangeError(k, n)
         if not isinstance(alphas, np.ndarray):  # a float64 array is range-checked whole
@@ -305,6 +314,7 @@ class LocalTestFamily(_Frozen):
     _schedule = _form = None  # a table's; a form sets both
 
     def __init__(self, k: int, n: int, rows: Iterable[Iterable[float]]):
+        k, n = _integer("k", k), _integer("n", n)
         if not 1 <= k <= n:
             raise KOutOfRangeError(k, n)
         table = []

@@ -40,6 +40,7 @@ from .core import (
     OutOfRangeError,
     PValueVector,
     TooLargeError,
+    _integer,
     _unvalidated,
 )
 
@@ -192,11 +193,14 @@ def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     return ProcedureResult(_prefix_flags(p, count), {"j_hat": j_hat or None}, "generalized_hommel", family=f)
 
 
-def _check_level(k: int, n: int, alpha: float) -> None:
+def _check_level(k: int, n: int, alpha: float) -> tuple[int, int]:
+    """k and n as ints, once k, n and alpha are checked."""
+    k, n = _integer("k", k), _integer("n", n)
     if not 1 <= k <= n:
         raise KOutOfRangeError(k, n)
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(alpha)
+    return k, n
 
 
 def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
@@ -208,7 +212,7 @@ def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
     n, n-1, ..., k, each exact below 2**53, rounds as the scalar quotients
     do, float for float.
     """
-    _check_level(k, n, alpha)
+    k, n = _check_level(k, n, alpha)
     alphas = k * alpha / np.arange(n, k - 1, -1, dtype=np.float64)
     return _unvalidated(CriticalSchedule, k=k, n=n, _array=alphas)
 
@@ -266,7 +270,7 @@ def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     """Local tests with values i*alpha/m, each rounded as the scalar is; at
     k = 1 these are Simes' critical values, turning the Hommel shortcut
     into the classical Hommel procedure."""
-    _check_level(k, n, alpha)
+    k, n = _check_level(k, n, alpha)
     check_family_size(k, n)
     m, i = np.tril_indices(n - k + 1)  # m - k and i - k, row after row
     return _unvalidated(LocalTestFamily, k=k, n=n, _array=(i + k) * alpha / (m + k))
@@ -359,7 +363,7 @@ def critical_values(
         if family:
             return constant_family(k, n, alpha)
         # One value in (0, 1), repeated: valid by construction, so no re-check.
-        return _unvalidated(CriticalSchedule, k=k, n=n, _array=np.full(n - k + 1, k * alpha / n))
+        return _unvalidated(CriticalSchedule, k=int(k), n=int(n), _array=np.full(n - k + 1, k * alpha / n))
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConfigError, PValueVector, order_pvalues
+from .core import ConfigError, PValueVector, _integer, order_pvalues
 from .procedures import (
     CriticalValues,
     ProcedureResult,
@@ -53,6 +53,10 @@ class SimulationConfig:
     false nulls whose latent scores are shifted by ``delta``. ``rho`` is
     the pairwise latent correlation (ignored when ``dependence`` is
     "independent").
+
+    This is the one statement of ``kfwer simulate``'s parameters and their
+    defaults: each flag sets one field (``--true-nulls`` sets ``n_true``),
+    and a flag not given leaves the field's default.
     """
 
     n: int
@@ -68,14 +72,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # A float or bool would pass the range checks below and then run
-        # another seed's stream or fail mid-run; numpy integers are stored
-        # as int.
         for name in ("n", "n_true", "k", "reps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         # A string would fail the range checks below with TypeError, a bool pass.
         for name in ("alpha", "rho", "delta"):
             value = getattr(self, name)
@@ -178,6 +176,7 @@ def _draw_pvalues(config: SimulationConfig, rng: _ReplicationRng, first: int, dr
 def generate_pvalues(config: SimulationConfig, replication_index: int) -> PValueVector:
     """Draw one replication's p-values, deterministically from
     (config.seed, replication_index), as :func:`estimate_kfwer` draws them."""
+    replication_index = _integer("replication_index", replication_index)
     if not 0 <= replication_index < 2**64:
         raise ConfigError(f"replication_index must lie in 0..2**64-1, got {replication_index}")
     draws = np.empty((1, config.n + 1))

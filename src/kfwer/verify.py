@@ -22,6 +22,7 @@ from .core import (
     CriticalSchedule,
     LocalTestFamily,
     PValueVector,
+    _integer,
     _steps,
     check_theorem43_condition,
     order_pvalues,
@@ -269,11 +270,15 @@ THEOREMS = tuple(_TRIALS)
 def run_theorem_trials(theorem: str, trials: int, n_max: int, seed: int) -> TheoremReport:
     """Run randomized trials for one theorem id from THEOREMS: each trial's
     shortcut is compared with exhaustive closed testing on its family.
-    Sizes are drawn from 2..``n_max`` <= ``EXHAUSTIVE_LIMIT``; ``seed`` is >= 0."""
+    Sizes are drawn from 2..``n_max`` <= ``EXHAUSTIVE_LIMIT``; ``trials``
+    is >= 1 and ``seed`` >= 0, and all three are integers."""
     try:
         trial, note = _TRIALS[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}") from None
+    trials, n_max, seed = _integer("trials", trials), _integer("n_max", n_max), _integer("seed", seed)
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if not 2 <= n_max <= EXHAUSTIVE_LIMIT:
         raise ConfigError(f"n_max must lie in 2..{EXHAUSTIVE_LIMIT}, got {n_max}")
     if seed < 0:

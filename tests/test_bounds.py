@@ -2,6 +2,7 @@
 stepup normalization constant, and local test decisions."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from kfwer import (
     BadShapeError,
     BoundInput,
     CardinalityOutOfRangeError,
+    KfwerError,
     LengthMismatchError,
     NotMonotoneError,
     constant_family,
@@ -54,6 +56,18 @@ class TestBoundInput:
     def test_rejects_empty(self):
         with pytest.raises(BadShapeError):
             BoundInput(t=2, betas=())
+
+    @pytest.mark.parametrize("t", [2.5, 2.0, np.float64(3.0), True, np.bool_(True), "2", None])
+    def test_rejects_non_integer_t(self, t):
+        """t = 2.5 used to give a bound for 2.5 p-values."""
+        with pytest.raises(KfwerError, match=re.escape(f"t must be an integer, got {t!r}")):
+            BoundInput(t=t, betas=(0.1,))
+
+    def test_numpy_integer_t_is_stored_as_int(self):
+        bound_input = BoundInput(t=np.int64(3), betas=(0.1, 0.2))
+        assert type(bound_input.t) is int
+        assert repr(bound_input) == repr(BoundInput(t=3, betas=(0.1, 0.2)))
+        assert lemma31_bound(bound_input) == lemma31_bound(BoundInput(t=3, betas=(0.1, 0.2)))
 
 
 class TestLemma31Bound:

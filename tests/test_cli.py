@@ -2,6 +2,7 @@
 reproducibility."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -772,6 +773,21 @@ class TestCmdSimulate:
         )
         assert code == EXIT_BAD_FLAGS
         assert out == "" and "delta" in err
+
+    def test_flags_are_the_config_fields_and_defaults(self, capsys, monkeypatch):
+        """Every flag names a SimulationConfig field, and a flag not given
+        is absent from the parsed flags, so the report echoes the config's
+        own defaults."""
+        names = {field.name for field in dataclasses.fields(SimulationConfig)}
+        required = ["simulate", "--n", "4", "--true-nulls", "2", "--k", "1", "--alpha", "0.1"]
+        every = required + ["--procedure", "stepup", "--schedule", "constant", "--reps", "30", "--dependence",
+                            "equicorrelated", "--rho", "0.5", "--delta", "1.5", "--seed", "8"]
+        assert names <= set(vars(build_parser().parse_args(every)))
+        assert set(vars(build_parser().parse_args(required))) & names == {"n", "n_true", "k", "alpha"}
+        monkeypatch.delenv("KFWER_SEED", raising=False)
+        code, out, _ = run_main(required, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["config_echo"] == dataclasses.asdict(SimulationConfig(n=4, n_true=2, k=1, alpha=0.1))
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         argv = ["simulate", "--n", "4", "--true-nulls", "4", "--k", "1", "--alpha", "0.05",

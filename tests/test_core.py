@@ -36,7 +36,7 @@ from kfwer import (
     validate_schedule,
 )
 from kfwer import cli, core
-from kfwer.procedures import critical_values, romano_shaikh_schedule
+from kfwer.procedures import check_procedure, critical_values, romano_shaikh_schedule
 from kfwer.verify import random_family, random_schedule
 from oracles import (
     order_pvalues_reference,
@@ -465,6 +465,44 @@ def test_indices_outside_their_range_raise(name):
             critical.value(4, 3)
         with pytest.raises(CardinalityOutOfRangeError, match=re.escape("cardinality m=6 must satisfy k=2 <= m <= n=5")):
             critical.value(2, 6)
+
+
+# Where k and n enter. A float or bool k or n used to build and then fail
+# mid-run (a slice index in stepdown, ``alpha(i)``, generalized_hommel) or
+# run as another number (k = 1.5 stored, True taken as 1).
+SIZED = {
+    "CriticalSchedule": lambda k, n: CriticalSchedule(k=k, n=n, alphas=[0.01] * 5),
+    "LocalTestFamily": lambda k, n: LocalTestFamily(k=k, n=n, rows=[[0.01] * j for j in range(1, 6)]),
+    "validate_family": lambda k, n: validate_family(k, n, [[0.01] * j for j in range(1, 6)]),
+    "lehmann_romano_schedule": lambda k, n: lehmann_romano_schedule(k, n, 0.05),
+    "simes_family": lambda k, n: simes_family(k, n, 0.05),
+    "constant_family": lambda k, n: constant_family(k, n, 0.05),
+    "constant schedule": lambda k, n: constant_schedule(k, n),
+}
+
+
+def constant_schedule(k, n):
+    """The resolver's constant schedule, for a request it accepts."""
+    check_procedure("stepup", "constant", k, n, 0.05)
+    return critical_values("stepup", "constant", k, n, 0.05, base=None)
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED))
+@pytest.mark.parametrize("name, k, n", [
+    ("k", 2.0, 6), ("k", 1.5, 6), ("k", True, 6), ("k", np.bool_(True), 6), ("k", "2", 6), ("k", None, 6),
+    ("n", 2, 6.0), ("n", 2, np.float64(6.0)), ("n", 2, False),
+])
+def test_non_integer_sizes_refused(entry, name, k, n):
+    value = k if name == "k" else n
+    with pytest.raises(KfwerError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        SIZED[entry](k, n)
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED))
+def test_numpy_integer_sizes_are_stored_as_int(entry):
+    built, plain = SIZED[entry](np.int64(2), np.uint16(6)), SIZED[entry](2, 6)
+    assert type(built.k) is int and type(built.n) is int
+    assert repr(built) == repr(plain) and built == plain
 
 
 class TestTheorem43Condition:

@@ -1,7 +1,7 @@
-"""The JSON report writer: its text equals ``json.dumps(value, indent=2)``
-byte for byte, every report of ``kfwer test`` and ``kfwer simulate`` is
-that text plus a newline on stdout and in ``--output`` alike, and a failed
-write exits 3 naming where it went."""
+"""The JSON report writer: a report's text equals ``json.dumps(report,
+indent=2)`` byte for byte, every report of ``kfwer test`` and ``kfwer
+simulate`` is that text plus a newline on stdout and in ``--output``
+alike, and a failed write exits 3 naming where it went."""
 
 import errno
 import io
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import kfwer
 from kfwer import (
+    CriticalSchedule,
     LocalTestFamily,
     cli,
     constant_family,
@@ -47,14 +48,8 @@ def copies(x, count):
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True)
-scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    floats,
-    st.text(alphabet=st.characters(), max_size=8) | st.sampled_from(['"', "\\", "é", "🎲", "\n\t", "</x>"]),
-    floats.map(np.float64),
-)
+strings = st.text(alphabet=st.characters(), max_size=8) | st.sampled_from(['"', "\\", "é", "🎲", "\n\t", "</x>"])
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, strings, floats.map(np.float64))
 keys = st.one_of(st.text(max_size=6), st.integers(), floats, st.booleans(), st.none(), floats.map(np.float64))
 rows = st.one_of(
     st.tuples(floats, st.integers(1, 6)).map(lambda a: [a[0]] * a[1]),
@@ -66,31 +61,52 @@ rows = st.one_of(
     st.lists(st.sampled_from([1, True, 1.0, np.float64(1.0)]), max_size=5).map(lambda t: [1.0, *t]),
     st.lists(st.sampled_from([0, False, 0.0, -0.0, np.float64(0.0)]), max_size=5).map(lambda t: [0.0, *t]),
     st.lists(st.sampled_from([0.1, 1e300, 1e300, float("inf"), float("nan"), -1e-300]), min_size=1, max_size=6),
-    st.lists(st.integers(), max_size=6),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    # Empty and nonempty lists of exact ints, which the writer joins itself,
+    # and of ints mixed with bools, an int subclass it must leave to json.
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.integers(), max_size=6).map(tuple),
+    st.lists(st.sampled_from([0, 1, 2**70, True, False]), max_size=6),
 )
-values = st.recursive(
+# A value nested in a report: lists, tuples and dicts, whose keys may be
+# numbers, bools or None (json quotes their text).
+nested = st.recursive(
     scalars | rows,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(keys, children, max_size=4),
-    max_leaves=20,
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(keys, children, max_size=3),
+    max_leaves=12,
 )
+# A report: a nonempty dict with string keys, one level deep, whose values
+# may also be a schedule or a family (defined below), written from their
+# invariants.
+reports = st.dictionaries(strings, nested | st.deferred(lambda: families() | schedules()), min_size=1, max_size=6)
+
+
+def as_json(report):
+    """``json.dumps``'s text of a report, with each schedule or family as its values."""
+    return json.dumps({key: plain(value) if isinstance(value, (CriticalSchedule, LocalTestFamily)) else value
+                       for key, value in report.items()}, indent=2)
 
 
 @settings(max_examples=400, deadline=None)
-@given(values)
-def test_writer_matches_json_dumps(value):
-    assert written(value) == json.dumps(value, indent=2)
+@given(reports)
+def test_writer_matches_json_dumps(report):
+    assert written(report) == as_json(report)
 
 
 @pytest.mark.parametrize("value", [
     [], {}, [[]], {"a": {}}, [0.0, -0.0], [-0.0, 0.0], [5e-324] * 3, [1.0, 1, True],
     [np.float64(0.5), 0.5], [0.5, np.float64(0.5)], [float("nan")] * 2, [float("inf")] * 2,
     [1e308, 1e308], [2**70, 3], ((0.05,) * 3, (0.025,) * 2), "é\"", {"x": [1.5, 2.5], "y": None},
+    [1, True], [True], (1, 2), {1: [3], None: {"z": [4, 5]}, 0.5: "a\nb"}, [[1, 2], [3]], "a\nb", "",
+    float("nan"), -0.0, np.float64(1e-300), 2**70, None, False,
+    constant_family(1, 1, 0.05), validate_schedule(1, 1, [-0.0]),
 ])
 def test_writer_matches_json_dumps_on_edge_cases(value):
-    assert written(value) == json.dumps(value, indent=2)
+    """Each value as a report's one entry, after and before other entries."""
+    for report in ({"value": value}, {"a": 1, "value": value, "z": [1]}):
+        assert written(report) == as_json(report)
 
 
 # Critical values reach the writer as the schedule or family itself,
@@ -157,7 +173,8 @@ def plain(critical):
 
 
 def assert_written_as_json(critical):
-    assert written({"critical_values": critical}) == json.dumps({"critical_values": plain(critical)}, indent=2)
+    report = {"critical_values": critical}
+    assert written(report) == as_json(report)
 
 
 @settings(max_examples=400, deadline=None)

@@ -139,6 +139,17 @@ class TestGeneratePValues:
         with pytest.raises(ConfigError):
             generate_pvalues(config(), -1)
 
+    @pytest.mark.parametrize("index", [True, False, 1.5, 2.0, np.float64(1.0), np.bool_(True), "1", None])
+    def test_non_integer_replication_index_rejected(self, index):
+        """True used to draw replication 1, and 1.5 or 2.0 failed inside
+        the stream's fill with TypeError."""
+        with pytest.raises(ConfigError, match=re.escape(f"replication_index must be an integer, got {index!r}")):
+            generate_pvalues(config(), index)
+
+    def test_numpy_integer_replication_index_draws_that_replication(self):
+        cfg = config()
+        assert generate_pvalues(cfg, np.uint64(3)) == generate_pvalues(cfg, 3)
+
     def test_replication_index_beyond_64_bits_rejected(self):
         """The stream key holds the index in 64 bits; 2**64 must not wrap
         around to replication 0."""

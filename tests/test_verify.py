@@ -110,6 +110,37 @@ def test_bad_size_or_seed_refused_before_any_trial(n_max, seed, message, monkeyp
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("trials, n_max, seed, message", [
+    (-5, 10, 0, "trials must be >= 1, got -5"),
+    (0, 10, 0, "trials must be >= 1, got 0"),
+    (True, 10, 0, "trials must be an integer, got True"),
+    (2.5, 10, 0, "trials must be an integer, got 2.5"),
+    (np.float64(3.0), 10, 0, f"trials must be an integer, got {np.float64(3.0)!r}"),
+    (200, 10.0, 0, "n_max must be an integer, got 10.0"),
+    (200, True, 0, "n_max must be an integer, got True"),
+    (200, 10, 1.5, "seed must be an integer, got 1.5"),
+    (200, 10, "1", "seed must be an integer, got '1'"),
+])
+def test_bad_trial_count_or_non_integer_refused_before_any_trial(trials, n_max, seed, message, monkeypatch):
+    """A trial count that is not an integer of at least 1, or an ``n_max``
+    or seed that is not an integer, is a ConfigError naming it, raised
+    before the first trial. A count of -5 or 0 used to report "ok" on no
+    trials, and True one trial."""
+    def trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(kfwer.verify._TRIALS, "4.2", (trial, None))
+    with pytest.raises(ConfigError) as exc:
+        run_theorem_trials("4.2", trials, n_max, seed)
+    assert str(exc.value) == message
+
+
+def test_numpy_integer_arguments_run_as_ints():
+    report = run_theorem_trials("4.2", np.int64(20), np.int32(8), np.uint64(5))
+    assert report == run_theorem_trials("4.2", 20, 8, 5)
+    assert type(report.trials) is int
+
+
 def test_failure_description_is_replayable():
     failure = TrialFailure(
         theorem="4.2",
