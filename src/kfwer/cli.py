@@ -19,10 +19,7 @@ refused above ``MAX_FAMILY_ENTRIES`` before any file is read. A report
 written to ``--output`` replaces a regular file only once it is complete
 (:func:`_write_report`).
 
-Exit codes: 0 success, 1 verification counterexample, 2 malformed input
-data, 3 invalid flags or flag combinations, a size too large to allocate
-(``error: not enough memory: ...``), or a report that could not be
-written (``error: stdout: ...`` or ``error: PATH: ...``).
+The exit codes are listed in ``kfwer --help`` (``_EXIT_CODES``).
 """
 
 from __future__ import annotations
@@ -74,6 +71,19 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_BAD_DATA = 2
 EXIT_BAD_FLAGS = 3
+
+# What ``kfwer --help`` tells a user; the module docstring is for developers.
+_DESCRIPTION = (
+    "k-FWER multiple testing: apply a stepdown, stepup, generalized Hommel or "
+    "closed testing procedure to p-values, estimate error rates and power by "
+    "simulation, or check the procedures' theorems on random inputs."
+)
+_EXIT_CODES = (
+    "exit codes: 0 success, 1 verification counterexample, 2 malformed input "
+    "data, 3 invalid flags or flag combinations, a size too large to allocate "
+    "(error: not enough memory: ...), or a report that could not be written "
+    "(error: stdout: ... or error: PATH: ...)"
+)
 
 
 class InputDataError(Exception):
@@ -724,7 +734,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="kfwer", description=__doc__)
+    parser = _Parser(prog="kfwer", description=_DESCRIPTION, epilog=_EXIT_CODES)
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("test", help="apply a procedure to p-values from a file or stdin")

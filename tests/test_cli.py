@@ -53,6 +53,17 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
+def test_help_is_written_for_users(capsys):
+    """``kfwer --help`` describes the commands and lists the exit codes,
+    without the module docstring's markup for developers."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == EXIT_OK
+    assert "``" not in out and ":func:" not in out
+    assert "exit codes: 0 success, 1 verification counterexample, 2 malformed input" in " ".join(out.split())
+
+
 class TestCmdTest:
     def test_stepdown_lehmann_romano_report(self, pfile, capsys):
         code, out, _ = run_main(

@@ -14,6 +14,7 @@ from kfwer import (
     BadShapeError,
     BoundInput,
     CardinalityOutOfRangeError,
+    ConfigError,
     CriticalSchedule,
     EmptyInputError,
     KfwerError,
@@ -47,6 +48,9 @@ from oracles import (
 
 pvals = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 TIED_PVALS = st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | pvals
+# Values that tie in a comparison but not bit for bit (0.0 and -0.0), the
+# ends of the range and subnormals, the smallest and the largest.
+ZERO_ONE_SUBNORMAL = [0.0, -0.0, 1.0, 5e-324, 1e-320, 2.225073858507201e-308]
 
 # Every kind of iterable a caller may pass for a schedule or a row.
 ITERABLES = {
@@ -113,6 +117,33 @@ class TestOrderPValues:
             PValueVector(values=(0.2, 0.1), order=(0, 1))
         with pytest.raises(BadShapeError):
             PValueVector(values=(0.5, 0.5), order=(1, 0))  # ties must keep index order
+
+    @given(
+        n=st.integers(1, 5000) | st.sampled_from([core._QUICKSORT_MIN - 1, core._QUICKSORT_MIN, core._QUICKSORT_MIN + 1]),
+        kind=st.sampled_from(["pool", "all equal", "distinct"]),
+        pool=st.lists(st.sampled_from(ZERO_ONE_SUBNORMAL) | pvals, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=core._QUICKSORT_MIN, kind="pool", pool=[0.0, -0.0], seed=1)
+    @example(n=5000, kind="pool", pool=ZERO_ONE_SUBNORMAL + [0.5], seed=2)
+    @example(n=5000, kind="all equal", pool=[-0.0], seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_order_is_the_references_on_both_sides_of_the_cutoff(self, n, kind, pool, seed):
+        """From ``_QUICKSORT_MIN`` values up the order is a quicksort with its
+        ties repaired: it must still be the stable sort, -0.0 tied with 0.0."""
+        rng = np.random.default_rng(seed)
+        if kind == "pool":
+            values = np.array(pool)[rng.integers(len(pool), size=n)]
+        elif kind == "all equal":
+            values = np.full(n, pool[0])
+        else:
+            values = rng.permutation(n) / n
+        want_values, want_order = order_pvalues_reference(values.tolist())
+        p = order_pvalues(values)
+        assert p.order == want_order
+        assert p.values == want_values
+        assert p._sorted_array.tobytes() == p._values[list(want_order)].tobytes()
+        assert PValueVector(values, want_order) == p
 
 
 class TestValidateSchedule:
@@ -465,6 +496,33 @@ def test_indices_outside_their_range_raise(name):
             critical.value(4, 3)
         with pytest.raises(CardinalityOutOfRangeError, match=re.escape("cardinality m=6 must satisfy k=2 <= m <= n=5")):
             critical.value(2, 6)
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+@pytest.mark.parametrize("bad", [3.0, np.float64(3.0), True, np.bool_(True), "3", None])
+def test_non_integer_indices_refused(name, bad):
+    """An index that is not an integer used to raise a bare TypeError
+    (``alpha(3.0)``), return a value (``value(2.0, 3)``) or be refused as
+    out of range (``alpha(True)``)."""
+    critical = INDEXED[name]
+    if name == "schedule":
+        calls = [("index i", critical.alpha, (bad,))]
+    else:
+        calls = [("cardinality m", critical.row, (bad,)), ("index i", critical.value, (bad, 3)),
+                 ("cardinality m", critical.value, (2, bad))]
+    for what, method, args in calls:
+        with pytest.raises(ConfigError, match=re.escape(f"{what} must be an integer, got {bad!r}")):
+            method(*args)
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_numpy_integer_indices_are_read_as_int(name):
+    critical = INDEXED[name]
+    if name == "schedule":
+        assert critical.alpha(np.int64(3)) == critical.alpha(3)
+    else:
+        assert critical.row(np.uint8(3)) == critical.row(3)
+        assert critical.value(np.int32(2), np.int64(4)) == critical.value(2, 4)
 
 
 # Where k and n enter. A float or bool k or n used to build and then fail
