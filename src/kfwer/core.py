@@ -233,13 +233,16 @@ class PValueVector(_Frozen):
     _fields = ("values", "order")
 
     def __init__(self, values: Iterable[float], order: Iterable[int]):
-        # The one valid order is the stable sort order_pvalues computes.
+        # The one valid order is the stable sort order_pvalues computes. An
+        # order numpy does not find equal to it is walked in Python, to
+        # name its fault (or accept numbers numpy holds only as objects).
         array, stable = _ordered(values)
-        order = tuple(order)
-        if sorted(order) != list(range(array.size)):
-            raise BadShapeError(f"order must be a permutation of 0..{array.size - 1}")
-        if order != tuple(stable.tolist()):
-            raise BadShapeError("order must sort values nondecreasingly with ties by ascending index")
+        if not _is_order(order, stable):
+            order = tuple(order)
+            if sorted(order) != list(range(array.size)):
+                raise BadShapeError(f"order must be a permutation of 0..{array.size - 1}")
+            if order != tuple(stable.tolist()):
+                raise BadShapeError("order must sort values nondecreasingly with ties by ascending index")
         self.__dict__.update(_values=array, _order_array=stable, _sorted_array=array[stable])
 
     # Built on first read and kept in the instance dict, where every later
@@ -440,6 +443,19 @@ def _ordered(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
     keys.sort()
     keys %= n
     return array, keys
+
+
+def _is_order(order: Any, stable: np.ndarray) -> bool:
+    """Whether ``order``, as a numpy array of bools, integers or floats,
+    equals ``stable`` entry for entry. Such an order is one the Python walk
+    in :class:`PValueVector` accepts: its entries compare as numbers, and
+    equal to 0..n-1. Any other input, one numpy cannot convert included,
+    is left to that walk."""
+    try:
+        given = np.asarray(order)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return given.dtype.kind in "biuf" and given.shape == stable.shape and bool((given == stable).all())
 
 
 def order_pvalues(values: Iterable[float]) -> PValueVector:

@@ -14,10 +14,14 @@ across workers.
 
 ``estimate_kfwer`` runs one loop over chunks of replications. A chunk's
 draws fill one array, a row per replication, and the chunk is
-transformed to p-values, sorted, decided by the procedure's batch kernel
-(see :func:`kfwer.procedures.bind_batch`) and counted as whole arrays.
-A chunk holds ``max(1, CHUNK_ELEMENTS // (n + 1))`` replications, so
-memory stays bounded at any n and any number of replications. The power
+transformed to p-values and its rows sorted, as whole arrays. The
+procedure's batch kernel (see :func:`kfwer.procedures.bind_batch`) counts
+each row's rejections c from its sorted values, and the number V of
+rejected true nulls follows from those values and c alone, since the
+true nulls hold the lowest positions; no ordering permutation or
+per-hypothesis flag is formed. A chunk holds
+``max(1, CHUNK_ELEMENTS // (n + 1))`` replications, so memory stays
+bounded at any n and any number of replications. The power
 fractions are still added one replication at a time, left to right, so
 the estimates equal those of a one-replication-at-a-time loop float for
 float.
@@ -196,6 +200,36 @@ def build_procedure(config: SimulationConfig) -> Callable[[PValueVector], Proced
     return bind_procedure(config.procedure, _critical_values(config))
 
 
+def _count_rejections(
+    p: np.ndarray, counts: Callable[[np.ndarray], np.ndarray], n_true: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's number of rejections c and of rejected true nulls V.
+
+    ``counts`` maps the rows of ``p``, sorted, to c. A row rejects its c
+    smallest p-values in the stable order, so its largest rejected value
+    is t = sp[c - 1] (t = -1, below every p-value, when c = 0): every
+    p-value below t is rejected, and of those tied at t, the first
+    c - #{p < t} in the stable order. That order breaks ties by position,
+    and the true nulls hold the lowest positions, 0..n_true-1, so tied
+    true nulls come first: V = #{true nulls < t} +
+    min(#{true nulls == t}, c - #{p < t}). Where the value after the cut,
+    sp[c], differs from t, every tie at t is rejected and V is
+    #{true nulls <= t}; only rows whose tie runs past the cut count the rest.
+    """
+    sp = np.sort(p, axis=1)
+    c = counts(sp)
+    rows, n = np.arange(len(sp)), sp.shape[1]
+    t = np.where(c > 0, sp[rows, c - 1], -1.0)[:, None]
+    nulls = p[:, :n_true]
+    v = np.count_nonzero(nulls <= t, axis=1)
+    split = np.flatnonzero((c < n) & (sp[rows, np.minimum(c, n - 1)] == t[:, 0]))
+    if split.size:
+        tie = t[split]
+        below = np.count_nonzero(nulls[split] < tie, axis=1)
+        v[split] = below + np.minimum(v[split] - below, c[split] - np.count_nonzero(sp[split] < tie, axis=1))
+    return c, v
+
+
 def estimate_kfwer(
     config: SimulationConfig,
     procedure: Optional[Callable[[PValueVector], ProcedureResult]] = None,
@@ -203,39 +237,38 @@ def estimate_kfwer(
     """Estimate P{V >= k} where V counts rejected true nulls.
 
     Any true null swept into the automatic k-1 rejections counts toward
-    V; the error-rate definition makes no exemption for them. Power is
-    accumulated over false nulls whenever there are any. ``procedure``
-    overrides the configured one (useful for testing the counting logic
-    with trivial deciders); it is applied to one replication's
-    :class:`PValueVector` at a time.
+    V; the error-rate definition makes no exemption for them. Power, the
+    mean of (c - V) / n_false over replications for c rejections, is
+    accumulated whenever there are false nulls.
+
+    By default each chunk's rows are sorted, the procedure's batch kernel
+    counts each row's rejections c, and V is counted from the sorted
+    values and c alone (see :func:`_count_rejections`). ``procedure``
+    overrides the configured rule: the reference the default path is
+    tested against, and a way to test the counting with trivial deciders.
+    It is applied to one replication's :class:`PValueVector` at a time,
+    and c and V are summed from its rejection flags.
     """
     n_true, n, k, reps = config.n_true, config.n, config.k, config.reps
     n_false = n - n_true
     if procedure is None:
         counts = bind_batch(config.procedure, _critical_values(config))
-        ranks = np.arange(n)
-
-        def decide(p: np.ndarray) -> np.ndarray:
-            order = np.argsort(p, axis=1, kind="stable")  # stable: ties keep index order
-            rejected = ranks < counts(np.take_along_axis(p, order, axis=1))[:, None]
-            flags = np.empty_like(rejected)
-            np.put_along_axis(flags, order, rejected, axis=1)
-            return flags
-    else:
-        def decide(p: np.ndarray) -> np.ndarray:
-            return np.array([procedure(order_pvalues(row)).rejected for row in p], dtype=bool)
-
     rng = _ReplicationRng()
     draws = np.empty((min(reps, max(1, CHUNK_ELEMENTS // (n + 1))), n + 1))
     exceedances = 0
     power_sum = 0.0
     for first in range(0, reps, len(draws)):
-        flags = decide(_draw_pvalues(config, rng, first, draws[: reps - first]))
-        exceedances += int(np.count_nonzero(flags[:, :n_true].sum(axis=1) >= k))
+        p = _draw_pvalues(config, rng, first, draws[: reps - first])
+        if procedure is None:
+            c, v = _count_rejections(p, counts, n_true)
+        else:
+            flags = np.array([procedure(order_pvalues(row)).rejected for row in p], dtype=bool)
+            c, v = flags.sum(axis=1), flags[:, :n_true].sum(axis=1)
+        exceedances += int(np.count_nonzero(v >= k))
         if n_false:
             # A running sum, left to right, as a one-replication loop adds;
             # np.sum's pairwise order could change the last bits.
-            fractions = flags[:, n_true:].sum(axis=1) / n_false
+            fractions = (c - v) / n_false
             power_sum = float(np.add.accumulate(np.concatenate(([power_sum], fractions)))[-1])
     estimate = exceedances / reps
     std_error = math.sqrt(estimate * (1.0 - estimate) / reps)

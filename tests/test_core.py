@@ -4,6 +4,7 @@ types, and the diagonal condition check."""
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,41 @@ class TestOrderPValues:
             PValueVector(values=(0.2, 0.1), order=(0, 1))
         with pytest.raises(BadShapeError):
             PValueVector(values=(0.5, 0.5), order=(1, 0))  # ties must keep index order
+
+    # The stable order of TIED_ROW is (1, 0, 2).
+    TIED_ROW = (0.4, 0.1, 0.4)
+
+    @pytest.mark.parametrize("order", [
+        (1, 0, 2), [1, 0, 2], np.array([1, 0, 2]), np.array([1, 0, 2], dtype=np.uint8),
+        (1.0, 0.0, 2.0), np.array([1.0, 0.0, 2.0]), (np.int64(1), 0, 2.0), (True, False, 2),
+        (Fraction(1), Fraction(0), Fraction(2)),  # not a numpy number: walked, and accepted
+    ])
+    def test_accepts_the_stable_order_as_any_equal_numbers(self, order):
+        p = PValueVector(self.TIED_ROW, order)
+        assert p == order_pvalues(self.TIED_ROW)
+        assert p.order == (1, 0, 2)
+
+    def test_bool_orders_count_as_zero_and_one(self):
+        assert PValueVector((0.2, 0.1), (True, False)).order == (1, 0)
+        assert PValueVector((0.1, 0.2), np.array([False, True])).order == (0, 1)
+        with pytest.raises(BadShapeError, match=re.escape("order must sort values")):
+            PValueVector((0.2, 0.1), (False, True))
+        with pytest.raises(BadShapeError, match=re.escape("order must be a permutation of 0..1")):
+            PValueVector((0.2, 0.1), (True, True))
+
+    @pytest.mark.parametrize("order", [
+        (1, 0), (1, 0, 2, 3), np.array([1, 0]),  # the wrong length
+        (1, 1, 2), (0, 0, 0), np.array([1, 1, 2]),  # repeated indices
+        (1.5, 0, 2), np.array([1.0, 0.0, 2.5]), (1, 0, 3), (-1, 0, 2),  # not the numbers 0..2
+    ])
+    def test_refuses_a_non_permutation(self, order):
+        with pytest.raises(BadShapeError, match=re.escape("order must be a permutation of 0..2")):
+            PValueVector(self.TIED_ROW, order)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), np.array([2.0, 0.0, 1.0])])
+    def test_refuses_a_permutation_that_is_not_the_stable_order(self, order):
+        with pytest.raises(BadShapeError, match=re.escape("order must sort values nondecreasingly with ties by ascending index")):
+            PValueVector(self.TIED_ROW, order)
 
     @given(
         n=st.integers(1, 5000) | st.sampled_from([core._QUICKSORT_MIN - 1, core._QUICKSORT_MIN, core._QUICKSORT_MIN + 1]),

@@ -22,7 +22,7 @@ from kfwer import (
     scaled_family,
 )
 from kfwer.procedures import FAMILY_PROCEDURES
-from kfwer.simulation import CHUNK_ELEMENTS, _critical_values, _ReplicationRng, build_procedure
+from kfwer.simulation import CHUNK_ELEMENTS, _count_rejections, _critical_values, _ReplicationRng, build_procedure
 from oracles import estimate_kfwer_oracle
 
 
@@ -287,6 +287,15 @@ EDGE_CONFIGS = [
     dict(n=6, n_true=6, k=1, procedure="hommel", schedule="romano-shaikh", reps=400, alpha=0.3),
     dict(n=7, n_true=4, k=2, procedure="closed", schedule="constant", reps=400, delta=1.0,
          dependence="equicorrelated", rho=0.9),
+    # k = n with only false or only true nulls, false nulls at delta = 40,
+    # where ndtr returns exactly 0.0 for many of them, for every procedure.
+    *(dict(n=5, n_true=n_true, k=5, procedure=procedure, schedule=schedule, reps=200, delta=40.0)
+      for procedure, schedule in (("stepdown", "lehmann-romano"), ("stepup", "romano-shaikh"),
+                                  ("hommel", "constant"), ("closed", "romano-shaikh"))
+      for n_true in (0, 5)),
+    *(dict(n=6, n_true=3, k=k, procedure=procedure, schedule=schedule, reps=300, delta=40.0)
+      for procedure, schedule, k in (("stepdown", "constant", 1), ("stepup", "lehmann-romano", 2),
+                                     ("hommel", "romano-shaikh", 1), ("closed", "constant", 2))),
     dict(n=6, n_true=2, k=2, procedure="hommel", schedule="constant", reps=300, delta=45.0),
     dict(n=6, n_true=2, k=3, procedure="stepdown", schedule="constant", reps=300, delta=40.0),
     dict(n=CHUNK_ELEMENTS // 2, n_true=CHUNK_ELEMENTS // 4, k=3, reps=3, delta=3.0),
@@ -297,12 +306,59 @@ EDGE_CONFIGS = [
 def test_chunked_estimates_equal_one_replication_loop_at_edges(settings):
     """One replication, chunk boundaries, n = 1, k = n, no or only true
     nulls, strong correlation, false-null p-values underflowing to tied
-    zeros, and a chunk of a single row."""
+    zeros, and a chunk of a single row. The default path, which counts V
+    from sorted values, also equals the override path, which flags each
+    replication's rejections through the public rule."""
     cfg = config(seed=77, **settings)
-    assert estimate_kfwer(cfg) == oracle_estimate(cfg)
+    result = estimate_kfwer(cfg)
+    assert result == oracle_estimate(cfg)
+    assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg))
 
 
 def test_edge_configs_reach_their_edges():
     assert CHUNK_ELEMENTS // (EDGE_CONFIGS[-1]["n"] + 1) == 1
     zeros = generate_pvalues(config(**EDGE_CONFIGS[-3], seed=77), 0).values[2:]
     assert zeros == (0.0,) * 4
+
+
+def flagged_true_nulls(p, c, n_true):
+    """Reference for V: flag each row's first c ranks in the stable order,
+    then sum the flags of the true nulls, positions 0..n_true-1."""
+    v = []
+    for row, count in zip(p, c):
+        flags = np.zeros(row.size, dtype=bool)
+        flags[np.argsort(row, kind="stable")[:count]] = True
+        v.append(int(flags[:n_true].sum()))
+    return v
+
+
+PLANTED_ROWS = [
+    [0.2, 0.1, 0.2, 0.2, 0.05, 0.2],  # a run of 0.2 on both sides of the true/false boundary
+    [0.4, 0.3, 0.4, 0.3, 0.4, 0.3],  # two interleaved runs
+    [0.3] * 6,
+    [0.0] * 6,
+    [1.0] * 6,
+    [0.0, -0.0, 0.5, -0.0, 0.0, 0.1],  # -0.0 ties with 0.0
+    [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+    [0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
+]
+
+
+@pytest.mark.parametrize("n_true", range(7))
+def test_count_rejections_equals_flagged_reference(n_true):
+    """Every planted row with every count c = 0..n, and random rows drawn
+    from a few values so that ties cross the cut, against the flag-based
+    reference; the counts reach the kernel sorted and come back as given."""
+    rng = np.random.default_rng(n_true)
+    pool = rng.choice([0.0, -0.0, 0.1, 0.5, 1.0], size=(300, 6))
+    rows = np.array(PLANTED_ROWS + pool.tolist())
+    p = np.repeat(rows, 7, axis=0)
+    c = np.tile(np.arange(7), len(rows))
+
+    def counts(sp):
+        assert np.array_equal(sp, np.sort(p, axis=1))
+        return c
+
+    got_c, v = _count_rejections(p, counts, n_true)
+    assert got_c is c
+    assert v.tolist() == flagged_true_nulls(p, c, n_true)
