@@ -25,17 +25,28 @@ bounded at any n and any number of replications. The power
 fractions are still added one replication at a time, left to right, so
 the estimates equal those of a one-replication-at-a-time loop float for
 float.
+
+The p-values are scipy's ``ndtr(-z)``: :func:`generate_pvalues` and the
+``procedure=`` override compute them so. The default path of
+``estimate_kfwer`` reads them from a numpy normal tail instead
+(:func:`_upper_tail`), and a screen (:func:`_screen`) proves, row by
+row, that its c and V are those of the exact values; the rows it cannot
+prove are counted again from ``ndtr``. So scipy is imported on the first
+call that needs ``ndtr``: ``generate_pvalues``, the override, or a row
+the screen leaves, which draws of ordinary size practically never meet.
+``kfwer test`` and ``kfwer verify`` never import it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, PValueVector, _integer, order_pvalues
+from .core import ConfigError, LocalTestFamily, PValueVector, _integer, order_pvalues
 from .procedures import (
     CriticalValues,
     ProcedureResult,
@@ -145,36 +156,159 @@ class _ReplicationRng:
         self._state.update(state={"counter": [0, 0, 0, 0], "key": [0, 0]}, buffer=[0, 0, 0, 0], buffer_pos=4)
         self._key = self._state["state"]["key"]
 
-    def fill(self, seed: int, first: int, out: np.ndarray) -> None:
-        """Fill row r of ``out`` with the standard normals of stream
-        (seed, first + r)."""
+    def fill(self, seed: int, first: int, rows: Sequence[np.ndarray]) -> None:
+        """Fill ``rows[r]`` with the standard normals of stream
+        (seed, first + r). Iterating a list of row views made once, rather
+        than a 2-D array, makes no new view per replication."""
         key, bg, state, standard_normal = self._key, self._bg, self._state, self._gen.standard_normal
         key[1] = seed
-        for rep, row in enumerate(out, start=first):
+        for rep, row in enumerate(rows, start=first):
             key[0] = rep
             bg.state = state
             standard_normal(out=row)
 
 
-def _draw_pvalues(config: SimulationConfig, rng: _ReplicationRng, first: int, draws: np.ndarray) -> np.ndarray:
-    """P-values of replications ``first``, ``first + 1``, ..., one row each
-    by original position; ``draws`` holds ``n + 1`` floats per row and is
-    overwritten.
-
-    Latent scores are sqrt(rho)*W + sqrt(1-rho)*E_i with W and E_i
-    independent standard normals; false nulls add delta; the p-value is
-    the upper normal tail of the score.
-    """
-    # scipy is imported here, on the first draw, so that `kfwer test` and
-    # `kfwer verify`, which never draw, do not pay for importing it.
-    from scipy.special import ndtr
-
-    rng.fill(config.seed, first, draws)
+def _scores(config: SimulationConfig, draws: np.ndarray) -> np.ndarray:
+    """Latent scores, one row per replication by original position, from
+    rows of ``n + 1`` standard normals: sqrt(rho)*W + sqrt(1-rho)*E_i with
+    W and E_i independent, plus delta for the false nulls. A score's
+    p-value is its upper normal tail."""
     rho = config.effective_rho
     z = math.sqrt(rho) * draws[:, :1] + math.sqrt(1.0 - rho) * draws[:, 1:]
     if config.n_true < config.n and config.delta != 0.0:
         z[:, config.n_true:] += config.delta
+    return z
+
+
+def _exact_tail(z: np.ndarray) -> np.ndarray:
+    """scipy's ``ndtr(-z)``, the p-values every estimate equals."""
+    # scipy is imported here, on the first call, so that `kfwer test`,
+    # `kfwer verify` and draws the screen settles do not pay for importing it.
+    from scipy.special import ndtr
+
     return ndtr(-z)
+
+
+# The numpy tail: a Taylor series of Q(z) = ndtr(-z) with terms j = 0..4
+# about the nearest point of a grid of step 1/_GRID on [-_REACH, _REACH],
+# and the screen's relative margin, cli._MARGIN's constant.
+_GRID = 1024
+_REACH = 8.5
+_LAST = int(_REACH * _GRID)
+_MU = 2.0**-30
+
+
+@functools.cache
+def _tail_table() -> np.ndarray:
+    """Row j holds Q^(j)(x) / j! / _GRID^j at the grid points x = i /
+    _GRID, i = -_LAST.._LAST: Q(x) = erfc(x / sqrt(2)) / 2, then -phi(x),
+    x phi(x) / 2, (1 - x^2) phi(x) / 6 and (x^3 - 3x) phi(x) / 24, the
+    signed Hermite polynomials He_0..He_3 times phi, each scaled exactly
+    by a power of two so that the series runs in units of the grid step.
+    Built on first use."""
+    x = np.arange(-_LAST, _LAST + 1) / _GRID
+    grid = x.tolist()
+    q = np.array([0.5 * math.erfc(t / math.sqrt(2.0)) for t in grid])
+    phi = np.array([math.exp(-0.5 * t * t) for t in grid]) / math.sqrt(2.0 * math.pi)
+    x2 = x * x
+    table = np.stack((q, -phi, 0.5 * x * phi, (1.0 - x2) * phi / 6.0, x * (x2 - 3.0) * phi / 24.0))
+    table /= (float(_GRID) ** np.arange(5))[:, None]
+    table.flags.writeable = False
+    return table
+
+
+def _upper_tail(z: np.ndarray) -> np.ndarray:
+    """Q(z) = ndtr(-z) for each score: within 1e-13 of ``ndtr``
+    relatively where |z| <= _REACH, and Q(+-_REACH) beyond.
+
+    *Series.* x = z * _GRID is exact (a power of two), z0 = rint(x) /
+    _GRID is the grid point nearest z, and h = x - rint(x) = (z - z0) *
+    _GRID is exact by Sterbenz's lemma, since x lies within a factor of two
+    of rint(x) or rint(x) is 0. As Q' = -phi and Q^(j) = (-1)^j He_(j-1)
+    phi (He the Hermite polynomials), Taylor's terms j = 0..4 about z0 are
+    the table's rows at z0 times h^j, summed by Horner's rule.
+
+    *Error, relative to Q(z).* The remainder is He_4(xi) phi(xi) (z -
+    z0)^5 / 5! for some xi between z0 and z, and |z - z0| <= 2^-11. For
+    xi >= 0, |He_4(xi)| < 4,791 (its value at 8.5 + 2^-11), phi(xi) /
+    Q(xi) < xi + 1 (Mills' ratio) and Q(xi) / Q(z) < exp(9.51 * 2^-11),
+    so it is under 1.1e-14; for xi < 0, Q(z) > 0.49 and it is far
+    smaller. The table's Q(z0) is ``math.erfc`` at z0 / sqrt(2) rounded,
+    which moves it by up to about z0^2 * 2^-53 (1.6e-14 at 8.5); the other
+    entries and Horner's steps add a few units of 2^-53. scipy's ``ndtr``
+    also evaluates erfc at a rounded argument; Cephes, where it comes
+    from, gives its relative error as at most 3.4e-14 on [-13, 0]. So the
+    two differ by under 1e-13, four orders of magnitude below the screen's
+    margin _MU (see :func:`_screen`). Measured with numpy 2.4 and scipy
+    1.17 on x86-64: at most 2.8e-14 from ``ndtr`` over 2*10^6 uniform
+    scores and every grid midpoint, and at most 1.9e-14 from Q computed
+    to 120 bits, where ``ndtr`` was within 1.5e-14 of it.
+
+    *Beyond _REACH* a score reads as +-_REACH. For z > _REACH, Q(z) lies
+    in [0, Q(_REACH)], Q(_REACH) = 9.5e-18: the value reads the table's
+    Q(_REACH), and the screen takes it as anywhere in that range. For z <
+    -_REACH, Q(z) lies within 9.5e-18 of 1, and the value reads 1.0.
+    """
+    table = _tail_table()
+    h = z * _GRID
+    np.minimum(h, _LAST, out=h)
+    np.maximum(h, -_LAST, out=h)
+    grid = np.rint(h)
+    h -= grid
+    index = grid.astype(np.intp)
+    index += _LAST
+    p = table[4].take(index)
+    for row in table[3::-1]:
+        p *= h
+        p += row.take(index)
+    return p
+
+
+def _screen(critical: CriticalValues) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The screen for :func:`_upper_tail`'s values: a function of a
+    chunk's sorted rows sp and their counts c that flags each row whose c
+    or V those values cannot prove equal to the exact ones.
+
+    Every schedule and family ``kfwer simulate`` builds is a schedule or
+    its stepdown or stepup form, so its kernel reads a sorted row only
+    through the hits sp_i <= alpha_i at ranks i = k..n (see
+    :func:`kfwer.procedures._hommel`). Let p be a row's exact values and
+    p~ the tail's. Each p is within eps < 1e-13 of its p~ relatively,
+    except that a score beyond _REACH, p~ = Q(_REACH) = ``floor``, is only
+    known to lie in [0, floor (1 + eps)]. These bounds rise with p~, so
+    they hold rank by rank between the two sorted rows as well.
+
+    - *Count.* Rank i's hit is the same for both when s_i < alpha_i (1 -
+      2 mu) or s_i > max(alpha_i (1 + 2 mu), floor), s the sorted p~. If
+      every rank's is, the kernel counts the same c for both.
+    - *V.* For 0 < c < n, when s_(c+1) > floor and s_c (1 + 3 mu) <
+      s_(c+1), every exact value at ranks 1..c is smaller than every one
+      at ranks c+1..n. So the c smallest, the rejected ones, are the same
+      positions for both rows, with no tie at the cut, and V counted from
+      p~ is exact. For c = 0 or c = n, V is 0 or n_true.
+
+    mu = _MU = 2^-30 is four orders of magnitude above eps, so the
+    products' own rounding, 2^-53, does not matter. A row fails the screen
+    only when a value lies within about 2 mu of its critical value or two
+    values within 3 mu of each other meet at the cut.
+    """
+    schedule = critical._schedule if isinstance(critical, LocalTestFamily) else critical
+    k, n, alphas = schedule.k, schedule.n, schedule._array
+    floor = _tail_table()[0, -1]
+    # Ranks 1..k-1 are rejected without a test: a band no value meets.
+    low = np.concatenate((np.full(k - 1, np.inf), alphas * (1.0 - 2.0 * _MU)))
+    high = np.concatenate((np.full(k - 1, -np.inf), np.maximum(alphas * (1.0 + 2.0 * _MU), floor)))
+
+    def unsettled(sp: np.ndarray, c: np.ndarray) -> np.ndarray:
+        rows = np.arange(len(sp))
+        last, after = sp[rows, np.maximum(c - 1, 0)], sp[rows, np.minimum(c, n - 1)]
+        flags = (after <= np.maximum(last * (1.0 + 3.0 * _MU), floor)) & (c > 0) & (c < n)
+        near = (sp >= low) & (sp <= high)
+        if near.any():
+            flags |= near.any(axis=1)
+        return flags
+
+    return unsettled
 
 
 def generate_pvalues(config: SimulationConfig, replication_index: int) -> PValueVector:
@@ -184,7 +318,8 @@ def generate_pvalues(config: SimulationConfig, replication_index: int) -> PValue
     if not 0 <= replication_index < 2**64:
         raise ConfigError(f"replication_index must lie in 0..2**64-1, got {replication_index}")
     draws = np.empty((1, config.n + 1))
-    return order_pvalues(_draw_pvalues(config, _ReplicationRng(), replication_index, draws)[0])
+    _ReplicationRng().fill(config.seed, replication_index, draws)
+    return order_pvalues(_exact_tail(_scores(config, draws))[0])
 
 
 def _critical_values(config: SimulationConfig) -> CriticalValues:
@@ -203,21 +338,27 @@ def build_procedure(config: SimulationConfig) -> Callable[[PValueVector], Proced
 def _count_rejections(
     p: np.ndarray, counts: Callable[[np.ndarray], np.ndarray], n_true: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's number of rejections c and of rejected true nulls V.
+    """Each row's number of rejections c and of rejected true nulls V;
+    ``counts`` maps the rows of ``p``, sorted, to c."""
+    sp = np.sort(p, axis=1)
+    c = counts(sp)
+    return c, _rejected_true_nulls(p, sp, c, n_true)
 
-    ``counts`` maps the rows of ``p``, sorted, to c. A row rejects its c
-    smallest p-values in the stable order, so its largest rejected value
-    is t = sp[c - 1] (t = -1, below every p-value, when c = 0): every
-    p-value below t is rejected, and of those tied at t, the first
-    c - #{p < t} in the stable order. That order breaks ties by position,
-    and the true nulls hold the lowest positions, 0..n_true-1, so tied
-    true nulls come first: V = #{true nulls < t} +
+
+def _rejected_true_nulls(p: np.ndarray, sp: np.ndarray, c: np.ndarray, n_true: int) -> np.ndarray:
+    """Each row's number V of rejected true nulls, from its values ``p``,
+    their sorted rows ``sp`` and its count c.
+
+    A row rejects its c smallest p-values in the stable order, so its
+    largest rejected value is t = sp[c - 1] (t = -1, below every p-value,
+    when c = 0): every p-value below t is rejected, and of those tied at
+    t, the first c - #{p < t} in the stable order. That order breaks ties
+    by position, and the true nulls hold the lowest positions,
+    0..n_true-1, so tied true nulls come first: V = #{true nulls < t} +
     min(#{true nulls == t}, c - #{p < t}). Where the value after the cut,
     sp[c], differs from t, every tie at t is rejected and V is
     #{true nulls <= t}; only rows whose tie runs past the cut count the rest.
     """
-    sp = np.sort(p, axis=1)
-    c = counts(sp)
     rows, n = np.arange(len(sp)), sp.shape[1]
     t = np.where(c > 0, sp[rows, c - 1], -1.0)[:, None]
     nulls = p[:, :n_true]
@@ -227,6 +368,25 @@ def _count_rejections(
         tie = t[split]
         below = np.count_nonzero(nulls[split] < tie, axis=1)
         v[split] = below + np.minimum(v[split] - below, c[split] - np.count_nonzero(sp[split] < tie, axis=1))
+    return v
+
+
+def _screened_rejections(
+    z: np.ndarray,
+    counts: Callable[[np.ndarray], np.ndarray],
+    unsettled: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_true: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """c and V for each row of scores ``z``: from :func:`_upper_tail`'s
+    values where ``unsettled`` (a :func:`_screen`) proves them exact, and
+    from ``ndtr`` of the other rows alone."""
+    p = _upper_tail(z)
+    sp = np.sort(p, axis=1)
+    c = counts(sp)
+    v = _rejected_true_nulls(p, sp, c, n_true)
+    redo = np.flatnonzero(unsettled(sp, c))
+    if redo.size:
+        c[redo], v[redo] = _count_rejections(_exact_tail(z[redo]), counts, n_true)
     return c, v
 
 
@@ -241,28 +401,35 @@ def estimate_kfwer(
     mean of (c - V) / n_false over replications for c rejections, is
     accumulated whenever there are false nulls.
 
-    By default each chunk's rows are sorted, the procedure's batch kernel
-    counts each row's rejections c, and V is counted from the sorted
-    values and c alone (see :func:`_count_rejections`). ``procedure``
-    overrides the configured rule: the reference the default path is
-    tested against, and a way to test the counting with trivial deciders.
-    It is applied to one replication's :class:`PValueVector` at a time,
-    and c and V are summed from its rejection flags.
+    By default each chunk's p-values come from the numpy tail, its rows
+    are sorted, the procedure's batch kernel counts each row's rejections
+    c, and V is counted from the sorted values and c alone (see
+    :func:`_rejected_true_nulls`); rows the screen cannot prove are
+    counted again from ``ndtr`` (see :func:`_screened_rejections`).
+    ``procedure`` overrides the configured rule: the reference the default
+    path is tested against, and a way to test the counting with trivial
+    deciders. It is applied to one replication's :class:`PValueVector`,
+    from ``ndtr``, at a time, and c and V are summed from its rejection
+    flags.
     """
     n_true, n, k, reps = config.n_true, config.n, config.k, config.reps
     n_false = n - n_true
     if procedure is None:
-        counts = bind_batch(config.procedure, _critical_values(config))
+        critical = _critical_values(config)
+        counts, unsettled = bind_batch(config.procedure, critical), _screen(critical)
     rng = _ReplicationRng()
     draws = np.empty((min(reps, max(1, CHUNK_ELEMENTS // (n + 1))), n + 1))
+    rows = list(draws)
     exceedances = 0
     power_sum = 0.0
-    for first in range(0, reps, len(draws)):
-        p = _draw_pvalues(config, rng, first, draws[: reps - first])
+    for first in range(0, reps, len(rows)):
+        chunk = rows[: reps - first]
+        rng.fill(config.seed, first, chunk)
+        z = _scores(config, draws[: len(chunk)])
         if procedure is None:
-            c, v = _count_rejections(p, counts, n_true)
+            c, v = _screened_rejections(z, counts, unsettled, n_true)
         else:
-            flags = np.array([procedure(order_pvalues(row)).rejected for row in p], dtype=bool)
+            flags = np.array([procedure(order_pvalues(row)).rejected for row in _exact_tail(z)], dtype=bool)
             c, v = flags.sum(axis=1), flags[:, :n_true].sum(axis=1)
         exceedances += int(np.count_nonzero(v >= k))
         if n_false:

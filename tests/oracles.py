@@ -215,11 +215,12 @@ def hommel_oracle(values, k, rows):
     return rejected, j_hat
 
 
-def estimate_kfwer_oracle(config, table):
+def estimate_kfwer_oracle(config, table, normals=None):
     """Reference for ``kfwer.estimate_kfwer``: one replication at a time.
 
     Each replication draws from a freshly constructed Philox stream keyed
-    (seed, rep), applies the Gaussian-copula model, and is decided by the
+    (seed, rep), or takes ``normals(rep)`` when given, applies the
+    Gaussian-copula model, and is decided by the
     oracle rules above with ``table``: the schedule's critical values for
     stepdown and stepup, the family's rows for hommel and closed. V and
     the power fraction are accumulated replication by replication, power
@@ -241,7 +242,10 @@ def estimate_kfwer_oracle(config, table):
     rho = config.effective_rho
     exceed, power_sum = 0, 0.0
     for rep in range(reps):
-        draws = np.random.Generator(np.random.Philox(key=(config.seed << 64) | rep)).standard_normal(n + 1)
+        if normals is None:
+            draws = np.random.Generator(np.random.Philox(key=(config.seed << 64) | rep)).standard_normal(n + 1)
+        else:
+            draws = np.asarray(normals(rep), dtype=float)
         z = math.sqrt(rho) * draws[0] + math.sqrt(1.0 - rho) * draws[1:]
         if n_true < n and config.delta != 0.0:
             z[n_true:] += config.delta

@@ -3,12 +3,14 @@ ordering and its range check, and the Lehmann-Romano schedule each equal
 the plain form they replaced, on adversarial input as on clean input."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -214,9 +216,10 @@ def test_lehmann_romano_equals_the_formula_anywhere(kn, alpha):
 
 
 def test_test_and_verify_do_not_import_scipy(tmp_path):
-    """Only simulation draws need scipy; importing the package, the CLI
-    and the verify harness leaves it unloaded, and so does a Romano-Shaikh
-    stepup call, whose d1 uses numpy.fft."""
+    """Only ndtr needs scipy; importing the package, the CLI and the
+    verify harness leaves it unloaded, and so does a Romano-Shaikh
+    stepup call, whose d1 uses numpy.fft. So do the benchmark's four
+    simulate-small calls, whose rows the numpy tail settles."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, kfwer, kfwer.cli, kfwer.verify; sys.exit('scipy' in sys.modules)"
@@ -227,6 +230,21 @@ def test_test_and_verify_do_not_import_scipy(tmp_path):
     pvalues.write_text("\n".join(repr((j + 0.5) / n) for j in range(n)) + "\n")
     argv = ["test", "--k", "2", "--alpha", "0.05", "--procedure", "stepup", "--schedule", "romano-shaikh",
             "--base-schedule", str(base), "--input", str(pvalues), "--output", str(out)]
-    code = f"import sys; from kfwer.cli import main; sys.exit(main({argv!r}) or 10 * ('scipy' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    simulate = [op["argv"] for op in simulate_small_plan(tmp_path)["cycle"]]
+    assert len(simulate) == 4
+    for argvs in ([argv], simulate):
+        code = (f"import sys; from kfwer.cli import main; "
+                f"sys.exit(any(main(a) for a in {argvs!r}) or 10 * ('scipy' in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     assert out.exists()
+    assert all(os.path.exists(op[op.index("--output") + 1]) for op in simulate)
+
+
+def simulate_small_plan(work):
+    """The simulate-small workload's calls at benchmark seed 1, writing
+    their reports under ``work``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._simulate_small(1, work)

@@ -20,9 +20,20 @@ from kfwer import (
     lehmann_romano_schedule,
     order_pvalues,
     scaled_family,
+    simulation,
 )
 from kfwer.procedures import FAMILY_PROCEDURES
-from kfwer.simulation import CHUNK_ELEMENTS, _count_rejections, _critical_values, _ReplicationRng, build_procedure
+from kfwer.simulation import (
+    _GRID,
+    _LAST,
+    _REACH,
+    CHUNK_ELEMENTS,
+    _count_rejections,
+    _critical_values,
+    _ReplicationRng,
+    _upper_tail,
+    build_procedure,
+)
 from oracles import estimate_kfwer_oracle
 
 
@@ -362,3 +373,118 @@ def test_count_rejections_equals_flagged_reference(n_true):
     got_c, v = _count_rejections(p, counts, n_true)
     assert got_c is c
     assert v.tolist() == flagged_true_nulls(p, c, n_true)
+
+
+def test_upper_tail_is_within_its_bound_of_ndtr():
+    """The numpy tail against scipy's ndtr at 10^6 uniform scores, every
+    grid point and midpoint, +-0, and +-8.5 and the floats next to it:
+    within 2^-40 relatively, far inside the screen's margin of 2^-30,
+    where the derivation in _upper_tail gives under 1e-13. Beyond 8.5 a
+    score reads as +-8.5: Q(8.5) above, 1.0 below."""
+    rng = np.random.default_rng(2027)
+    steps = np.arange(-_LAST, _LAST + 1) / _GRID
+    edges = [_REACH, np.nextafter(_REACH, 0.0)]
+    z = np.concatenate([rng.uniform(-_REACH, _REACH, 10**6), steps, steps[:-1] + 0.5 / _GRID, [0.0, -0.0]])
+    z = np.concatenate([z, edges, np.negative(edges)])
+    p, exact = _upper_tail(z[None])[0], ndtr(-z)
+    assert np.max(np.abs(p - exact) / exact) <= 2.0**-40
+    assert (_upper_tail(np.array([[-0.0, 0.0]])) == 0.5).all()
+    beyond = np.array([np.nextafter(_REACH, np.inf), 9.0, 40.0, 1e300])
+    floor = _upper_tail(np.array([[_REACH]]))[0, 0]
+    assert (_upper_tail(beyond[None])[0] == floor).all() and (ndtr(-beyond) <= floor).all()
+    assert (_upper_tail(-beyond[None])[0] == 1.0).all() and (ndtr(beyond) >= 1.0 - floor).all()
+
+
+def count_fallback_rows(cfg, monkeypatch):
+    """The default path's estimate and the number of rows it counted again
+    from ndtr."""
+    rows = []
+
+    def exact_tail(z):
+        rows.append(len(z))
+        return ndtr(-z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "_exact_tail", exact_tail)
+        result = estimate_kfwer(cfg)
+    return result, sum(rows)
+
+
+PROCEDURE_SCHEDULES = [("stepdown", "lehmann-romano"), ("stepup", "romano-shaikh"),
+                       ("hommel", "constant"), ("closed", "romano-shaikh")]
+FALLBACK_CONFIGS = [
+    # rho = 1 - 2^-52: the scores of each group differ by about 2^-26, so
+    # neighbouring p-values meet at the cut within the screen's margin.
+    *(dict(n=10, n_true=5, k=2, procedure=procedure, schedule=schedule, reps=2_000, delta=2.0,
+           dependence="equicorrelated", rho=1.0 - 2.0**-52) for procedure, schedule in PROCEDURE_SCHEDULES),
+    # delta = 40, where ndtr returns exactly 0.0 for the false nulls, with
+    # critical values below Q(8.5), where the numpy tail knows nothing.
+    *(dict(n=6, n_true=3, k=2, procedure=procedure, schedule=schedule, reps=300, delta=40.0, alpha=1e-300)
+      for procedure, schedule in PROCEDURE_SCHEDULES),
+]
+
+
+@pytest.mark.parametrize("settings", FALLBACK_CONFIGS)
+def test_rows_the_screen_leaves_are_counted_from_ndtr(settings, monkeypatch):
+    """Where the screen cannot prove a row, the row is counted again from
+    ndtr: the default path still equals the override path and the
+    one-replication reference, field for field."""
+    cfg = config(seed=5, **settings)
+    result, fallback = count_fallback_rows(cfg, monkeypatch)
+    assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg)) == oracle_estimate(cfg)
+    assert fallback >= 1
+
+
+def first_z(start, accept):
+    """The first float from ``start`` up that ``accept`` takes, with the
+    float after it."""
+    z = start
+    for _ in range(10_000):
+        after = np.nextafter(z, np.inf)
+        if accept(z, after):
+            return z, after
+        z = after
+    raise AssertionError("no such float")
+
+
+def hand_built_cases():
+    """Rows of scores (rho = 0, so each score is its normal) that the
+    numpy tail alone would count wrong.
+
+    - A tie at the cut: two neighbouring scores whose ndtr values are
+      equal and whose tail values are not, the larger tail value on the
+      true null. k = 2 rejects the first by default and the second value
+      misses, so the stable order rejects the true null.
+    - A false null's ndtr value equal to the stepdown value alpha / 2 of
+      the constant schedule (k = 2, n = 4), where the tail reads above it.
+    """
+    def tail(z):
+        return _upper_tail(np.array([z]))[0]
+
+    tie, after = first_z(0.3, lambda a, b: ndtr(-a) == ndtr(-b) and tail(a) > tail(b))
+    on_value, _ = first_z(0.5, lambda a, b: tail(a) > ndtr(-a))
+    return [
+        (dict(n=2, n_true=1, k=2, schedule="constant"), [0.0, tie, after]),
+        (dict(n=4, n_true=2, k=2, schedule="constant", alpha=2.0 * ndtr(-on_value)),
+         [0.0, 3.0, 3.0, on_value, -1.0]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_hand_built_rows_are_counted_from_ndtr(case, monkeypatch):
+    """Each hand-built row falls back to ndtr, and the default path equals
+    the override and the reference on it. With no margin, or without the
+    test at the cut, the screen would pass one of these rows and count it
+    from the tail."""
+    settings, row = hand_built_cases()[case]
+    cfg = config(procedure="stepdown", reps=3, seed=0, **settings)
+
+    def fill(self, seed, first, rows):
+        for out in rows:
+            out[:] = row
+
+    monkeypatch.setattr(_ReplicationRng, "fill", fill)
+    result, fallback = count_fallback_rows(cfg, monkeypatch)
+    assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg))
+    assert result == estimate_kfwer_oracle(cfg, _critical_values(cfg).alphas, normals=lambda rep: row)
+    assert fallback == cfg.reps
