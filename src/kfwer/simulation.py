@@ -29,11 +29,12 @@ float.
 The p-values are scipy's ``ndtr(-z)``: :func:`generate_pvalues` and the
 ``procedure=`` override compute them so. The default path of
 ``estimate_kfwer`` reads them from a numpy normal tail instead
-(:func:`_upper_tail`), and a screen (:func:`_screen`) proves, row by
-row, that its c and V are those of the exact values; the rows it cannot
-prove are counted again from ``ndtr``. So scipy is imported on the first
-call that needs ``ndtr``: ``generate_pvalues``, the override, or a row
-the screen leaves, which draws of ordinary size practically never meet.
+(:func:`_upper_tail`): each row's exact count is bracketed between the
+kernel's counts on a lower and an upper bound of its values (see
+:func:`_screened_rejections`), and the rows the bracket cannot prove are
+counted again from ``ndtr``. So scipy is imported on the first call that
+needs ``ndtr``: ``generate_pvalues``, the override, or a row the bracket
+leaves, which draws of ordinary size practically never meet.
 ``kfwer test`` and ``kfwer verify`` never import it.
 """
 
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, LocalTestFamily, PValueVector, _integer, order_pvalues
+from .core import ConfigError, PValueVector, _integer, order_pvalues
 from .procedures import (
     CriticalValues,
     ProcedureResult,
@@ -183,7 +184,7 @@ def _scores(config: SimulationConfig, draws: np.ndarray) -> np.ndarray:
 def _exact_tail(z: np.ndarray) -> np.ndarray:
     """scipy's ``ndtr(-z)``, the p-values every estimate equals."""
     # scipy is imported here, on the first call, so that `kfwer test`,
-    # `kfwer verify` and draws the screen settles do not pay for importing it.
+    # `kfwer verify` and draws the bracket settles do not pay for importing it.
     from scipy.special import ndtr
 
     return ndtr(-z)
@@ -191,7 +192,7 @@ def _exact_tail(z: np.ndarray) -> np.ndarray:
 
 # The numpy tail: a Taylor series of Q(z) = ndtr(-z) with terms j = 0..4
 # about the nearest point of a grid of step 1/_GRID on [-_REACH, _REACH],
-# and the screen's relative margin, cli._MARGIN's constant.
+# and the bracket's relative margin, cli._MARGIN's constant.
 _GRID = 1024
 _REACH = 8.5
 _LAST = int(_REACH * _GRID)
@@ -238,15 +239,15 @@ def _upper_tail(z: np.ndarray) -> np.ndarray:
     entries and Horner's steps add a few units of 2^-53. scipy's ``ndtr``
     also evaluates erfc at a rounded argument; Cephes, where it comes
     from, gives its relative error as at most 3.4e-14 on [-13, 0]. So the
-    two differ by under 1e-13, four orders of magnitude below the screen's
-    margin _MU (see :func:`_screen`). Measured with numpy 2.4 and scipy
-    1.17 on x86-64: at most 2.8e-14 from ``ndtr`` over 2*10^6 uniform
-    scores and every grid midpoint, and at most 1.9e-14 from Q computed
-    to 120 bits, where ``ndtr`` was within 1.5e-14 of it.
+    two differ by under 1e-13, four orders of magnitude below the
+    bracket's margin _MU (see :func:`_screened_rejections`). Measured with
+    numpy 2.4 and scipy 1.17 on x86-64: at most 2.8e-14 from ``ndtr`` over
+    2*10^6 uniform scores and every grid midpoint, and at most 1.9e-14
+    from Q computed to 120 bits, where ``ndtr`` was within 1.5e-14 of it.
 
     *Beyond _REACH* a score reads as +-_REACH. For z > _REACH, Q(z) lies
     in [0, Q(_REACH)], Q(_REACH) = 9.5e-18: the value reads the table's
-    Q(_REACH), and the screen takes it as anywhere in that range. For z <
+    Q(_REACH), and the bracket takes it as anywhere in that range. For z <
     -_REACH, Q(z) lies within 9.5e-18 of 1, and the value reads 1.0.
     """
     table = _tail_table()
@@ -262,53 +263,6 @@ def _upper_tail(z: np.ndarray) -> np.ndarray:
         p *= h
         p += row.take(index)
     return p
-
-
-def _screen(critical: CriticalValues) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The screen for :func:`_upper_tail`'s values: a function of a
-    chunk's sorted rows sp and their counts c that flags each row whose c
-    or V those values cannot prove equal to the exact ones.
-
-    Every schedule and family ``kfwer simulate`` builds is a schedule or
-    its stepdown or stepup form, so its kernel reads a sorted row only
-    through the hits sp_i <= alpha_i at ranks i = k..n (see
-    :func:`kfwer.procedures._hommel`). Let p be a row's exact values and
-    p~ the tail's. Each p is within eps < 1e-13 of its p~ relatively,
-    except that a score beyond _REACH, p~ = Q(_REACH) = ``floor``, is only
-    known to lie in [0, floor (1 + eps)]. These bounds rise with p~, so
-    they hold rank by rank between the two sorted rows as well.
-
-    - *Count.* Rank i's hit is the same for both when s_i < alpha_i (1 -
-      2 mu) or s_i > max(alpha_i (1 + 2 mu), floor), s the sorted p~. If
-      every rank's is, the kernel counts the same c for both.
-    - *V.* For 0 < c < n, when s_(c+1) > floor and s_c (1 + 3 mu) <
-      s_(c+1), every exact value at ranks 1..c is smaller than every one
-      at ranks c+1..n. So the c smallest, the rejected ones, are the same
-      positions for both rows, with no tie at the cut, and V counted from
-      p~ is exact. For c = 0 or c = n, V is 0 or n_true.
-
-    mu = _MU = 2^-30 is four orders of magnitude above eps, so the
-    products' own rounding, 2^-53, does not matter. A row fails the screen
-    only when a value lies within about 2 mu of its critical value or two
-    values within 3 mu of each other meet at the cut.
-    """
-    schedule = critical._schedule if isinstance(critical, LocalTestFamily) else critical
-    k, n, alphas = schedule.k, schedule.n, schedule._array
-    floor = _tail_table()[0, -1]
-    # Ranks 1..k-1 are rejected without a test: a band no value meets.
-    low = np.concatenate((np.full(k - 1, np.inf), alphas * (1.0 - 2.0 * _MU)))
-    high = np.concatenate((np.full(k - 1, -np.inf), np.maximum(alphas * (1.0 + 2.0 * _MU), floor)))
-
-    def unsettled(sp: np.ndarray, c: np.ndarray) -> np.ndarray:
-        rows = np.arange(len(sp))
-        last, after = sp[rows, np.maximum(c - 1, 0)], sp[rows, np.minimum(c, n - 1)]
-        flags = (after <= np.maximum(last * (1.0 + 3.0 * _MU), floor)) & (c > 0) & (c < n)
-        near = (sp >= low) & (sp <= high)
-        if near.any():
-            flags |= near.any(axis=1)
-        return flags
-
-    return unsettled
 
 
 def generate_pvalues(config: SimulationConfig, replication_index: int) -> PValueVector:
@@ -372,19 +326,45 @@ def _rejected_true_nulls(p: np.ndarray, sp: np.ndarray, c: np.ndarray, n_true: i
 
 
 def _screened_rejections(
-    z: np.ndarray,
-    counts: Callable[[np.ndarray], np.ndarray],
-    unsettled: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n_true: int,
+    z: np.ndarray, counts: Callable[[np.ndarray], np.ndarray], n_true: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """c and V for each row of scores ``z``: from :func:`_upper_tail`'s
-    values where ``unsettled`` (a :func:`_screen`) proves them exact, and
-    from ``ndtr`` of the other rows alone."""
+    values where they provably equal those of the exact values, and from
+    ``ndtr`` of the other rows alone.
+
+    Let p be a row's exact values, sp the tail's sorted, and eps < 1e-13
+    their relative distance (see :func:`_upper_tail`), except that a score
+    beyond _REACH, sp_i = Q(_REACH) = ``floor``, is only known to lie in
+    [0, floor (1 + eps)].
+
+    - *Rank-wise bounds.* Each exact value lies between l(s) and u(s) for
+      its tail value s, with l(s) = 0 for s <= floor, s (1 - 2 mu) above,
+      and u(s) = s (1 + 2 mu). Both rise with s, so the rows l(sp) and
+      u(sp) stay sorted and bound the sorted exact row rank by rank.
+    - *Monotone counts.* A kernel's count never rises when an entry of a
+      sorted row rises (see :func:`kfwer.procedures.bind_batch`), so the
+      exact count lies between the counts of u(sp) and l(sp); where the
+      two are equal, it is c.
+    - *Cut.* For 0 < c < n, when sp_(c+1) > floor and sp_c (1 + 3 mu) <
+      sp_(c+1), every exact value at ranks 1..c is smaller than every one
+      at ranks c+1..n. So the c smallest, the rejected ones, are the same
+      positions for both rows, with no tie at the cut, and V counted from
+      the tail is exact. For c = 0 or c = n, V is 0 or n_true.
+
+    mu = _MU = 2^-30 is four orders of magnitude above eps, so the
+    products' own rounding, 2^-53, does not matter. A row is counted again
+    only when a value lies within about 2 mu of a critical value it
+    decides, or two values within 3 mu of each other meet at the cut.
+    """
     p = _upper_tail(z)
     sp = np.sort(p, axis=1)
-    c = counts(sp)
+    floor = _tail_table()[0, -1]
+    c = counts(np.where(sp <= floor, 0.0, sp * (1.0 - 2.0 * _MU)))
     v = _rejected_true_nulls(p, sp, c, n_true)
-    redo = np.flatnonzero(unsettled(sp, c))
+    rows, n = np.arange(len(sp)), sp.shape[1]
+    last, after = sp[rows, np.maximum(c - 1, 0)], sp[rows, np.minimum(c, n - 1)]
+    cut = (after <= np.maximum(last * (1.0 + 3.0 * _MU), floor)) & (c > 0) & (c < n)
+    redo = np.flatnonzero(cut | (counts(sp * (1.0 + 2.0 * _MU)) != c))
     if redo.size:
         c[redo], v[redo] = _count_rejections(_exact_tail(z[redo]), counts, n_true)
     return c, v
@@ -402,10 +382,10 @@ def estimate_kfwer(
     accumulated whenever there are false nulls.
 
     By default each chunk's p-values come from the numpy tail, its rows
-    are sorted, the procedure's batch kernel counts each row's rejections
-    c, and V is counted from the sorted values and c alone (see
-    :func:`_rejected_true_nulls`); rows the screen cannot prove are
-    counted again from ``ndtr`` (see :func:`_screened_rejections`).
+    are sorted, the procedure's batch kernel brackets each row's
+    rejections c, and V is counted from the sorted values and c alone;
+    rows the bracket cannot prove are counted again from ``ndtr`` (see
+    :func:`_screened_rejections`).
     ``procedure`` overrides the configured rule: the reference the default
     path is tested against, and a way to test the counting with trivial
     deciders. It is applied to one replication's :class:`PValueVector`,
@@ -415,8 +395,7 @@ def estimate_kfwer(
     n_true, n, k, reps = config.n_true, config.n, config.k, config.reps
     n_false = n - n_true
     if procedure is None:
-        critical = _critical_values(config)
-        counts, unsettled = bind_batch(config.procedure, critical), _screen(critical)
+        counts = bind_batch(config.procedure, _critical_values(config))
     rng = _ReplicationRng()
     draws = np.empty((min(reps, max(1, CHUNK_ELEMENTS // (n + 1))), n + 1))
     rows = list(draws)
@@ -427,7 +406,7 @@ def estimate_kfwer(
         rng.fill(config.seed, first, chunk)
         z = _scores(config, draws[: len(chunk)])
         if procedure is None:
-            c, v = _screened_rejections(z, counts, unsettled, n_true)
+            c, v = _screened_rejections(z, counts, n_true)
         else:
             flags = np.array([procedure(order_pvalues(row)).rejected for row in _exact_tail(z)], dtype=bool)
             c, v = flags.sum(axis=1), flags[:, :n_true].sum(axis=1)

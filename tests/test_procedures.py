@@ -654,20 +654,48 @@ def test_automatic_rejections_and_stepwise_dominance(nk, data):
 
 
 def test_monotone_in_pvalues():
-    """Lowering one p-value never shrinks the stepwise rejection count."""
+    """Lowering one p-value never shrinks a rule's rejection count: stepdown
+    and stepup with a schedule, generalized Hommel and closed testing with
+    a random table and with the schedule's stepdown and stepup forms,
+    sometimes onto one of their critical values. The batch kernels keep
+    the contract bind_batch states: raising the entries of sorted rows one
+    by one, each to at most the entry after it, never raises a count."""
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, n + 1))
         s = random_schedule(rng, k, n)
+        table = random_family(rng, k, n)
+        families = (table, stepdown_as_family(s), stepup_as_family(s))
+        pool = np.concatenate((s.alphas, table._array))
         values = rng.uniform(0.0, 1.0, n).tolist()
         pos = int(rng.integers(0, n))
         lowered = list(values)
-        lowered[pos] = values[pos] * float(rng.uniform(0.0, 1.0))
-        for proc in (stepdown, stepup):
-            before = proc(order_pvalues(values), s).num_rejected
-            after = proc(order_pvalues(lowered), s).num_rejected
+        onto = min(values[pos], float(rng.choice(pool)))
+        lowered[pos] = onto if rng.random() < 0.5 else values[pos] * rng.uniform()
+        rules = [(stepdown, s), (stepup, s)]
+        rules += [(rule, f) for rule in (generalized_hommel, closed_testing) for f in families]
+        for rule, critical in rules:
+            before = rule(order_pvalues(values), critical).num_rejected
+            after = rule(order_pvalues(lowered), critical).num_rejected
             assert after >= before
+
+        kernels = [procedures.bind_batch(name, s) for name in ("stepdown", "stepup")]
+        kernels += [procedures.bind_batch(name, f) for name in FAMILY_PROCEDURES for f in families]
+        raised = np.array([random_pvalues(rng, n, pool.tolist())._sorted_array for _ in range(20)])
+        counts = [kernel(raised) for kernel in kernels]
+        for i in range(n - 1, -1, -1):
+            low, high = raised[:, i], raised[:, i + 1] if i + 1 < n else np.ones(len(raised))
+            # The next entry itself, a critical value between, or a uniform draw between.
+            raised[:, i] = np.select(
+                [rng.random(len(raised)) < 1 / 3, rng.random(len(raised)) < 1 / 2],
+                [high, np.clip(rng.choice(pool, len(raised)), low, high)],
+                rng.uniform(low, high),
+            )
+            for j, kernel in enumerate(kernels):
+                now = kernel(raised)
+                assert (now <= counts[j]).all()
+                counts[j] = now
 
 
 def test_permutation_equivariance_distinct_values():

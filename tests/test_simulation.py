@@ -20,6 +20,7 @@ from kfwer import (
     lehmann_romano_schedule,
     order_pvalues,
     scaled_family,
+    simes_family,
     simulation,
 )
 from kfwer.procedures import FAMILY_PROCEDURES
@@ -270,9 +271,10 @@ def test_closed_estimates_equal_exhaustive_closure(overrides, signal):
     assert estimate_kfwer(cfg) == estimate_kfwer(cfg, procedure=lambda p: closed_testing(p, fam))
 
 
-def oracle_estimate(cfg):
+def oracle_estimate(cfg, normals=None):
     critical = _critical_values(cfg)
-    return estimate_kfwer_oracle(cfg, critical.rows if cfg.procedure in FAMILY_PROCEDURES else critical.alphas)
+    table = critical.rows if cfg.procedure in FAMILY_PROCEDURES else critical.alphas
+    return estimate_kfwer_oracle(cfg, table, normals=normals)
 
 
 @pytest.mark.parametrize("overrides", LEVEL_CONFIGS)
@@ -378,7 +380,7 @@ def test_count_rejections_equals_flagged_reference(n_true):
 def test_upper_tail_is_within_its_bound_of_ndtr():
     """The numpy tail against scipy's ndtr at 10^6 uniform scores, every
     grid point and midpoint, +-0, and +-8.5 and the floats next to it:
-    within 2^-40 relatively, far inside the screen's margin of 2^-30,
+    within 2^-40 relatively, far inside the bracket's margin of 2^-30,
     where the derivation in _upper_tail gives under 1e-13. Beyond 8.5 a
     score reads as +-8.5: Q(8.5) above, 1.0 below."""
     rng = np.random.default_rng(2027)
@@ -414,19 +416,22 @@ PROCEDURE_SCHEDULES = [("stepdown", "lehmann-romano"), ("stepup", "romano-shaikh
                        ("hommel", "constant"), ("closed", "romano-shaikh")]
 FALLBACK_CONFIGS = [
     # rho = 1 - 2^-52: the scores of each group differ by about 2^-26, so
-    # neighbouring p-values meet at the cut within the screen's margin.
+    # neighbouring p-values meet at the cut within the bracket's margin.
     *(dict(n=10, n_true=5, k=2, procedure=procedure, schedule=schedule, reps=2_000, delta=2.0,
            dependence="equicorrelated", rho=1.0 - 2.0**-52) for procedure, schedule in PROCEDURE_SCHEDULES),
     # delta = 40, where ndtr returns exactly 0.0 for the false nulls, with
-    # critical values below Q(8.5), where the numpy tail knows nothing.
-    *(dict(n=6, n_true=3, k=2, procedure=procedure, schedule=schedule, reps=300, delta=40.0, alpha=1e-300)
-      for procedure, schedule in PROCEDURE_SCHEDULES),
+    # critical values below Q(8.5), where the numpy tail knows nothing. At
+    # k = 1 the tail rejects nothing, and the test at the cut does not look
+    # at c = 0, so only the lower bound row's 0 for those values sends the
+    # rows back.
+    *(dict(n=6, n_true=3, k=k, procedure=procedure, schedule=schedule, reps=300, delta=40.0, alpha=1e-300)
+      for k in (2, 1) for procedure, schedule in PROCEDURE_SCHEDULES),
 ]
 
 
 @pytest.mark.parametrize("settings", FALLBACK_CONFIGS)
 def test_rows_the_screen_leaves_are_counted_from_ndtr(settings, monkeypatch):
-    """Where the screen cannot prove a row, the row is counted again from
+    """Where the bracket cannot prove a row, the row is counted again from
     ndtr: the default path still equals the override path and the
     one-replication reference, field for field."""
     cfg = config(seed=5, **settings)
@@ -455,29 +460,37 @@ def hand_built_cases():
       equal and whose tail values are not, the larger tail value on the
       true null. k = 2 rejects the first by default and the second value
       misses, so the stable order rejects the true null.
-    - A false null's ndtr value equal to the stepdown value alpha / 2 of
-      the constant schedule (k = 2, n = 4), where the tail reads above it.
+    - A false null's ndtr value equal to the constant critical value
+      alpha / 2 at rank 2 (k = 2, n = 4), where the tail reads above it,
+      under each of the four procedures: stepdown and stepup read the
+      value in the constant schedule, Hommel and closed testing in the
+      constant family, whose rank-2 value is the same.
+    - The mirror: the tail's value on the critical value, where ndtr
+      reads above it.
     """
     def tail(z):
         return _upper_tail(np.array([z]))[0]
 
     tie, after = first_z(0.3, lambda a, b: ndtr(-a) == ndtr(-b) and tail(a) > tail(b))
     on_value, _ = first_z(0.5, lambda a, b: tail(a) > ndtr(-a))
+    tail_on_value, _ = first_z(0.5, lambda a, b: tail(a) < ndtr(-a))
     return [
-        (dict(n=2, n_true=1, k=2, schedule="constant"), [0.0, tie, after]),
-        (dict(n=4, n_true=2, k=2, schedule="constant", alpha=2.0 * ndtr(-on_value)),
-         [0.0, 3.0, 3.0, on_value, -1.0]),
+        (dict(n=2, n_true=1, k=2, procedure="stepdown", schedule="constant"), [0.0, tie, after]),
+        *((dict(n=4, n_true=2, k=2, procedure=procedure, schedule="constant", alpha=2.0 * value),
+           [0.0, 3.0, -1.0, z, -1.0])
+          for z, value in ((on_value, ndtr(-on_value)), (tail_on_value, tail(tail_on_value)))
+          for procedure in ("stepdown", "stepup", "hommel", "closed")),
     ]
 
 
-@pytest.mark.parametrize("case", range(2))
+@pytest.mark.parametrize("case", range(9))
 def test_hand_built_rows_are_counted_from_ndtr(case, monkeypatch):
     """Each hand-built row falls back to ndtr, and the default path equals
-    the override and the reference on it. With no margin, or without the
-    test at the cut, the screen would pass one of these rows and count it
-    from the tail."""
+    the override and the reference on it. With no margin in the bound
+    rows, or without the test at the cut, the bracket would pass one of
+    these rows and count it from the tail."""
     settings, row = hand_built_cases()[case]
-    cfg = config(procedure="stepdown", reps=3, seed=0, **settings)
+    cfg = config(reps=3, seed=0, **settings)
 
     def fill(self, seed, first, rows):
         for out in rows:
@@ -486,5 +499,22 @@ def test_hand_built_rows_are_counted_from_ndtr(case, monkeypatch):
     monkeypatch.setattr(_ReplicationRng, "fill", fill)
     result, fallback = count_fallback_rows(cfg, monkeypatch)
     assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg))
-    assert result == estimate_kfwer_oracle(cfg, _critical_values(cfg).alphas, normals=lambda rep: row)
+    assert result == oracle_estimate(cfg, normals=lambda rep: row)
     assert fallback == cfg.reps
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0 - 2.0**-52])
+def test_a_table_family_is_bracketed_through_its_kernel(rho, monkeypatch):
+    """The bracket reads a family only through the procedure's kernel, so
+    a table serves as well as a form: with Simes' table in place of the
+    configured family, Hommel's default path equals the override and the
+    one-replication reference on the table's rows. At rho = 1 - 2^-52 the
+    true nulls meet at the cut and rows are counted again from ndtr."""
+    cfg = config(n=10, n_true=5, k=2, alpha=0.3, procedure="hommel", schedule="constant", reps=2_000,
+                 delta=2.0, dependence="equicorrelated", rho=rho, seed=5)
+    simes = simes_family(cfg.k, cfg.n, cfg.alpha)
+    monkeypatch.setattr(simulation, "_critical_values", lambda config: simes)
+    result, fallback = count_fallback_rows(cfg, monkeypatch)
+    assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg))
+    assert result == estimate_kfwer_oracle(cfg, simes.rows)
+    assert rho == 0.5 or fallback >= 1
