@@ -124,8 +124,12 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
 
 # Closure tables: ``_members(n, m)`` lists every size-m subset of the n
 # sorted positions, one column per subset, row r - 1 holding its rank-r
-# member. Each is built once per (n, m) and kept read-only; the set for one n
-# takes n * 2**(n-1) bytes, about 2.4 MB at n = EXHAUSTIVE_LIMIT.
+# member, and ``_masks(n, m)``, of the same shape, holds in row r - 1 each
+# subset's members at rank >= r as a bitmask of their positions. Each is
+# built once per (n, m) and kept read-only. The member tables for one n take
+# n * 2**(n-1) bytes, about 2.4 MB at n = EXHAUSTIVE_LIMIT; the masks take 4
+# bytes per member entry, 9.4 MB at n = EXHAUSTIVE_LIMIT and about 0.85 MB
+# for all n <= 14 together.
 @functools.cache
 def _members(n: int, m: int) -> np.ndarray:
     count = math.comb(n, m)
@@ -133,6 +137,15 @@ def _members(n: int, m: int) -> np.ndarray:
     table = flat.reshape(count, m).T.copy()
     table.setflags(write=False)
     return table
+
+
+@functools.cache
+def _masks(n: int, m: int) -> np.ndarray:
+    masks = np.left_shift(np.uint32(1), _members(n, m), dtype=np.uint32)
+    # OR-accumulated from the last rank down, in place.
+    np.bitwise_or.accumulate(masks[::-1], axis=0, out=masks[::-1])
+    masks.setflags(write=False)
+    return masks
 
 
 def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
@@ -150,6 +163,10 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     All 2**n - 1 intersection hypotheses are decided with one comparison
     per subset size, on the family's array and the member tables of
     :func:`_members`; n above ``EXHAUSTIVE_LIMIT`` raises :class:`TooLargeError`.
+    Each subset's rank-k..m members are also held as one bitmask of their
+    sorted positions (:func:`_masks`), so the positions blocked by the
+    accepted subsets of a size are one OR over their masks, and the
+    blocked set is one integer of n bits.
     """
     _require_same_n(p, f.n, "family")
     n, k = f.n, f.k
@@ -159,21 +176,21 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     # rank-r value of a size-m test, so the member at sorted position pos
     # clears that value iff pos < h.
     h = np.searchsorted(p._sorted_array, f._array, side="right").astype(np.uint8)[:, None]
-    blocked = np.zeros(n, dtype=bool)
+    blocked = 0
     accepted_cardinalities = []
     start = 0
     for m in range(k, n + 1):
         h_m = h[start : start + m - k + 1]
         start += h_m.size
         ranked = _members(n, m)[k - 1 :]
-        # The rank-k..m members of the accepted size-m subsets: those where
-        # none of these members clears its value. Each one is blocked.
-        accepted = ranked.compress((ranked >= h_m).all(axis=0), axis=1)
+        # The accepted size-m subsets: those where none of the rank-k..m
+        # members clears its value. Each of these members is blocked.
+        accepted = _masks(n, m)[k - 1][(ranked >= h_m).all(axis=0)]
         if accepted.size:
             accepted_cardinalities.append(m)
-            blocked[accepted] = True
+            blocked |= int(np.bitwise_or.reduce(accepted))
     rejected = np.ones(n, dtype=bool)
-    rejected[p._order_array[blocked]] = False
+    rejected[p._order_array[((blocked >> np.arange(n)) & 1).astype(bool)]] = False
     detail = {"accepted_cardinalities": tuple(accepted_cardinalities)}
     return ProcedureResult(tuple(rejected.tolist()), detail, "closed_testing", family=f)
 
@@ -470,6 +487,12 @@ def bind_batch(procedure: str, critical: CriticalValues) -> Callable[[np.ndarray
     tests reject no more subsets, so closed testing, which the Hommel
     kernel equals (Theorem 5.1), rejects no more hypotheses. ``kfwer
     simulate`` brackets a row's exact count between the counts on a lower
-    and an upper bound of the row."""
+    and an upper bound of the row.
+
+    Hommel and closed testing on a stepdown or stepup form bind the form's
+    stepwise kernel and schedule, which count the same (see :func:`_hommel`)
+    without the ``j_hat`` only the public rule reports."""
     kernel = _RULES[procedure][1]
+    if procedure in FAMILY_PROCEDURES and critical._form is not None:
+        kernel, critical = _RULES[critical._form][1], critical._schedule
     return lambda sorted_p: kernel(sorted_p, critical)

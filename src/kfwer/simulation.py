@@ -296,30 +296,38 @@ def _count_rejections(
     ``counts`` maps the rows of ``p``, sorted, to c."""
     sp = np.sort(p, axis=1)
     c = counts(sp)
-    return c, _rejected_true_nulls(p, sp, c, n_true)
+    return c, _rejected_true_nulls(p, sp, c, n_true, *_cut(sp, c))
 
 
-def _rejected_true_nulls(p: np.ndarray, sp: np.ndarray, c: np.ndarray, n_true: int) -> np.ndarray:
+def _cut(sp: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest rejected value t = sp[c - 1], -1 (below every
+    p-value) when c = 0, and the value after the cut, sp[c], read as
+    sp[n - 1] when c = n."""
+    rows, n = np.arange(len(sp)), sp.shape[1]
+    return np.where(c > 0, sp[rows, c - 1], -1.0), sp[rows, np.minimum(c, n - 1)]
+
+
+def _rejected_true_nulls(
+    p: np.ndarray, sp: np.ndarray, c: np.ndarray, n_true: int, t: np.ndarray, after: np.ndarray
+) -> np.ndarray:
     """Each row's number V of rejected true nulls, from its values ``p``,
-    their sorted rows ``sp`` and its count c.
+    their sorted rows ``sp``, its count c and the values ``t`` and
+    ``after`` at its cut (see :func:`_cut`).
 
     A row rejects its c smallest p-values in the stable order, so its
-    largest rejected value is t = sp[c - 1] (t = -1, below every p-value,
-    when c = 0): every p-value below t is rejected, and of those tied at
-    t, the first c - #{p < t} in the stable order. That order breaks ties
-    by position, and the true nulls hold the lowest positions,
+    largest rejected value is t: every p-value below t is rejected, and of
+    those tied at t, the first c - #{p < t} in the stable order. That order
+    breaks ties by position, and the true nulls hold the lowest positions,
     0..n_true-1, so tied true nulls come first: V = #{true nulls < t} +
-    min(#{true nulls == t}, c - #{p < t}). Where the value after the cut,
-    sp[c], differs from t, every tie at t is rejected and V is
+    min(#{true nulls == t}, c - #{p < t}). Where c = n or the value after
+    the cut differs from t, every tie at t is rejected and V is
     #{true nulls <= t}; only rows whose tie runs past the cut count the rest.
     """
-    rows, n = np.arange(len(sp)), sp.shape[1]
-    t = np.where(c > 0, sp[rows, c - 1], -1.0)[:, None]
     nulls = p[:, :n_true]
-    v = np.count_nonzero(nulls <= t, axis=1)
-    split = np.flatnonzero((c < n) & (sp[rows, np.minimum(c, n - 1)] == t[:, 0]))
+    v = np.count_nonzero(nulls <= t[:, None], axis=1)
+    split = np.flatnonzero((c < sp.shape[1]) & (after == t))
     if split.size:
-        tie = t[split]
+        tie = t[split, None]
         below = np.count_nonzero(nulls[split] < tie, axis=1)
         v[split] = below + np.minimum(v[split] - below, c[split] - np.count_nonzero(sp[split] < tie, axis=1))
     return v
@@ -360,10 +368,9 @@ def _screened_rejections(
     sp = np.sort(p, axis=1)
     floor = _tail_table()[0, -1]
     c = counts(np.where(sp <= floor, 0.0, sp * (1.0 - 2.0 * _MU)))
-    v = _rejected_true_nulls(p, sp, c, n_true)
-    rows, n = np.arange(len(sp)), sp.shape[1]
-    last, after = sp[rows, np.maximum(c - 1, 0)], sp[rows, np.minimum(c, n - 1)]
-    cut = (after <= np.maximum(last * (1.0 + 3.0 * _MU), floor)) & (c > 0) & (c < n)
+    t, after = _cut(sp, c)
+    v = _rejected_true_nulls(p, sp, c, n_true, t, after)
+    cut = (after <= np.maximum(t * (1.0 + 3.0 * _MU), floor)) & (c > 0) & (c < sp.shape[1])
     redo = np.flatnonzero(cut | (counts(sp * (1.0 + 2.0 * _MU)) != c))
     if redo.size:
         c[redo], v[redo] = _count_rejections(_exact_tail(z[redo]), counts, n_true)

@@ -2,8 +2,10 @@
 equivalence/dominance relations that tie the shortcuts to the
 exhaustive closed-testing engine."""
 
+import functools
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -262,6 +264,49 @@ class TestClosedTesting:
                     assert table.T.tolist() == [list(c) for c in itertools.combinations(range(n), m)]
                 nbytes += table.nbytes
         assert nbytes < 3_000_000
+
+    def test_mask_tables_or_the_members_from_each_rank(self):
+        """_masks(n, m) is read-only uint32, shaped (m, C(n, m)), and row
+        r - 1 holds each subset's OR of 1 << member over its members at
+        rank >= r: against itertools.combinations for every n <= 12, and on
+        every 97th subset of each size at n = 18. The masks of all n <= 14
+        take under 1 MB, those of n = 18 under 10 MB."""
+
+        def masks_of(subsets, m):
+            return [[functools.reduce(operator.or_, (1 << j for j in c[r:]), 0) for c in subsets] for r in range(m)]
+
+        for n in (*range(13), 18):
+            for m in range(n + 1):
+                masks = procedures._masks(n, m)
+                assert not masks.flags.writeable
+                assert masks.dtype == np.uint32 and masks.shape == (m, math.comb(n, m))
+                step = 97 if n == 18 else 1
+                subsets = itertools.islice(itertools.combinations(range(n), m), 0, None, step)
+                assert masks[:, ::step].tolist() == masks_of(list(subsets), m)
+        assert sum(procedures._masks(n, m).nbytes for n in range(15) for m in range(n + 1)) < 1_000_000
+        assert sum(procedures._masks(18, m).nbytes for m in range(19)) < 10_000_000
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_accept_all_and_reject_all(self, n):
+        """Every p-value above every value accepts every subset, so only the
+        k - 1 automatic rejections stand and every size is accepted; every
+        p-value 0.0 rejects everything. For k in {1, 2, n}, on the constant
+        and the Simes family, against the subset oracle up to n = 12 and the
+        Hommel shortcut (Theorem 5.1) above."""
+        rng = np.random.default_rng(n)
+        high = order_pvalues(1.0 - rng.permutation(n) / 1000)
+        zero = order_pvalues([0.0] * n)
+        for k in sorted({1, min(2, n), n}):
+            for fam in (constant_family(k, n, 0.05), simes_family(k, n, 0.3)):
+                automatic = set(high.order[: k - 1])
+                for p, want_set, want_cards in ((high, automatic, tuple(range(k, n + 1))), (zero, set(range(n)), ())):
+                    res = closed_testing(p, fam)
+                    assert rejected_set(res) == want_set
+                    assert res.detail == {"accepted_cardinalities": want_cards}
+                    if n <= 12:
+                        assert closed_testing_detail_oracle(p.values, k, fam.rows) == (want_set, want_cards)
+                    else:
+                        assert res.rejected == generalized_hommel(p, fam).rejected
 
     def test_subset_decisions_agree_with_evaluate_local_test(self):
         """The engine's per-subset decision is the one evaluate_local_test

@@ -64,6 +64,40 @@ def test_constant_row_generator_rows_constant():
         assert all(all(v == row[0] for v in row) for row in fam.rows)
 
 
+def choice_schedule(rng, k, n):
+    """random_schedule's values, its scale drawn with Generator.choice."""
+    vals = np.sort(rng.uniform(0.0, float(rng.choice([0.05, 0.3, 1.0])), n - k + 1))
+    return np.round(vals, 2) if rng.random() < 0.3 else vals
+
+
+def choice_family(rng, k, n, constant_rows):
+    """random_family's rows, m = k..n, its scale drawn with Generator.choice."""
+    scale = float(rng.choice([0.05, 0.2, 1.0]))
+    rows = [np.sort(rng.uniform(0.0, scale, n - k + 1))]
+    for m in range(n - 1, k - 1, -1):
+        bump = np.zeros(m - k + 1) if rng.random() < 0.25 else np.sort(rng.uniform(0.0, scale / 2.0, m - k + 1))
+        rows.append(np.minimum(rows[-1][: m - k + 1] + bump, 1.0))
+    if constant_rows:
+        rows = [np.full(row.size, row[0]) for row in rows]
+    return [tuple(row.tolist()) for row in reversed(rows)]
+
+
+def test_scale_draws_follow_the_choice_stream():
+    """The generators draw their scale by index; for many seeds their
+    schedules and families are float for float those of Generator.choice,
+    and the stream goes on with the same next draw."""
+    for seed in range(300):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for trial in range(4):
+            n = int(rng.integers(1, 15))
+            k = int(rng.integers(1, n + 1))
+            assert (reference.integers(1, 15), reference.integers(1, n + 1)) == (n, k)
+            assert random_schedule(rng, k, n).alphas == tuple(choice_schedule(reference, k, n).tolist())
+            constant_rows = trial % 2 == 1
+            assert random_family(rng, k, n, constant_rows).rows == tuple(choice_family(reference, k, n, constant_rows))
+        assert rng.random() == reference.random()
+
+
 def test_schedule_from_family_is_worst_case_rank_k_value():
     rng = np.random.default_rng(4)
     fam = random_family(rng, 2, 6)
