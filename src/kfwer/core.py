@@ -13,7 +13,9 @@ value once, in private float64 arrays that the decision rules and ``d1``
 read and no caller's later writes can reach; a family's holds its
 triangle row after row. Their tuple fields, ``values``, ``order``,
 ``alphas`` and ``rows``, are built on first read and then kept, and
-``==``, ``hash`` and ``repr`` are a frozen dataclass's with those fields.
+``==``, ``hash`` and ``repr`` are a frozen dataclass's with those fields,
+except that a family's ``==`` and ``hash`` read its schedule or table, so
+that only ``repr`` builds ``rows``.
 
 Indices follow the statistical convention: hypotheses are 1-based in
 user-facing messages and in the CLI, while ``PValueVector.order`` stores
@@ -313,8 +315,14 @@ class LocalTestFamily(_Frozen):
     A table is stored as the float64 array ``_array``, the triangle row
     after row, row m at offset (m-k)(m-k+1)/2. A stepdown or stepup form
     holds only ``_schedule`` and ``_form``: value(i, m) is alpha_{n-m+k} or
-    alpha_{n-m+i}, and its ``_array`` is built on first read. ``rows`` is
-    built on first read for every family, so a form equals its table.
+    alpha_{n-m+i}, and its ``_array`` is gathered from the schedule on first
+    read. ``rows`` is built on first read for every family.
+
+    ``==`` holds when every value is equal, as for ``rows``, so a form equals
+    its table: two forms of one kind compare their schedules, a stepdown and
+    a stepup form are equal only when both schedules are one constant, and
+    a pair with a table compares the two ``_array``s. ``hash`` is that of
+    (k, n, row(n)). ``repr`` prints ``rows``.
     """
 
     _fields = ("k", "n", "rows")
@@ -338,9 +346,29 @@ class LocalTestFamily(_Frozen):
         self.__dict__.update(k=k, n=n, _array=array)
 
     # A table's array sits in the instance dict, so this runs for a form only.
+    # Entry (i, m) is the schedule array's entry n - m, plus i - k for stepup.
     @functools.cached_property
     def _array(self) -> np.ndarray:
-        return np.fromiter(itertools.chain.from_iterable(self.rows), np.float64)
+        widths = np.arange(1, self.n - self.k + 2)
+        at = np.repeat(widths[::-1] - 1, widths)  # n - m, row after row
+        if self._form == "stepup":
+            at += np.arange(at.size) - np.repeat(widths.cumsum() - widths, widths)
+        return self._schedule._array[at]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.k, self.n) != (other.k, other.n):
+            return False
+        if self._form is None or other._form is None:
+            return bool(np.array_equal(self._array, other._array))
+        mine = self._schedule._array
+        # Row n of a stepdown form is constant, and of a stepup form its schedule.
+        same_rows = self._form == other._form or mine.min() == mine.max()
+        return same_rows and bool(np.array_equal(mine, other._schedule._array))
+
+    def __hash__(self):
+        return hash((self.k, self.n, self.row(self.n)))
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[float, ...], ...]:

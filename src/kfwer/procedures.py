@@ -104,9 +104,7 @@ def stepdown(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
     exceeds its critical value, only the automatic k-1 are rejected and
     the cutoff is recorded as absent.
     """
-    _require_same_n(p, s.n, "schedule")
-    count = int(_stepdown_counts(_one_row(p), s)[0])
-    return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, "stepdown", schedule=s)
+    return _stepwise("stepdown", p, s)
 
 
 def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
@@ -117,9 +115,14 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
     the automatic k-1 are rejected. Rejecting everything when the largest
     p-value clears its critical value is the r = n case.
     """
+    return _stepwise("stepup", p, s)
+
+
+def _stepwise(rule: str, p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
+    """The named stepwise rule's result, from its kernel in ``_STEPWISE``."""
     _require_same_n(p, s.n, "schedule")
-    count = int(_stepup_counts(_one_row(p), s)[0])
-    return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, "stepup", schedule=s)
+    count = int(_STEPWISE[rule](_one_row(p), s)[0])
+    return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, rule, schedule=s)
 
 
 # Closure tables: ``_members(n, m)`` lists every size-m subset of the n
@@ -434,7 +437,7 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     """
     n, k = f.n, f.k
     if f._form is not None:
-        counts = _RULES[f._form][1](sorted_p, f._schedule)
+        counts = _STEPWISE[f._form](sorted_p, f._schedule)
         return counts, np.where(counts < n, n - counts + k - 1, 0)
     # thresholds[j]: size j's rank-k value, first in its row; inf at 0, where it admits every p-value.
     thresholds = np.full(n + 1, np.inf)
@@ -453,25 +456,18 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     return np.maximum(k - 1, (sorted_p <= thresholds[j_hat, None]).sum(axis=1)), j_hat
 
 
-def _hommel_kernel(sorted_p: np.ndarray, f: LocalTestFamily) -> np.ndarray:
-    return _hommel(sorted_p, f)[0]
-
-
-# Procedure name -> (name of its public rule, batch kernel). ``closed`` maps
-# to generalized Hommel, which Theorem 5.1 makes equal to closed testing for
-# every family the package admits. The public rule is looked up by name when
-# bound, like the resolver's constructors, so a rebound module name takes effect.
-_RULES = {
-    "stepdown": ("stepdown", _stepdown_counts),
-    "stepup": ("stepup", _stepup_counts),
-    "hommel": ("generalized_hommel", _hommel_kernel),
-    "closed": ("generalized_hommel", _hommel_kernel),
-}
+# Rule or form name -> stepwise kernel, read by the public rules, the
+# Hommel shortcut on a form and bind_batch.
+_STEPWISE = {"stepdown": _stepdown_counts, "stepup": _stepup_counts}
 
 
 def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValueVector], ProcedureResult]:
-    """The named decision rule with its critical values bound."""
-    rule = globals()[_RULES[procedure][0]]
+    """The named decision rule with its critical values bound. ``hommel``
+    and ``closed`` bind generalized Hommel, which Theorem 5.1 makes equal
+    to closed testing for every family the package admits. The rule is
+    looked up by name when bound, like the resolver's constructors, so a
+    rebound module name takes effect."""
+    rule = globals()["generalized_hommel" if procedure in FAMILY_PROCEDURES else procedure]
     return lambda p: rule(p, critical)
 
 
@@ -492,7 +488,9 @@ def bind_batch(procedure: str, critical: CriticalValues) -> Callable[[np.ndarray
     Hommel and closed testing on a stepdown or stepup form bind the form's
     stepwise kernel and schedule, which count the same (see :func:`_hommel`)
     without the ``j_hat`` only the public rule reports."""
-    kernel = _RULES[procedure][1]
-    if procedure in FAMILY_PROCEDURES and critical._form is not None:
-        kernel, critical = _RULES[critical._form][1], critical._schedule
+    if procedure in FAMILY_PROCEDURES:
+        if critical._form is None:
+            return lambda sorted_p: _hommel(sorted_p, critical)[0]
+        procedure, critical = critical._form, critical._schedule
+    kernel = _STEPWISE[procedure]
     return lambda sorted_p: kernel(sorted_p, critical)

@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, PValueVector, _integer, order_pvalues
+from .core import ConfigError, LengthMismatchError, PValueVector, _integer, order_pvalues
 from .procedures import (
     CriticalValues,
     ProcedureResult,
@@ -397,7 +397,8 @@ def estimate_kfwer(
     path is tested against, and a way to test the counting with trivial
     deciders. It is applied to one replication's :class:`PValueVector`,
     from ``ndtr``, at a time, and c and V are summed from its rejection
-    flags.
+    flags; a result that does not flag exactly n hypotheses raises
+    :class:`LengthMismatchError` before it is counted.
     """
     n_true, n, k, reps = config.n_true, config.n, config.k, config.reps
     n_false = n - n_true
@@ -415,7 +416,11 @@ def estimate_kfwer(
         if procedure is None:
             c, v = _screened_rejections(z, counts, n_true)
         else:
-            flags = np.array([procedure(order_pvalues(row)).rejected for row in _exact_tail(z)], dtype=bool)
+            rejected = [procedure(order_pvalues(row)).rejected for row in _exact_tail(z)]
+            for rep, row in enumerate(rejected, start=first):
+                if len(row) != n:
+                    raise LengthMismatchError(f"replication {rep}: procedure flagged {len(row)} hypotheses, expected n={n}")
+            flags = np.array(rejected, dtype=bool)
             c, v = flags.sum(axis=1), flags[:, :n_true].sum(axis=1)
         exceedances += int(np.count_nonzero(v >= k))
         if n_false:

@@ -12,6 +12,7 @@ failed trial is returned with everything needed to replay it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -209,12 +210,14 @@ def _trial_41(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     return p, fam, stepdown(p, sched), "equality" if rows_constant else "inclusion", int(rows_constant)
 
 
-def _trial_42(rng: np.random.Generator, t: int, n_max: int) -> Trial:
-    """Any stepdown procedure equals closed testing with its induced family."""
+def _trial_form(rule: str, rng: np.random.Generator, t: int, n_max: int) -> Trial:
+    """Any stepdown (Theorem 4.2) or stepup (4.4) procedure equals closed
+    testing with its form. The rule and its form are looked up by name at
+    call time, so a rebound module name, a tracer's included, takes effect."""
     n, k = _draw_size(rng, n_max)
     sched = random_schedule(rng, k, n)
     p = random_pvalues(rng, n, list(sched.alphas))
-    return p, stepdown_as_family(sched), stepdown(p, sched), "equality", 0
+    return p, globals()[f"{rule}_as_family"](sched), globals()[rule](p, sched), "equality", 0
 
 
 def _trial_43(rng: np.random.Generator, t: int, n_max: int) -> Trial:
@@ -238,14 +241,6 @@ def _trial_43(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     return p, fam, stepup(p, sched), "inclusion", filtered
 
 
-def _trial_44(rng: np.random.Generator, t: int, n_max: int) -> Trial:
-    """Any stepup procedure equals closed testing with its induced family."""
-    n, k = _draw_size(rng, n_max)
-    sched = random_schedule(rng, k, n)
-    p = random_pvalues(rng, n, list(sched.alphas))
-    return p, stepup_as_family(sched), stepup(p, sched), "equality", 0
-
-
 def _trial_51(rng: np.random.Generator, t: int, n_max: int) -> Trial:
     """The generalized Hommel shortcut equals closed testing for every
     doubly monotone family, including the reject-all branch."""
@@ -265,9 +260,9 @@ def _trial_51(rng: np.random.Generator, t: int, n_max: int) -> Trial:
 # theorem id -> (trial, name of the note its increments add up to)
 _TRIALS = {
     "4.1": (_trial_41, "equality_trials"),
-    "4.2": (_trial_42, None),
+    "4.2": (functools.partial(_trial_form, "stepdown"), None),
     "4.3": (_trial_43, "condition_filtered"),
-    "4.4": (_trial_44, None),
+    "4.4": (functools.partial(_trial_form, "stepup"), None),
     "5.1": (_trial_51, "reject_all_branch"),
 }
 THEOREMS = tuple(_TRIALS)

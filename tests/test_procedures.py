@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import operator
+import time
 import tracemalloc
 
 import numpy as np
@@ -669,6 +670,96 @@ def test_composed_families_match_closed_forms(nk, alpha, data):
     d = d1(base)
     want = tuple(tuple(alpha * base.alpha(n - m + i) / d for i in range(k, m + 1)) for m in range(k, n + 1))
     assert scaled_family(base, alpha).rows == want
+
+
+# Schedule entries: ties, both zeros and the ends of [0, 1] are common.
+schedule_entry = st.sampled_from([0.0, -0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0)
+
+
+def schedule_values(width):
+    """Nondecreasing values, or one value repeated: a constant schedule."""
+    return st.one_of(
+        schedule_entry.map(lambda v: [v] * width),
+        st.lists(schedule_entry, min_size=width, max_size=width).map(sorted),
+    )
+
+
+def flip_zeros(values):
+    """The same values with 0.0 and -0.0 swapped: equal under ==, not in repr."""
+    return [-v if v == 0.0 else v for v in values]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_family_eq_and_hash_follow_rows(data):
+    """For two schedules of one size, n <= 60 with k = 1 and k = n often,
+    the second often the first with its zeros' signs flipped or constant,
+    every pair among their stepdown and stepup forms and the tables of
+    those compares with == exactly as their ``rows`` do, and equal pairs
+    hash equal. A form builds no ``rows`` for either."""
+    n = data.draw(st.integers(1, 60))
+    k = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
+    first = data.draw(schedule_values(n - k + 1))
+    second = data.draw(st.one_of(st.just(first), st.just(flip_zeros(first)), schedule_values(n - k + 1)))
+    families = []
+    for values in (first, second):
+        s = validate_schedule(k, n, values)
+        families += [stepdown_as_family(s), stepup_as_family(s)]
+        families += [validate_family(k, n, form(s).rows) for form in (stepdown_as_family, stepup_as_family)]
+    pairs = list(itertools.product(range(len(families)), repeat=2))
+    equal = [families[a] == families[b] for a, b in pairs]
+    assert [families[a] != families[b] for a, b in pairs] == [not e for e in equal]
+    hashes = [hash(fam) for fam in families]
+    assert not any("rows" in vars(fam) for fam in families if fam._form is not None)
+    assert equal == [families[a].rows == families[b].rows for a, b in pairs]
+    assert all(hashes[a] == hashes[b] for (a, b), e in zip(pairs, equal) if e)
+
+
+def test_family_values_compare_and_hash_at_scale():
+    """At n = 10^5, where a form's table would hold 5 * 10^9 entries, two
+    generalized Hommel results with the constant family compare equal, the
+    Romano-Shaikh family differs from the constant one, and both hash:
+    all within 1 s and a 100 MB tracemalloc peak."""
+    n = 10**5
+    values = np.random.default_rng(8).uniform(size=n)
+    values[: n // 100] = 1e-12
+    p = order_pvalues(values)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        constant = constant_family(2, n, 0.05)
+        results = [generalized_hommel(p, constant_family(2, n, 0.05)) for _ in range(2)]
+        assert results[0] == results[1]
+        scaled = scaled_family(lehmann_romano_schedule(2, n, 0.05), 0.05)
+        assert scaled != constant and constant != scaled
+        hash(constant), hash(scaled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 100 * 2**20
+    assert not any("rows" in vars(fam) for fam in (constant, scaled, results[0].family, results[1].family))
+
+
+def test_form_array_is_its_rows_flattened():
+    """A form's ``_array``, gathered from its schedule, is its rows read
+    one after another, repr for repr (-0.0 included), for both forms at
+    n <= 60 with k = 1 and k = n; reading it builds no ``rows``."""
+    rng = np.random.default_rng(30)
+    sizes = [(1, 1), (60, 60), (60, 1)]
+    for trial in range(90):
+        n = int(rng.integers(1, 61))
+        sizes.append((n, (1, n, int(rng.integers(1, n + 1)))[trial % 3]))
+    for n, k in sizes:
+        s = random_schedule(rng, k, n)
+        for values in (s._array, np.where(s._array == 0.0, -0.0, s._array)):
+            signed = validate_schedule(k, n, values)
+            for form in (stepdown_as_family, stepup_as_family):
+                fam = form(signed)
+                gathered = fam._array
+                assert "rows" not in vars(fam)
+                want = [repr(v) for row in form(signed).rows for v in row]
+                assert list(map(repr, gathered.tolist())) == want
 
 
 @given(

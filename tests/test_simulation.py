@@ -11,6 +11,7 @@ from scipy.special import ndtr
 
 from kfwer import (
     ConfigError,
+    LengthMismatchError,
     ProcedureResult,
     SimulationConfig,
     closed_testing,
@@ -201,6 +202,24 @@ class TestEstimateKfwer:
         cfg = config(reps=50)
         res = estimate_kfwer(cfg, procedure=reject_first(cfg.k))
         assert res.kfwer_estimate == 1.0
+
+    @pytest.mark.parametrize("extra, bad_rep", [(1, 0), (-1, 0), (1, 3), (-1, 4)])
+    def test_a_rule_flagging_the_wrong_count_is_refused(self, extra, bad_rep):
+        """A decider whose result flags n + 1 or n - 1 hypotheses, in the
+        first replication or a later one, raises LengthMismatchError naming
+        the replication and both lengths. With n + 1 flags in every
+        replication it once returned an estimate with power 1.5."""
+        cfg = config(n=4, n_true=2, delta=2.0, reps=5)
+        calls = []
+
+        def decide(p):
+            width = p.n + (extra if len(calls) == bad_rep else 0)
+            calls.append(width)
+            return ProcedureResult((True,) * width, {}, "wrong_length")
+
+        with pytest.raises(LengthMismatchError) as exc:
+            estimate_kfwer(cfg, procedure=decide)
+        assert str(exc.value) == f"replication {bad_rep}: procedure flagged {4 + extra} hypotheses, expected n=4"
 
     def test_single_replication_is_binary(self):
         res = estimate_kfwer(config(reps=1))

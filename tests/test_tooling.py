@@ -39,9 +39,15 @@ def test_tracer_wraps_every_listed_function_and_restores_it():
         for (module, name), value in before.items():
             if value is originals[name]:
                 assert getattr(importlib.import_module(module), name).__wrapped__ is value, (module, name)
-        assert kfwer.cli.main(["verify", "--theorem", "4.2", "--trials", "3", "--n-max", "6", "--seed", "1"]) == 0
-        assert spans.counters["cli.main.calls"] == 1
-        assert spans.counters["verify.run_theorem_trials.calls"] == 1
+        # Theorems 4.2 and 4.4 share one trial, which must still reach each
+        # rule and form through the wrapped names.
+        for theorem in ("4.2", "4.4"):
+            assert kfwer.cli.main(["verify", "--theorem", theorem, "--trials", "3", "--n-max", "6", "--seed", "1"]) == 0
+        assert spans.counters["cli.main.calls"] == 2
+        assert spans.counters["verify.run_theorem_trials.calls"] == 2
+        assert spans.counters["procedures.stepdown.calls"] == 3
+        assert spans.counters["procedures.stepup.calls"] == 3
+        assert spans.counters["procedures.family.calls"] == 6
     finally:
         spans.uninstall()
     assert bindings(tracer) == before
