@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
@@ -125,30 +126,32 @@ def _stepwise(rule: str, p: PValueVector, s: CriticalSchedule) -> ProcedureResul
     return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, rule, schedule=s)
 
 
-# Closure tables: ``_members(n, m)`` lists every size-m subset of the n
-# sorted positions, one column per subset, row r - 1 holding its rank-r
-# member, and ``_masks(n, m)``, of the same shape, holds in row r - 1 each
-# subset's members at rank >= r as a bitmask of their positions. Each is
-# built once per (n, m) and kept read-only. The member tables for one n take
-# n * 2**(n-1) bytes, about 2.4 MB at n = EXHAUSTIVE_LIMIT; the masks take 4
-# bytes per member entry, 9.4 MB at n = EXHAUSTIVE_LIMIT and about 0.85 MB
-# for all n <= 14 together.
+# Closure tables: ``_tables(n, m)`` is ``(passes, holders)``, two rows of
+# ints per rank r of the size-m subsets of the n sorted positions, bit j
+# standing for the j-th subset as itertools.combinations lists them.
+# ``passes[r - 1][x]`` (x = 0..n) holds the subsets whose rank-r member sits
+# at position x or beyond, ``holders[r - 1][x]`` (x < n) those that hold x
+# at rank r or beyond. They are built from the n - 1 tables by Pascal's
+# rule: the C(n-1, m-1) subsets holding 0 come first, as 0 followed by a
+# size-(m-1) subset moved up one position; the size-m subsets moved up one
+# position follow, in the higher bits. Each is built once per (n, m); all
+# tables for n <= 14 take about 0.6 MB, those for n <= 18 about 10 MB.
 @functools.cache
-def _members(n: int, m: int) -> np.ndarray:
-    count = math.comb(n, m)
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)), np.uint8, m * count)
-    table = flat.reshape(count, m).T.copy()
-    table.setflags(write=False)
-    return table
-
-
-@functools.cache
-def _masks(n: int, m: int) -> np.ndarray:
-    masks = np.left_shift(np.uint32(1), _members(n, m), dtype=np.uint32)
-    # OR-accumulated from the last rank down, in place.
-    np.bitwise_or.accumulate(masks[::-1], axis=0, out=masks[::-1])
-    masks.setflags(write=False)
-    return masks
+def _tables(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    if m == 0 or m > n:  # the empty subset, or no subset
+        return ((0,) * (n + 1),) * m, ((0,) * n,) * m
+    shift = math.comb(n - 1, m - 1)
+    head, tail = (1 << shift) - 1, (1 << math.comb(n - 1, m)) - 1
+    (a_passes, a_holders), (b_passes, b_holders) = _tables(n - 1, m - 1), _tables(n - 1, m)
+    passes, holders, seen = [], [], {}  # equal bitsets share one int
+    for i in range(m):
+        # A head subset's rank-1 member is 0; its rank-(i+1) member is the
+        # rank-i member of its size-(m-1) subset, moved up one.
+        head_passes = (head, *(a_passes[i - 1] if i else (0,) * n))
+        head_holders = (0, *a_holders[i - 1]) if i else (head, *(a_holders[0] if m > 1 else (0,) * (n - 1)))
+        passes.append(tuple(seen.setdefault(v := a | b << shift, v) for a, b in zip(head_passes, (tail, *b_passes[i]))))
+        holders.append(tuple(seen.setdefault(v := a | b << shift, v) for a, b in zip(head_holders, (0, *b_holders[i]))))
+    return tuple(passes), tuple(holders)
 
 
 def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
@@ -163,39 +166,37 @@ def closed_testing(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     against. ``kfwer test`` and ``simulate`` never call it; their
     ``closed`` is :func:`generalized_hommel`, which Theorem 5.1 makes equal.
 
-    All 2**n - 1 intersection hypotheses are decided with one comparison
-    per subset size, on the family's array and the member tables of
-    :func:`_members`; n above ``EXHAUSTIVE_LIMIT`` raises :class:`TooLargeError`.
-    Each subset's rank-k..m members are also held as one bitmask of their
-    sorted positions (:func:`_masks`), so the positions blocked by the
-    accepted subsets of a size are one OR over their masks, and the
-    blocked set is one integer of n bits.
+    All 2**n - 1 intersection hypotheses are decided, C(n, m) at a time:
+    the accepted size-m subsets are one AND of the rows of :func:`_tables`
+    that pass each rank-k..m member's value, an int with one bit per
+    subset, and a sorted position is blocked when that int meets the row
+    of subsets holding it at rank k or beyond. n above
+    ``EXHAUSTIVE_LIMIT`` raises :class:`TooLargeError`.
     """
     _require_same_n(p, f.n, "family")
     n, k = f.n, f.k
     if n > EXHAUSTIVE_LIMIT:
         raise TooLargeError(n, EXHAUSTIVE_LIMIT)
-    # h[offset of (m, r)]: how many sorted p-values lie at or below the
-    # rank-r value of a size-m test, so the member at sorted position pos
-    # clears that value iff pos < h.
-    h = np.searchsorted(p._sorted_array, f._array, side="right").astype(np.uint8)[:, None]
-    blocked = 0
+    # h yields, row after row of the family, how many sorted p-values lie at
+    # or below the rank-r value of a size-m test, so the member at sorted
+    # position x clears that value iff x < h.
+    h = iter(np.searchsorted(p._sorted_array, f._array, side="right").tolist())
+    rejected = [True] * n
+    order = p._order_array.tolist()
     accepted_cardinalities = []
-    start = 0
     for m in range(k, n + 1):
-        h_m = h[start : start + m - k + 1]
-        start += h_m.size
-        ranked = _members(n, m)[k - 1 :]
+        passes, holders = _tables(n, m)
         # The accepted size-m subsets: those where none of the rank-k..m
-        # members clears its value. Each of these members is blocked.
-        accepted = _masks(n, m)[k - 1][(ranked >= h_m).all(axis=0)]
-        if accepted.size:
+        # members clears its value. Each of these members is blocked. map
+        # stops at the last rank, so it takes size m's m - k + 1 from h.
+        accepted = functools.reduce(operator.and_, map(tuple.__getitem__, passes[k - 1 :], h))
+        if accepted:
             accepted_cardinalities.append(m)
-            blocked |= int(np.bitwise_or.reduce(accepted))
-    rejected = np.ones(n, dtype=bool)
-    rejected[p._order_array[((blocked >> np.arange(n)) & 1).astype(bool)]] = False
+            for x, held in enumerate(holders[k - 1]):
+                if accepted & held:
+                    rejected[order[x]] = False
     detail = {"accepted_cardinalities": tuple(accepted_cardinalities)}
-    return ProcedureResult(tuple(rejected.tolist()), detail, "closed_testing", family=f)
+    return ProcedureResult(tuple(rejected), detail, "closed_testing", family=f)
 
 
 def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
@@ -448,7 +449,8 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     j_hat = np.zeros(len(sorted_p), dtype=np.intp)
     open_rows = np.arange(len(sorted_p))
     for j in (np.flatnonzero(reachable)[::-1] + k).tolist():
-        survives = (sorted_p[open_rows, n - j + k - 1:] > np.asarray(f.row(j))).all(axis=1)
+        start = (j - k) * (j - k + 1) // 2  # row j's offset in the triangle
+        survives = (sorted_p[open_rows, n - j + k - 1:] > f._array[start : start + j - k + 1]).all(axis=1)
         j_hat[open_rows[survives]] = j
         open_rows = open_rows[~survives]
         if open_rows.size == 0:

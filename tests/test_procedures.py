@@ -2,10 +2,8 @@
 equivalence/dominance relations that tie the shortcuts to the
 exhaustive closed-testing engine."""
 
-import functools
 import itertools
 import math
-import operator
 import time
 import tracemalloc
 
@@ -233,17 +231,43 @@ class TestClosedTesting:
         assert rejected_set(res) == want_set
         assert res.detail == {"accepted_cardinalities": want_cards}
 
-    def test_sliced_and_grown_tables_match_oracle(self):
-        """Sizes 10, 6, 12, 18, 1 in turn, from an empty table cache. After
-        each call every table for that n is read-only and shaped
-        (m, C(n, m)), and for n <= 12 its columns are the size-m subsets of
-        the n positions as itertools.combinations lists them. Up to n = 12
-        the decisions are checked against the subset oracle, at 18 against
-        the Hommel shortcut (Theorem 5.1). The tables of all five sizes
-        take under 3 MB."""
-        procedures._members.cache_clear()
+    @staticmethod
+    def _bits(row, count):
+        """Bits 0..count-1 of the int ``row`` as a bool array."""
+        data = np.frombuffer(row.to_bytes(count // 8 + 1, "little"), np.uint8)
+        return np.unpackbits(data, count=count, bitorder="little").astype(bool)
+
+    def test_tables_hold_each_rank_of_the_combinations(self):
+        """_tables(n, m) holds m rows of n + 1 passes and m rows of n
+        holders, and bit j of each stands for the j-th size-m subset as
+        itertools.combinations lists them: passes[r - 1][x] are the subsets
+        whose rank-r member is at x or beyond, holders[r - 1][x] those
+        holding x at rank r or beyond, and no int has a bit past the last
+        subset. Every subset for n <= 12, every 97th at n = 18."""
+        for n in (*range(13), 18):
+            step = 97 if n == 18 else 1
+            for m in range(n + 1):
+                count = math.comb(n, m)
+                subsets = list(itertools.islice(itertools.combinations(range(n), m), 0, None, step))
+                members = np.array(subsets, dtype=int).reshape(len(subsets), m)
+                passes, holders = procedures._tables(n, m)
+                assert len(passes) == len(holders) == m
+                for r in range(1, m + 1):
+                    assert len(passes[r - 1]) == n + 1 and len(holders[r - 1]) == n
+                    for x, row in enumerate(passes[r - 1]):
+                        assert row >> count == 0
+                        assert np.array_equal(self._bits(row, count)[::step], members[:, r - 1] >= x)
+                    for x, row in enumerate(holders[r - 1]):
+                        assert row >> count == 0
+                        assert np.array_equal(self._bits(row, count)[::step], (members[:, r - 1 :] == x).any(axis=1))
+
+    def test_tables_built_in_any_order_decide_as_the_oracle(self):
+        """Sizes 10, 6, 12, 18, 1 in turn, from an empty table cache, so
+        some tables are built by Pascal's rule on the way up and others
+        read back from it. Up to n = 12 the decisions are checked against
+        the subset oracle, at 18 against the Hommel shortcut (Theorem 5.1)."""
+        procedures._tables.cache_clear()
         rng = np.random.default_rng(29)
-        nbytes = 0
         for n in (10, 6, 12, 18, 1):
             # quadratically spaced p-values under Simes rows reject part of the set
             k = min(2, n)
@@ -257,35 +281,21 @@ class TestClosedTesting:
                     assert res.detail == {"accepted_cardinalities": want_cards}
                 else:
                     assert res.rejected == generalized_hommel(p, fam).rejected
-            for m in range(n + 1):
-                table = procedures._members(n, m)
-                assert not table.flags.writeable
-                assert table.shape == (m, math.comb(n, m))
-                if n <= 12:
-                    assert table.T.tolist() == [list(c) for c in itertools.combinations(range(n), m)]
-                nbytes += table.nbytes
-        assert nbytes < 3_000_000
 
-    def test_mask_tables_or_the_members_from_each_rank(self):
-        """_masks(n, m) is read-only uint32, shaped (m, C(n, m)), and row
-        r - 1 holds each subset's OR of 1 << member over its members at
-        rank >= r: against itertools.combinations for every n <= 12, and on
-        every 97th subset of each size at n = 18. The masks of all n <= 14
-        take under 1 MB, those of n = 18 under 10 MB."""
-
-        def masks_of(subsets, m):
-            return [[functools.reduce(operator.or_, (1 << j for j in c[r:]), 0) for c in subsets] for r in range(m)]
-
-        for n in (*range(13), 18):
-            for m in range(n + 1):
-                masks = procedures._masks(n, m)
-                assert not masks.flags.writeable
-                assert masks.dtype == np.uint32 and masks.shape == (m, math.comb(n, m))
-                step = 97 if n == 18 else 1
-                subsets = itertools.islice(itertools.combinations(range(n), m), 0, None, step)
-                assert masks[:, ::step].tolist() == masks_of(list(subsets), m)
-        assert sum(procedures._masks(n, m).nbytes for n in range(15) for m in range(n + 1)) < 1_000_000
-        assert sum(procedures._masks(18, m).nbytes for m in range(19)) < 10_000_000
+    def test_tables_memory(self):
+        """Built from an empty cache, the tables of all n <= 14 take under
+        1 MB and those of all n <= 18 under 16 MB, as tracemalloc counts
+        what they keep allocated."""
+        procedures._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            for limit, bound in ((14, 1_000_000), (18, 16_000_000)):
+                for n in range(limit + 1):
+                    for m in range(n + 1):
+                        procedures._tables(n, m)
+                assert tracemalloc.get_traced_memory()[0] < bound
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_accept_all_and_reject_all(self, n):
@@ -1048,11 +1058,18 @@ def test_hommel_j_hats_against_oracle_and_closure_up_to_enumeration_limit(seed):
 def test_hommel_compares_rows_only_where_rank_k_clears(monkeypatch):
     """With no size whose rank-k value is cleared the kernel compares no
     full row of a table, so a no-survivor input costs one comparison per
-    size."""
+    size. The kernel reads row j as a slice of the family's array, and
+    ``calls`` records the size of each row it slices."""
     fam = simes_family(2, 300, 0.05)
     calls = []
-    row = type(fam).row
-    monkeypatch.setattr(type(fam), "row", lambda self, m: calls.append(m) or row(self, m))
+
+    class Rows(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                calls.append(key.stop - key.start + fam.k - 1)
+            return super().__getitem__(key)
+
+    monkeypatch.setitem(fam.__dict__, "_array", fam._array.view(Rows))
     res = generalized_hommel(order_pvalues([1e-12] * 300), fam)
     assert res.detail == {"j_hat": None} and res.num_rejected == 300
     assert calls == []
