@@ -13,41 +13,40 @@ replications are grouped: in chunks of any size, serially, or split
 across workers.
 
 ``estimate_kfwer`` runs one loop over chunks of replications. A chunk's
-draws fill one array, a row per replication, and the chunk is
-transformed to p-values and its rows sorted, as whole arrays. The
-procedure's batch kernel (see :func:`kfwer.procedures.bind_batch`) counts
-each row's rejections c from its sorted values, and the number V of
-rejected true nulls follows from those values and c alone, since the
-true nulls hold the lowest positions; no ordering permutation or
-per-hypothesis flag is formed. A chunk holds
-``max(1, CHUNK_ELEMENTS // (n + 1))`` replications, so memory stays
-bounded at any n and any number of replications. The power
-fractions are still added one replication at a time, left to right, so
-the estimates equal those of a one-replication-at-a-time loop float for
-float.
+draws fill one array, a row per replication, and the chunk's scores are
+negated and its rows sorted, as whole arrays. The procedure's batch
+kernel (see :func:`kfwer.procedures.bind_batch`) counts each row's
+rejections c from its sorted values, and the number V of rejected true
+nulls follows from those values and c alone, since the true nulls hold
+the lowest positions; no ordering permutation or per-hypothesis flag is
+formed. A chunk holds ``max(1, CHUNK_ELEMENTS // (n + 1))`` replications,
+so memory stays bounded at any n and any number of replications. The
+power fractions are still added one replication at a time, left to
+right, so the estimates equal those of a one-replication-at-a-time loop
+float for float.
 
 The p-values are scipy's ``ndtr(-z)``: :func:`generate_pvalues` and the
 ``procedure=`` override compute them so. The default path of
-``estimate_kfwer`` reads them from a numpy normal tail instead
-(:func:`_upper_tail`): each row's exact count is bracketed between the
-kernel's counts on a lower and an upper bound of its values (see
-:func:`_screened_rejections`), and the rows the bracket cannot prove are
-counted again from ``ndtr``. So scipy is imported on the first call that
-needs ``ndtr``: ``generate_pvalues``, the override, or a row the bracket
-leaves, which draws of ordinary size practically never meet.
-``kfwer test`` and ``kfwer verify`` never import it.
+``estimate_kfwer`` decides on the scores instead: every rule reads the
+p-values only through their order and the side of each critical value
+they fall on, both of which -z shows, since ``ndtr`` rises. Each row's
+exact count is bracketed between the kernel's counts on two sets of
+thresholds mapped from the critical values once per call
+(:func:`_thresholds`); rows the bracket cannot prove are counted again
+from ``ndtr`` (:func:`_screened_rejections`). So scipy is imported only
+by ``generate_pvalues``, the override, or such a row, which draws of
+ordinary size practically never meet; never by ``kfwer test`` or ``verify``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, LengthMismatchError, PValueVector, _integer, order_pvalues
+from .core import ConfigError, LengthMismatchError, LocalTestFamily, PValueVector, _integer, _unvalidated, order_pvalues
 from .procedures import (
     CriticalValues,
     ProcedureResult,
@@ -182,87 +181,79 @@ def _scores(config: SimulationConfig, draws: np.ndarray) -> np.ndarray:
 
 
 def _exact_tail(z: np.ndarray) -> np.ndarray:
-    """scipy's ``ndtr(-z)``, the p-values every estimate equals."""
-    # scipy is imported here, on the first call, so that `kfwer test`,
-    # `kfwer verify` and draws the bracket settles do not pay for importing it.
+    """scipy's ``ndtr(-z)``, the p-values every estimate equals, importing
+    scipy on first use: `kfwer test`, `verify` and settled draws never pay."""
     from scipy.special import ndtr
 
     return ndtr(-z)
 
 
-# The numpy tail: a Taylor series of Q(z) = ndtr(-z) with terms j = 0..4
-# about the nearest point of a grid of step 1/_GRID on [-_REACH, _REACH],
-# and the bracket's relative margin, cli._MARGIN's constant.
-_GRID = 1024
+# The reach R (see _thresholds) and Phi(-R); the bracket's relative margin
+# mu, cli._MARGIN's constant; the quantile's check and its cap on evaluations.
+_SQRT_2, _SQRT_2PI = math.sqrt(2.0), math.sqrt(2.0 * math.pi)
 _REACH = 8.5
-_LAST = int(_REACH * _GRID)
+_FLOOR = 0.5 * math.erfc(_REACH / _SQRT_2)
 _MU = 2.0**-30
+_CHECK, _STEPS = 2.0**-40, 4
 
 
-@functools.cache
-def _tail_table() -> np.ndarray:
-    """Row j holds Q^(j)(x) / j! / _GRID^j at the grid points x = i /
-    _GRID, i = -_LAST.._LAST: Q(x) = erfc(x / sqrt(2)) / 2, then -phi(x),
-    x phi(x) / 2, (1 - x^2) phi(x) / 6 and (x^3 - 3x) phi(x) / 24, the
-    signed Hermite polynomials He_0..He_3 times phi, each scaled exactly
-    by a power of two so that the series runs in units of the grid step.
-    Built on first use."""
-    x = np.arange(-_LAST, _LAST + 1) / _GRID
-    grid = x.tolist()
-    q = np.array([0.5 * math.erfc(t / math.sqrt(2.0)) for t in grid])
-    phi = np.array([math.exp(-0.5 * t * t) for t in grid]) / math.sqrt(2.0 * math.pi)
-    x2 = x * x
-    table = np.stack((q, -phi, 0.5 * x * phi, (1.0 - x2) * phi / 6.0, x * (x2 - 3.0) * phi / 24.0))
-    table /= (float(_GRID) ** np.arange(5))[:, None]
-    table.flags.writeable = False
-    return table
+def _quantile(q: float) -> float:
+    """Phi^-1(q) for q in [_FLOOR, 1): a t with |E(t) - q| <= _CHECK q,
+    where E(t) = ``math.erfc(-t / sqrt(2)) / 2`` is Phi(t) as computed here.
+    Abramowitz and Stegun's 26.2.23 starts within 4.5e-4; Newton's steps on
+    ln E(t) - ln q, whose slope phi / Phi barely changes in the lower tail,
+    leave about 1e-8 after one step and meet the check after two, for each
+    of 3 * 10^5 values of q tried. After _STEPS checks, ArithmeticError."""
+    s = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    t = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+    t = math.copysign(t, q - 0.5)
+    for _ in range(_STEPS):
+        e = 0.5 * math.erfc(t / -_SQRT_2)
+        if abs(e - q) <= _CHECK * q:
+            return t
+        t -= math.log(e / q) * e * _SQRT_2PI / math.exp(-0.5 * t * t)
+    raise ArithmeticError(f"the normal quantile of {q!r} failed its check after {_STEPS} evaluations")
 
 
-def _upper_tail(z: np.ndarray) -> np.ndarray:
-    """Q(z) = ndtr(-z) for each score: within 1e-13 of ``ndtr``
-    relatively where |z| <= _REACH, and Q(+-_REACH) beyond.
+def _thresholds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strict and the loose threshold on y = -z for each critical value
+    a in ``values``, in their shape.
 
-    *Series.* x = z * _GRID is exact (a power of two), z0 = rint(x) /
-    _GRID is the grid point nearest z, and h = x - rint(x) = (z - z0) *
-    _GRID is exact by Sterbenz's lemma, since x lies within a factor of two
-    of rint(x) or rint(x) is 0. As Q' = -phi and Q^(j) = (-1)^j He_(j-1)
-    phi (He the Hermite polynomials), Taylor's terms j = 0..4 about z0 are
-    the table's rows at z0 times h^j, summed by Horner's rule.
+    A score's p-value P = ``ndtr(y)`` is within eps = 3.4e-14 of Phi(y)
+    relatively on [-13, 0] by Cephes, where scipy's ``ndtr`` comes from,
+    and within a few units of 2^-53 on [0, inf), where it lies in [1/2, 1].
+    Below the reach -R = -_REACH, inside [-13, 0], P is relied on only to
+    lie in [0, F (1 + eps)], F = Phi(-R) = _FLOOR = 9.5e-18. So U(y) =
+    Phi(max(y, -R)) (1 + eps) and L(y) = Phi(y) (1 - eps), 0 for y <= -R,
+    bound P and rise with y.
 
-    *Error, relative to Q(z).* The remainder is He_4(xi) phi(xi) (z -
-    z0)^5 / 5! for some xi between z0 and z, and |z - z0| <= 2^-11. For
-    xi >= 0, |He_4(xi)| < 4,791 (its value at 8.5 + 2^-11), phi(xi) /
-    Q(xi) < xi + 1 (Mills' ratio) and Q(xi) / Q(z) < exp(9.51 * 2^-11),
-    so it is under 1.1e-14; for xi < 0, Q(z) > 0.49 and it is far
-    smaller. The table's Q(z0) is ``math.erfc`` at z0 / sqrt(2) rounded,
-    which moves it by up to about z0^2 * 2^-53 (1.6e-14 at 8.5); the other
-    entries and Horner's steps add a few units of 2^-53. scipy's ``ndtr``
-    also evaluates erfc at a rounded argument; Cephes, where it comes
-    from, gives its relative error as at most 3.4e-14 on [-13, 0]. So the
-    two differ by under 1e-13, four orders of magnitude below the
-    bracket's margin _MU (see :func:`_screened_rejections`). Measured with
-    numpy 2.4 and scipy 1.17 on x86-64: at most 2.8e-14 from ``ndtr`` over
-    2*10^6 uniform scores and every grid midpoint, and at most 1.9e-14
-    from Q computed to 120 bits, where ``ndtr`` was within 1.5e-14 of it.
+    - *Strict*, Phi^-1(a (1 - 2 mu)), or -inf where a (1 - 2 mu) < F: y <=
+      strict(a) implies U(y) <= a.
+    - *Loose*, Phi^-1(a (1 + 2 mu)) but at least -R, or +inf where a (1 +
+      2 mu) >= 1: y > loose(a) implies L(y) > a.
 
-    *Beyond _REACH* a score reads as +-_REACH. For z > _REACH, Q(z) lies
-    in [0, Q(_REACH)], Q(_REACH) = 9.5e-18: the value reads the table's
-    Q(_REACH), and the bracket takes it as anywhere in that range. For z <
-    -_REACH, Q(z) lies within 9.5e-18 of 1, and the value reads 1.0.
+    *Bound.* The products a (1 -+ 2 mu) round by at most 2^-53 relatively
+    (below 2^-1022 they lie under F and are not inverted). E is within eta
+    < 1e-13 of Phi for |t| <= 8.5: rounding -t / sqrt(2) moves erfc by at
+    most t^2 2^-52 < 1.7e-14, and ``math.erfc`` errs by a few units of
+    2^-53. With :func:`_quantile`'s check, Phi(strict) <= a (1 - 2 mu) (1 +
+    2^-39) < a / (1 + eps), and as a finite strict has a (1 - 2 mu) >= F >
+    Phi(-R) (1 - eta), U(y) < a also for y <= -R. Phi(loose) >= a (1 + 2
+    mu) (1 - 2^-39) > a / (1 - eps); a loose -R for a (1 + 2 mu) < F has
+    Phi(y) > F (1 - eta) > a (1 + mu) for y > -R. Running minima (strict,
+    from the largest a down) and maxima (loose) then move each further to
+    its own side only, so a mapped schedule or form still rises and a
+    mapped table keeps its shape.
     """
-    table = _tail_table()
-    h = z * _GRID
-    np.minimum(h, _LAST, out=h)
-    np.maximum(h, -_LAST, out=h)
-    grid = np.rint(h)
-    h -= grid
-    index = grid.astype(np.intp)
-    index += _LAST
-    p = table[4].take(index)
-    for row in table[3::-1]:
-        p *= h
-        p += row.take(index)
-    return p
+    keys = sorted(set(values.tolist()))
+    strict, loose = [], []
+    for a in keys:
+        q = a * (1.0 - 2.0 * _MU)
+        strict.append(_quantile(q) if q >= _FLOOR else -math.inf)
+        q = a * (1.0 + 2.0 * _MU)
+        loose.append(math.inf if q >= 1.0 else max(_quantile(q), -_REACH) if q >= _FLOOR else -_REACH)
+    at = np.searchsorted(keys, values)
+    return np.minimum.accumulate(strict[::-1])[::-1][at], np.maximum.accumulate(loose)[at]
 
 
 def generate_pvalues(config: SimulationConfig, replication_index: int) -> PValueVector:
@@ -300,11 +291,11 @@ def _count_rejections(
 
 
 def _cut(sp: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's largest rejected value t = sp[c - 1], -1 (below every
-    p-value) when c = 0, and the value after the cut, sp[c], read as
+    """Each row's largest rejected value t = sp[c - 1], -inf (below every
+    value) when c = 0, and the value after the cut, sp[c], read as
     sp[n - 1] when c = n."""
     rows, n = np.arange(len(sp)), sp.shape[1]
-    return np.where(c > 0, sp[rows, c - 1], -1.0), sp[rows, np.minimum(c, n - 1)]
+    return np.where(c > 0, sp[rows, c - 1], -np.inf), sp[rows, np.minimum(c, n - 1)]
 
 
 def _rejected_true_nulls(
@@ -314,8 +305,8 @@ def _rejected_true_nulls(
     their sorted rows ``sp``, its count c and the values ``t`` and
     ``after`` at its cut (see :func:`_cut`).
 
-    A row rejects its c smallest p-values in the stable order, so its
-    largest rejected value is t: every p-value below t is rejected, and of
+    A row rejects its c smallest values in the stable order, so its
+    largest rejected value is t: every value below t is rejected, and of
     those tied at t, the first c - #{p < t} in the stable order. That order
     breaks ties by position, and the true nulls hold the lowest positions,
     0..n_true-1, so tied true nulls come first: V = #{true nulls < t} +
@@ -333,47 +324,53 @@ def _rejected_true_nulls(
     return v
 
 
-def _screened_rejections(
-    z: np.ndarray, counts: Callable[[np.ndarray], np.ndarray], n_true: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """c and V for each row of scores ``z``: from :func:`_upper_tail`'s
-    values where they provably equal those of the exact values, and from
-    ``ndtr`` of the other rows alone.
+def _kernels(procedure: str, critical: CriticalValues) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """The batch kernel bound to the critical values, and to their strict
+    and loose thresholds in place of a schedule's, form's or table's values."""
+    form = getattr(critical, "_form", None)
+    values = critical._schedule if form else critical
+    mapped = [_unvalidated(type(values), k=values.k, n=values.n, _array=a) for a in _thresholds(values._array)]
+    if form:
+        mapped = [_unvalidated(LocalTestFamily, k=m.k, n=m.n, _schedule=m, _form=form) for m in mapped]
+    return tuple(bind_batch(procedure, c) for c in (critical, *mapped))
 
-    Let p be a row's exact values, sp the tail's sorted, and eps < 1e-13
-    their relative distance (see :func:`_upper_tail`), except that a score
-    beyond _REACH, sp_i = Q(_REACH) = ``floor``, is only known to lie in
-    [0, floor (1 + eps)].
 
-    - *Rank-wise bounds.* Each exact value lies between l(s) and u(s) for
-      its tail value s, with l(s) = 0 for s <= floor, s (1 - 2 mu) above,
-      and u(s) = s (1 + 2 mu). Both rise with s, so the rows l(sp) and
-      u(sp) stay sorted and bound the sorted exact row rank by rank.
-    - *Monotone counts.* A kernel's count never rises when an entry of a
-      sorted row rises (see :func:`kfwer.procedures.bind_batch`), so the
-      exact count lies between the counts of u(sp) and l(sp); where the
-      two are equal, it is c.
-    - *Cut.* For 0 < c < n, when sp_(c+1) > floor and sp_c (1 + 3 mu) <
-      sp_(c+1), every exact value at ranks 1..c is smaller than every one
-      at ranks c+1..n. So the c smallest, the rejected ones, are the same
-      positions for both rows, with no tie at the cut, and V counted from
-      the tail is exact. For c = 0 or c = n, V is 0 or n_true.
+def _screened_rejections(y: np.ndarray, kernels: tuple, n_true: int) -> tuple[np.ndarray, np.ndarray]:
+    """c and V for each row of negated scores y = -z from the sorted y,
+    where they provably equal those of P = ``ndtr(y)``, and for the other
+    rows alone from ``ndtr``; ``kernels`` are the exact, strict and loose ones.
 
-    mu = _MU = 2^-30 is four orders of magnitude above eps, so the
-    products' own rounding, 2^-53, does not matter. A row is counted again
-    only when a value lies within about 2 mu of a critical value it
-    decides, or two values within 3 mu of each other meet at the cut.
+    - *Counts.* A kernel reads a sorted row only through whether each entry
+      is at most a critical value, and its count never rises when an entry
+      rises (see :func:`kfwer.procedures.bind_batch`). On the strict
+      thresholds it counts y as it would count h(y), the least critical
+      value a with y <= strict(a) (+inf if none), on the critical values. h
+      rises with y, as strict rises with a, and h(y) >= U(y) >= P (see
+      :func:`_thresholds`), so the strict count is at most the exact one.
+      Likewise the loose count is that of min(L(y), the least a with y <=
+      loose(a)) <= P, at least the exact one. Where they agree, that is c.
+    - *Cut.* For 0 < c < n, with t' = max(y_(c), -R) and u = y_(c+1), ranks
+      1..c have P <= Phi(t') (1 + eps) and ranks c+1..n P >= L(u). As phi /
+      Phi falls, ln Phi(u) - ln Phi(t') >= (u - t') m(u), m(u) = phi(0) /
+      Phi(0) for u <= 0 and phi(u) above. Where that exceeds 3 mu, which
+      dwarfs 2 eps and its rounding, every rejected exact value lies below
+      every other: the rejected positions are the same in both orders, with
+      no tie at the cut, and V counted from y is exact. It is at most 0 for
+      u <= -R. For c = 0 or n, V is 0 or n_true.
+
+    So a row goes to ``ndtr`` only when a value lies within about 2 mu of a
+    critical value it decides, or two within about 3 mu meet at the cut.
     """
-    p = _upper_tail(z)
-    sp = np.sort(p, axis=1)
-    floor = _tail_table()[0, -1]
-    c = counts(np.where(sp <= floor, 0.0, sp * (1.0 - 2.0 * _MU)))
-    t, after = _cut(sp, c)
-    v = _rejected_true_nulls(p, sp, c, n_true, t, after)
-    cut = (after <= np.maximum(t * (1.0 + 3.0 * _MU), floor)) & (c > 0) & (c < sp.shape[1])
-    redo = np.flatnonzero(cut | (counts(sp * (1.0 + 2.0 * _MU)) != c))
+    exact, strict, loose = kernels
+    sy = np.sort(y, axis=1)
+    c = loose(sy)
+    t, after = _cut(sy, c)
+    v = _rejected_true_nulls(y, sy, c, n_true, t, after)
+    mills = np.where(after > 0.0, np.exp(-0.5 * after * after), 2.0) / _SQRT_2PI
+    cut = ((after - np.maximum(t, -_REACH)) * mills <= 3.0 * _MU) & (c > 0) & (c < sy.shape[1])
+    redo = np.flatnonzero(cut | (strict(sy) != c))
     if redo.size:
-        c[redo], v[redo] = _count_rejections(_exact_tail(z[redo]), counts, n_true)
+        c[redo], v[redo] = _count_rejections(_exact_tail(-y[redo]), exact, n_true)
     return c, v
 
 
@@ -388,10 +385,11 @@ def estimate_kfwer(
     mean of (c - V) / n_false over replications for c rejections, is
     accumulated whenever there are false nulls.
 
-    By default each chunk's p-values come from the numpy tail, its rows
-    are sorted, the procedure's batch kernel brackets each row's
-    rejections c, and V is counted from the sorted values and c alone;
-    rows the bracket cannot prove are counted again from ``ndtr`` (see
+    By default each chunk's -z are sorted row by row, the procedure's
+    batch kernel brackets each row's rejections c between its counts on
+    two sets of thresholds mapped from the critical values once per call,
+    and V is counted from the sorted scores and c alone; rows the bracket
+    cannot prove are counted again from ``ndtr`` (see
     :func:`_screened_rejections`).
     ``procedure`` overrides the configured rule: the reference the default
     path is tested against, and a way to test the counting with trivial
@@ -403,7 +401,7 @@ def estimate_kfwer(
     n_true, n, k, reps = config.n_true, config.n, config.k, config.reps
     n_false = n - n_true
     if procedure is None:
-        counts = bind_batch(config.procedure, _critical_values(config))
+        kernels = _kernels(config.procedure, _critical_values(config))
     rng = _ReplicationRng()
     draws = np.empty((min(reps, max(1, CHUNK_ELEMENTS // (n + 1))), n + 1))
     rows = list(draws)
@@ -414,7 +412,8 @@ def estimate_kfwer(
         rng.fill(config.seed, first, chunk)
         z = _scores(config, draws[: len(chunk)])
         if procedure is None:
-            c, v = _screened_rejections(z, counts, n_true)
+            # Negated in place: a new y per chunk would fault in fresh heap pages.
+            c, v = _screened_rejections(np.negative(z, out=z), kernels, n_true)
         else:
             rejected = [procedure(order_pvalues(row)).rejected for row in _exact_tail(z)]
             for rep, row in enumerate(rejected, start=first):

@@ -219,7 +219,10 @@ def test_test_and_verify_do_not_import_scipy(tmp_path):
     """Only ndtr needs scipy; importing the package, the CLI and the
     verify harness leaves it unloaded, and so does a Romano-Shaikh
     stepup call, whose d1 uses numpy.fft. So do the benchmark's four
-    simulate-small calls, whose rows the numpy tail settles."""
+    simulate-small calls and two at n = 1,000, Romano-Shaikh stepup and
+    Hommel with the constant family, whose 999 critical values are mapped
+    to thresholds on the scores without scipy and whose rows the bracket
+    settles."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, kfwer, kfwer.cli, kfwer.verify; sys.exit('scipy' in sys.modules)"
@@ -232,6 +235,10 @@ def test_test_and_verify_do_not_import_scipy(tmp_path):
             "--base-schedule", str(base), "--input", str(pvalues), "--output", str(out)]
     simulate = [op["argv"] for op in simulate_small_plan(tmp_path)["cycle"]]
     assert len(simulate) == 4
+    simulate += [["simulate", "--n", "1000", "--true-nulls", "500", "--k", "2", "--alpha", "0.05", "--procedure", proc,
+                  "--schedule", schedule, "--reps", "300", "--dependence", "equicorrelated", "--rho", "0.5",
+                  "--delta", "2", "--seed", "1", "--output", str(tmp_path / f"{proc}1000.json")]
+                 for proc, schedule in (("stepup", "romano-shaikh"), ("hommel", "constant"))]
     for argvs in ([argv], simulate):
         code = (f"import sys; from kfwer.cli import main; "
                 f"sys.exit(any(main(a) for a in {argvs!r}) or 10 * ('scipy' in sys.modules))")

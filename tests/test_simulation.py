@@ -20,20 +20,22 @@ from kfwer import (
     generate_pvalues,
     lehmann_romano_schedule,
     order_pvalues,
+    romano_shaikh_schedule,
     scaled_family,
     simes_family,
     simulation,
 )
 from kfwer.procedures import FAMILY_PROCEDURES
 from kfwer.simulation import (
-    _GRID,
-    _LAST,
+    _FLOOR,
+    _MU,
     _REACH,
     CHUNK_ELEMENTS,
     _count_rejections,
     _critical_values,
+    _quantile,
     _ReplicationRng,
-    _upper_tail,
+    _thresholds,
     build_procedure,
 )
 from oracles import estimate_kfwer_oracle
@@ -396,24 +398,40 @@ def test_count_rejections_equals_flagged_reference(n_true):
     assert v.tolist() == flagged_true_nulls(p, c, n_true)
 
 
-def test_upper_tail_is_within_its_bound_of_ndtr():
-    """The numpy tail against scipy's ndtr at 10^6 uniform scores, every
-    grid point and midpoint, +-0, and +-8.5 and the floats next to it:
-    within 2^-40 relatively, far inside the bracket's margin of 2^-30,
-    where the derivation in _upper_tail gives under 1e-13. Beyond 8.5 a
-    score reads as +-8.5: Q(8.5) above, 1.0 below."""
+def test_quantile_and_thresholds_are_within_their_bounds_of_ndtr(monkeypatch):
+    """The normal quantile and the thresholds mapped from it, against
+    scipy's ndtr: alpha log-uniform over [1e-300, 1), alpha = 0, 5e-324
+    and 1 - 2^-53, and the Lehmann-Romano and Romano-Shaikh schedules at
+    n = 10^4. Each inverse reads within 2^-39 of its target a (1 -+ 2 mu),
+    as the derivation in _thresholds gives; the strict threshold is -inf
+    and the loose one -R where the target lies beyond the reach, and the
+    loose one is +inf where a (1 + 2 mu) reaches 1. Both rise with a."""
     rng = np.random.default_rng(2027)
-    steps = np.arange(-_LAST, _LAST + 1) / _GRID
-    edges = [_REACH, np.nextafter(_REACH, 0.0)]
-    z = np.concatenate([rng.uniform(-_REACH, _REACH, 10**6), steps, steps[:-1] + 0.5 / _GRID, [0.0, -0.0]])
-    z = np.concatenate([z, edges, np.negative(edges)])
-    p, exact = _upper_tail(z[None])[0], ndtr(-z)
-    assert np.max(np.abs(p - exact) / exact) <= 2.0**-40
-    assert (_upper_tail(np.array([[-0.0, 0.0]])) == 0.5).all()
-    beyond = np.array([np.nextafter(_REACH, np.inf), 9.0, 40.0, 1e300])
-    floor = _upper_tail(np.array([[_REACH]]))[0, 0]
-    assert (_upper_tail(beyond[None])[0] == floor).all() and (ndtr(-beyond) <= floor).all()
-    assert (_upper_tail(-beyond[None])[0] == 1.0).all() and (ndtr(beyond) >= 1.0 - floor).all()
+    base = lehmann_romano_schedule(2, 10**4, 0.05)
+    alphas = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 10**5), [0.0, 5e-324, 1.0 - 2.0**-53, 0.5],
+                             base.alphas, romano_shaikh_schedule(base, 0.05).alphas])
+    strict, loose = _thresholds(alphas)
+    for threshold, target, beyond in ((strict, alphas * (1.0 - 2.0 * _MU), -np.inf),
+                                      (loose, alphas * (1.0 + 2.0 * _MU), -_REACH)):
+        inside = (target >= _FLOOR) & (target < 1.0)
+        assert np.max(np.abs(ndtr(threshold[inside]) / target[inside] - 1.0)) <= 2.0**-39
+        assert (threshold[target < _FLOOR] == beyond).all()
+    assert (loose[alphas * (1.0 + 2.0 * _MU) >= 1.0] == np.inf).all() and np.isfinite(strict[alphas > 0.0]).any()
+    for threshold in (strict, loose):
+        rising = threshold[np.argsort(alphas)]
+        assert (rising[1:] >= rising[:-1]).all()
+    assert (strict < loose).all()
+    q = np.concatenate([10.0 ** rng.uniform(np.log10(_FLOOR), 0.0, 10**4), 1.0 - 10.0 ** rng.uniform(-16.0, -0.3, 10**4),
+                        [_FLOOR, 0.5, 1.0 - 2.0**-53]])
+    assert np.max(np.abs(ndtr([_quantile(x) for x in q.tolist()]) / q - 1.0)) <= 2.0**-39
+    # The cap raises instead of stepping on where a start misses the check.
+    monkeypatch.setattr(simulation, "_STEPS", 1)
+    for x in (_FLOOR, 0.05, 0.5, 0.9):
+        with pytest.raises(ArithmeticError, match="after 1 evaluations"):
+            _quantile(x)
+    # Below the reach, ndtr is relied on only to stay at or under the floor.
+    beyond = np.array([_REACH, np.nextafter(_REACH, np.inf), 9.0, 40.0, 1e300])
+    assert (ndtr(-beyond) <= _FLOOR * (1.0 + 1e-13)).all()
 
 
 def count_fallback_rows(cfg, monkeypatch):
@@ -439,10 +457,10 @@ FALLBACK_CONFIGS = [
     *(dict(n=10, n_true=5, k=2, procedure=procedure, schedule=schedule, reps=2_000, delta=2.0,
            dependence="equicorrelated", rho=1.0 - 2.0**-52) for procedure, schedule in PROCEDURE_SCHEDULES),
     # delta = 40, where ndtr returns exactly 0.0 for the false nulls, with
-    # critical values below Q(8.5), where the numpy tail knows nothing. At
-    # k = 1 the tail rejects nothing, and the test at the cut does not look
-    # at c = 0, so only the lower bound row's 0 for those values sends the
-    # rows back.
+    # critical values below Q(8.5), beyond the thresholds' reach. At k = 1
+    # the strict thresholds, all -inf, reject nothing, and the test at the
+    # cut does not look at c = 0, so only the loose thresholds' clamp at
+    # the reach sends the rows back.
     *(dict(n=6, n_true=3, k=k, procedure=procedure, schedule=schedule, reps=300, delta=40.0, alpha=1e-300)
       for k in (2, 1) for procedure, schedule in PROCEDURE_SCHEDULES),
 ]
@@ -472,32 +490,29 @@ def first_z(start, accept):
 
 
 def hand_built_cases():
-    """Rows of scores (rho = 0, so each score is its normal) that the
-    numpy tail alone would count wrong.
+    """Rows of scores (rho = 0, so each score is its normal) whose
+    thresholds or order alone would count them wrong.
 
     - A tie at the cut: two neighbouring scores whose ndtr values are
-      equal and whose tail values are not, the larger tail value on the
-      true null. k = 2 rejects the first by default and the second value
-      misses, so the stable order rejects the true null.
+      equal, the larger score on the true null. k = 2 rejects the smaller
+      p by default and the second value misses; the scores' order rejects
+      the false null, ndtr's stable order the true null.
     - A false null's ndtr value equal to the constant critical value
-      alpha / 2 at rank 2 (k = 2, n = 4), where the tail reads above it,
-      under each of the four procedures: stepdown and stepup read the
-      value in the constant schedule, Hommel and closed testing in the
-      constant family, whose rank-2 value is the same.
-    - The mirror: the tail's value on the critical value, where ndtr
-      reads above it.
+      alpha / 2 at rank 2 (k = 2, n = 4), under each of the four
+      procedures: stepdown and stepup read the value in the constant
+      schedule, Hommel and closed testing in the constant family, whose
+      rank-2 value is the same. Its score lies between the mapped strict
+      and loose thresholds of that value.
+    - The mirror: the ndtr value one float above the critical value, which
+      it misses, where its score lies between the same two thresholds.
     """
-    def tail(z):
-        return _upper_tail(np.array([z]))[0]
-
-    tie, after = first_z(0.3, lambda a, b: ndtr(-a) == ndtr(-b) and tail(a) > tail(b))
-    on_value, _ = first_z(0.5, lambda a, b: tail(a) > ndtr(-a))
-    tail_on_value, _ = first_z(0.5, lambda a, b: tail(a) < ndtr(-a))
+    tie, after = first_z(0.3, lambda a, b: ndtr(-a) == ndtr(-b))
+    value = ndtr(-0.5)
     return [
         (dict(n=2, n_true=1, k=2, procedure="stepdown", schedule="constant"), [0.0, tie, after]),
-        *((dict(n=4, n_true=2, k=2, procedure=procedure, schedule="constant", alpha=2.0 * value),
-           [0.0, 3.0, -1.0, z, -1.0])
-          for z, value in ((on_value, ndtr(-on_value)), (tail_on_value, tail(tail_on_value)))
+        *((dict(n=4, n_true=2, k=2, procedure=procedure, schedule="constant", alpha=2.0 * critical),
+           [0.0, 3.0, -1.0, 0.5, -1.0])
+          for critical in (value, np.nextafter(value, 0.0))
           for procedure in ("stepdown", "stepup", "hommel", "closed")),
     ]
 
@@ -505,9 +520,10 @@ def hand_built_cases():
 @pytest.mark.parametrize("case", range(9))
 def test_hand_built_rows_are_counted_from_ndtr(case, monkeypatch):
     """Each hand-built row falls back to ndtr, and the default path equals
-    the override and the reference on it. With no margin in the bound
-    rows, or without the test at the cut, the bracket would pass one of
-    these rows and count it from the tail."""
+    the override and the reference on it. With no margin in the
+    thresholds, with every threshold moved by 2^-28 of its value either
+    way, or without the test at the cut, the bracket would pass one of
+    these rows and count it from the scores."""
     settings, row = hand_built_cases()[case]
     cfg = config(reps=3, seed=0, **settings)
 
