@@ -1,13 +1,13 @@
 """Command-line frontend: apply a procedure to a p-value file, estimate
 error rates by simulation, or run the randomized theorem checks.
 
-Input files are read as UTF-8; a file or stream that cannot be opened,
-read or decoded is bad input data. A p-value or schedule file is read in
-one pass into a float64 array (:func:`_read_numbers`); a family file, CSV
-``m,i,alpha``, is read in one pass into columns that one lexsort places
-(:func:`_read_family_file`). A bad line is named by its number; the range
-check of p-values is :func:`kfwer.core.order_pvalues`'s, whose position is
-mapped back to a line.
+Input files are read as UTF-8, a leading byte order mark skipped; a
+file or stream that cannot be opened, read or decoded is bad input data.
+A p-value or schedule file is read in one pass into a float64 array
+(:func:`_read_numbers`); a family file, CSV ``m,i,alpha``, is read in one
+pass into columns that one lexsort places (:func:`_read_family_file`). A
+bad line is named by its number; the range check of p-values is
+:func:`kfwer.core.order_pvalues`'s, whose position maps back to a line.
 
 The reports of ``test`` and ``simulate``, one-level dicts with string
 keys, are ``json.dumps(report, indent=2)`` and a newline, byte for byte,
@@ -189,7 +189,7 @@ def _at_line(name: str, lines: Optional[list[int]], position: int, fault: str) -
 def _read_schedule_file(path: str, k: int, n: int) -> CriticalSchedule:
     """One critical value per line; must supply exactly n-k+1 values. A
     value out of range or below the one before it is named by its line."""
-    with _reading(path), open(path, encoding="utf-8") as fh:
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     values, lines = _read_numbers(text, path)
     try:
@@ -215,7 +215,7 @@ def _read_family_file(path: str, k: int, n: int) -> LocalTestFamily:
     """
     lines, ms, is_, alphas = array("q"), [], [], array("d")
     fault = None
-    with _reading(path, lambda: reader.line_num), open(path, encoding="utf-8", newline="") as fh:
+    with _reading(path, lambda: reader.line_num), open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next((row for row in reader if any(f.strip() for f in row)), None)
         records = reader
@@ -659,7 +659,7 @@ def cmd_test(args) -> int:
     _check_output(args.output)
     path = args.input if args.input != "-" else None
     name = path or "stdin"
-    with _reading(name), (open(path, encoding="utf-8") if path else contextlib.nullcontext(sys.stdin)) as fh:
+    with _reading(name), (open(path, encoding="utf-8-sig") if path else contextlib.nullcontext(sys.stdin)) as fh:
         values, lines = _read_pvalues(fh, name)
     try:
         p = order_pvalues(values)

@@ -626,6 +626,38 @@ class TestUndecodableInput:
                    str(bad), capsys)
 
 
+class TestByteOrderMark:
+    """Every file reader of `kfwer test` skips a leading UTF-8 byte order
+    mark: each file, written with and without one, gives the same report."""
+
+    COMMON = ["test", "--k", "1", "--alpha", "0.05"]
+    FILES = {
+        "pvalues": ("--input", FIVE_PVALUES, ["--procedure", "stepdown", "--schedule", "lehmann-romano"]),
+        "pvalues-csv": ("--input", "id,p\n" + "".join(f"h{i},{p}\n" for i, p in enumerate(FIVE_PVALUES.split())),
+                        ["--procedure", "stepdown", "--schedule", "lehmann-romano"]),
+        "base-schedule": ("--base-schedule", "0.01\n0.0125\n0.0166\n0.025\n0.05\n",
+                          ["--procedure", "stepup", "--schedule", "romano-shaikh"]),
+        "schedule": ("--schedule", "0.01\n0.0125\n0.0166\n0.025\n0.05\n", ["--procedure", "stepup"]),
+        "family": ("--schedule", family_csv(FAMILY_ROWS), ["--procedure", "hommel"]),
+    }
+
+    @pytest.mark.parametrize("case", FILES)
+    def test_same_report_with_and_without_a_bom(self, case, tmp_path, capsys):
+        flag, text, rest = self.FILES[case]
+        path = tmp_path / "input.txt"
+        pv = tmp_path / "p.txt"
+        pv.write_text("0.01\n0.04\n0.5\n" if case == "family" else FIVE_PVALUES)
+        value = f"file:{path}" if flag == "--schedule" else str(path)
+        argv = [*self.COMMON, *rest, flag, value] + ([] if flag == "--input" else ["--input", str(pv)])
+        reports = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + text.encode())
+            code, out, err = run_main(argv, capsys)
+            assert code == EXIT_OK and err == "", err
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+
 class TestRowsCsvCannotRead:
     """A field above the csv module's size limit exits 2 naming the file and
     the line, in a family file and in an id,p file; the limit stays as it is."""

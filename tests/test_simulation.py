@@ -3,6 +3,7 @@ error-rate counting, and level control at reduced replication counts."""
 
 import math
 import re
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from kfwer import (
     simes_family,
     simulation,
 )
-from kfwer.procedures import FAMILY_PROCEDURES
+from kfwer.procedures import FAMILY_PROCEDURES, bind_procedure
 from kfwer.simulation import (
     _FLOOR,
     _MU,
@@ -33,8 +34,10 @@ from kfwer.simulation import (
     CHUNK_ELEMENTS,
     _count_rejections,
     _critical_values,
+    _kernels,
     _quantile,
     _ReplicationRng,
+    _screened_rejections,
     _thresholds,
     build_procedure,
 )
@@ -424,10 +427,10 @@ def test_quantile_and_thresholds_are_within_their_bounds_of_ndtr(monkeypatch):
     q = np.concatenate([10.0 ** rng.uniform(np.log10(_FLOOR), 0.0, 10**4), 1.0 - 10.0 ** rng.uniform(-16.0, -0.3, 10**4),
                         [_FLOOR, 0.5, 1.0 - 2.0**-53]])
     assert np.max(np.abs(ndtr([_quantile(x) for x in q.tolist()]) / q - 1.0)) <= 2.0**-39
-    # The cap raises instead of stepping on where a start misses the check.
-    monkeypatch.setattr(simulation, "_STEPS", 1)
+    # An inverse that misses the check raises instead of returning.
+    monkeypatch.setattr(simulation, "_inverse_cdf", lambda x: NormalDist().inv_cdf(x) + 1e-6)
     for x in (_FLOOR, 0.05, 0.5, 0.9):
-        with pytest.raises(ArithmeticError, match="after 1 evaluations"):
+        with pytest.raises(ArithmeticError, match="failed its check"):
             _quantile(x)
     # Below the reach, ndtr is relied on only to stay at or under the floor.
     beyond = np.array([_REACH, np.nextafter(_REACH, np.inf), 9.0, 40.0, 1e300])
@@ -475,6 +478,41 @@ def test_rows_the_screen_leaves_are_counted_from_ndtr(settings, monkeypatch):
     result, fallback = count_fallback_rows(cfg, monkeypatch)
     assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg)) == oracle_estimate(cfg)
     assert fallback >= 1
+
+
+@pytest.mark.parametrize("n_true", (1, 3, 5))
+@pytest.mark.parametrize("procedure, schedule", PROCEDURE_SCHEDULES)
+def test_tied_scores_at_the_cut_are_counted_from_ndtr(procedure, schedule, n_true, monkeypatch):
+    """Rows of exactly tied negated scores y, the planted rows mapped by
+    4p - 2 and random rows drawn from a few values, through the screen with
+    each procedure's kernels. A kept row's V counts the true nulls at or
+    below its cut, which is exact only without a tie there, so every row
+    whose tie runs across the cut, some of them across the true/false
+    boundary, must be counted again from ndtr; c and V equal those counted
+    from ndtr and those of the public rule's rejection flags."""
+    critical = _critical_values(config(n=6, n_true=n_true, alpha=0.5, procedure=procedure, schedule=schedule))
+    kernels = _kernels(procedure, critical)
+    rng = np.random.default_rng(n_true)
+    y = np.concatenate([4.0 * np.array(PLANTED_ROWS) - 2.0, rng.choice([-2.0, -1.0, -0.5, 0.0, 1.0], size=(300, 6))])
+    recounted = set()
+
+    def exact_tail(z):
+        recounted.update(map(tuple, z.tolist()))
+        return ndtr(-z)
+
+    monkeypatch.setattr(simulation, "_exact_tail", exact_tail)
+    c, v = _screened_rejections(y, kernels, n_true)
+    want_c, want_v = _count_rejections(ndtr(y), kernels[0], n_true)
+    assert c.tolist() == want_c.tolist() and v.tolist() == want_v.tolist()
+    rule = bind_procedure(procedure, critical)
+    flags = np.array([rule(order_pvalues(row)).rejected for row in ndtr(y)])
+    assert c.tolist() == flags.sum(axis=1).tolist() and v.tolist() == flags[:, :n_true].sum(axis=1).tolist()
+    rows, sy = np.arange(len(y)), np.sort(y, axis=1)
+    t = sy[rows, c - 1]
+    tied = (c > 0) & (c < 6) & (t == sy[rows, np.minimum(c, 5)])
+    across = tied & (y[:, :n_true] == t[:, None]).any(axis=1) & (y[:, n_true:] == t[:, None]).any(axis=1)
+    assert across.any()
+    assert set(map(tuple, (-y[tied]).tolist())) <= recounted
 
 
 def first_z(start, accept):
