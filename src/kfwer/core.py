@@ -148,6 +148,20 @@ def _integer(name: str, value: Any) -> int:
     return int(value)
 
 
+def _real(name: str, value: Any) -> float:
+    """``value`` as a float, the real-number twin of :func:`_integer`:
+    Python ints and floats and numpy real scalars pass. Anything else is
+    refused: a bool would pass a range check as 0 or 1, a string or None
+    fail it with TypeError, and a Fraction or Decimal build values of its
+    own type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{name} must be a real number in the float range, got {value!r}") from None
+
+
 def _unvalidated(cls, **fields):
     """An instance of ``cls`` with ``fields`` set and its checks not run,
     for values valid by construction. Callers pass every field the class's

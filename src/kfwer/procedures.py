@@ -42,6 +42,7 @@ from .core import (
     PValueVector,
     TooLargeError,
     _integer,
+    _real,
     _unvalidated,
 )
 
@@ -120,9 +121,9 @@ def stepup(p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
 
 
 def _stepwise(rule: str, p: PValueVector, s: CriticalSchedule) -> ProcedureResult:
-    """The named stepwise rule's result, from its kernel in ``_STEPWISE``."""
+    """The named stepwise rule's result, from its kernel (:func:`bind_batch`)."""
     _require_same_n(p, s.n, "schedule")
-    count = int(_STEPWISE[rule](_one_row(p), s)[0])
+    count = int(bind_batch(rule, s)(p._sorted_array[None])[0])
     return ProcedureResult(_prefix_flags(p, count), {"r": count if count >= s.k else None}, rule, schedule=s)
 
 
@@ -210,18 +211,18 @@ def generalized_hommel(p: PValueVector, f: LocalTestFamily) -> ProcedureResult:
     form runs its stepwise kernel, which rejects the same (:func:`_hommel`).
     """
     _require_same_n(p, f.n, "family")
-    count, j_hat = (int(column[0]) for column in _hommel(_one_row(p), f))
+    count, j_hat = (int(column[0]) for column in _hommel(p._sorted_array[None], f))
     return ProcedureResult(_prefix_flags(p, count), {"j_hat": j_hat or None}, "generalized_hommel", family=f)
 
 
-def _check_level(k: int, n: int, alpha: float) -> tuple[int, int]:
-    """k and n as ints, once k, n and alpha are checked."""
-    k, n = _integer("k", k), _integer("n", n)
+def _check_level(k: int, n: int, alpha: float) -> tuple[int, int, float]:
+    """k and n as ints and alpha as a float, once each is checked."""
+    k, n, alpha = _integer("k", k), _integer("n", n), _real("alpha", alpha)
     if not 1 <= k <= n:
         raise KOutOfRangeError(k, n)
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(alpha)
-    return k, n
+    return k, n, alpha
 
 
 def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
@@ -233,7 +234,7 @@ def lehmann_romano_schedule(k: int, n: int, alpha: float) -> CriticalSchedule:
     n, n-1, ..., k, each exact below 2**53, rounds as the scalar quotients
     do, float for float.
     """
-    k, n = _check_level(k, n, alpha)
+    k, n, alpha = _check_level(k, n, alpha)
     alphas = k * alpha / np.arange(n, k - 1, -1, dtype=np.float64)
     return _unvalidated(CriticalSchedule, k=k, n=n, _array=alphas)
 
@@ -249,8 +250,7 @@ def romano_shaikh_schedule(base: CriticalSchedule, alpha: float) -> CriticalSche
     range check, because with alpha near 1 it can round above 1. Then the
     first value above 1 is refused.
     """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRangeError(alpha)
+    alpha = _check_level(base.k, base.n, alpha)[2]
     # D1 is 0 exactly when every value is; the last is the largest. Checked
     # first, because every cardinality of a zero schedule ties for D1's
     # maximum and d1 would sum them all.
@@ -291,7 +291,7 @@ def simes_family(k: int, n: int, alpha: float) -> LocalTestFamily:
     """Local tests with values i*alpha/m, each rounded as the scalar is; at
     k = 1 these are Simes' critical values, turning the Hommel shortcut
     into the classical Hommel procedure."""
-    k, n = _check_level(k, n, alpha)
+    k, n, alpha = _check_level(k, n, alpha)
     check_family_size(k, n)
     m, i = np.tril_indices(n - k + 1)  # m - k and i - k, row after row
     return _unvalidated(LocalTestFamily, k=k, n=n, _array=(i + k) * alpha / (m + k))
@@ -375,6 +375,7 @@ def critical_values(
     and is called for that schedule only. ``constant`` is the single-step
     value k*alpha/n for stepdown and stepup, and rows k*alpha/m as a family.
     """
+    k, n, alpha = _check_level(k, n, alpha)
     family = procedure in FAMILY_PROCEDURES
     if rescales_base(schedule):
         return scaled_family(base(), alpha) if family else romano_shaikh_schedule(base(), alpha)
@@ -384,37 +385,30 @@ def critical_values(
         if family:
             return constant_family(k, n, alpha)
         # One value in (0, 1), repeated: valid by construction, so no re-check.
-        return _unvalidated(CriticalSchedule, k=int(k), n=int(n), _array=np.full(n - k + 1, k * alpha / n))
+        return _unvalidated(CriticalSchedule, k=k, n=n, _array=np.full(n - k + 1, k * alpha / n))
     raise ConfigError(f"no {'family' if family else 'schedule'} named {schedule!r} for {procedure!r}")
 
 
 # Batch kernels: each maps a matrix of sorted p-values, one replication per
-# row, to each row's count of rejected most significant hypotheses.
+# row, to each row's count of rejected most significant hypotheses. argmin
+# and argmax along rows are much cheaper than a boolean accumulate, all()
+# or any() over many short rows. Where a row has no miss (stepdown) or no
+# hit (stepup) they return 0, which the row's first or last entry tells
+# apart.
 
 
-def _one_row(p: PValueVector) -> np.ndarray:
-    """The sorted p-values as a one-row matrix for the batch kernels."""
-    return p._sorted_array[None]
-
-
-# argmin and argmax along rows are much cheaper than a boolean accumulate,
-# all() or any() over many short rows. Where a row has no miss (stepdown)
-# or no hit (stepup) they return 0, which the row's first or last entry
-# tells apart.
-
-
-def _stepdown_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
+def _stepdown_counts(sorted_p: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
     """k - 1 plus each row's leading run of ranks k.. at or below their value."""
-    hits = sorted_p[:, s.k - 1:] <= s._array
+    hits = sorted_p[:, k - 1:] <= values
     first = hits.argmin(axis=1)  # the first miss
-    return s.k - 1 + np.where(hits[:, 0] & (first == 0), hits.shape[1], first)
+    return k - 1 + np.where(hits[:, 0] & (first == 0), hits.shape[1], first)
 
 
-def _stepup_counts(sorted_p: np.ndarray, s: CriticalSchedule) -> np.ndarray:
+def _stepup_counts(sorted_p: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
     """Each row's last rank at or below its value, or k - 1 without one."""
-    hits = sorted_p[:, s.k - 1:] <= s._array
+    hits = sorted_p[:, k - 1:] <= values
     after = hits[:, ::-1].argmax(axis=1)  # ranks after the last hit
-    return np.where(hits[:, -1] | (after > 0), s.n - after, s.k - 1)
+    return np.where(hits[:, -1] | (after > 0), sorted_p.shape[1] - after, k - 1)
 
 
 def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -431,18 +425,23 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     alpha_t (stepdown) or every rank from t on exceeds its value (stepup).
     The least such t, r + 1 either way (the stepdown scan's first miss, the
     rank past the stepup scan's last hit), gives ``j_hat`` = n - r + k - 1
-    for r < n; r = n leaves no survivor.
-
-    A table's sizes are scanned downward over the rows still open; sizes
-    whose rank-k value no row clears are skipped without comparing a row.
+    for r < n; r = n leaves no survivor. A table runs :func:`_table_hommel`.
     """
-    n, k = f.n, f.k
-    if f._form is not None:
-        counts = _STEPWISE[f._form](sorted_p, f._schedule)
-        return counts, np.where(counts < n, n - counts + k - 1, 0)
+    kernel = bind_batch("hommel", f)
+    if kernel.func is _table_counts:
+        return _table_hommel(sorted_p, **kernel.keywords)
+    counts = kernel(sorted_p)
+    return counts, np.where(counts < f.n, f.n - counts + f.k - 1, 0)
+
+
+def _table_hommel(sorted_p: np.ndarray, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_hommel` on the table whose triangle, row after row, is ``values``.
+    Sizes are scanned downward over the rows still open; sizes whose rank-k
+    value no row clears are skipped without comparing a row."""
+    n = sorted_p.shape[1]
     # thresholds[j]: size j's rank-k value, first in its row; inf at 0, where it admits every p-value.
     thresholds = np.full(n + 1, np.inf)
-    thresholds[k:] = f._array[np.arange(n - k + 1).cumsum()]
+    thresholds[k:] = values[np.arange(n - k + 1).cumsum()]
     # Size j's rank-k member is column n - j + k - 1, so the reversed column
     # maxima line up with thresholds[k:]. ``initial`` admits a batch of no rows.
     reachable = sorted_p[:, k - 1:].max(axis=0, initial=-np.inf)[::-1] > thresholds[k:]
@@ -450,7 +449,7 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     open_rows = np.arange(len(sorted_p))
     for j in (np.flatnonzero(reachable)[::-1] + k).tolist():
         start = (j - k) * (j - k + 1) // 2  # row j's offset in the triangle
-        survives = (sorted_p[open_rows, n - j + k - 1:] > f._array[start : start + j - k + 1]).all(axis=1)
+        survives = (sorted_p[open_rows, n - j + k - 1:] > values[start : start + j - k + 1]).all(axis=1)
         j_hat[open_rows[survives]] = j
         open_rows = open_rows[~survives]
         if open_rows.size == 0:
@@ -458,8 +457,12 @@ def _hommel(sorted_p: np.ndarray, f: LocalTestFamily) -> tuple[np.ndarray, np.nd
     return np.maximum(k - 1, (sorted_p <= thresholds[j_hat, None]).sum(axis=1)), j_hat
 
 
-# Rule or form name -> stepwise kernel, read by the public rules, the
-# Hommel shortcut on a form and bind_batch.
+def _table_counts(sorted_p: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
+    """A table's batch kernel: :func:`_table_hommel`'s counts."""
+    return _table_hommel(sorted_p, k, values)[0]
+
+
+# Rule or form name -> stepwise kernel, read by bind_batch alone.
 _STEPWISE = {"stepdown": _stepdown_counts, "stepup": _stepup_counts}
 
 
@@ -473,12 +476,12 @@ def bind_procedure(procedure: str, critical: CriticalValues) -> Callable[[PValue
     return lambda p: rule(p, critical)
 
 
-def bind_batch(procedure: str, critical: CriticalValues) -> Callable[[np.ndarray], np.ndarray]:
-    """The named rule's batch kernel with its critical values bound: it
-    maps a ``(rows, n)`` array of p-values, each row sorted ascending, to
-    each row's number of rejected hypotheses, which are that row's most
-    significant ones. Counts equal :func:`bind_procedure`'s
-    ``num_rejected`` row by row.
+def bind_batch(procedure: str, critical: CriticalValues) -> functools.partial:
+    """The named rule's batch kernel, a ``functools.partial`` with ``k`` and
+    ``values`` bound: it maps a ``(rows, n)`` array of p-values, each row
+    sorted ascending, to each row's number of rejected hypotheses, which
+    are that row's most significant ones. Counts equal
+    :func:`bind_procedure`'s ``num_rejected`` row by row.
 
     A count never rises when any entry of a sorted row rises: a stepwise
     hit sp_i <= alpha_i can only turn into a miss, and a family's local
@@ -487,12 +490,12 @@ def bind_batch(procedure: str, critical: CriticalValues) -> Callable[[np.ndarray
     simulate`` brackets a row's exact count between the counts on a lower
     and an upper bound of the row.
 
-    Hommel and closed testing on a stepdown or stepup form bind the form's
-    stepwise kernel and schedule, which count the same (see :func:`_hommel`)
-    without the ``j_hat`` only the public rule reports."""
+    ``values`` is the schedule's array, a table's triangle row after row, or
+    a stepdown or stepup form's schedule's array, bound with that form's
+    stepwise kernel (see :func:`_hommel`). Rebound to another array ``a`` of
+    the same length, ``functools.partial(kernel, values=a)`` decides against ``a``."""
     if procedure in FAMILY_PROCEDURES:
         if critical._form is None:
-            return lambda sorted_p: _hommel(sorted_p, critical)[0]
+            return functools.partial(_table_counts, k=critical.k, values=critical._array)
         procedure, critical = critical._form, critical._schedule
-    kernel = _STEPWISE[procedure]
-    return lambda sorted_p: kernel(sorted_p, critical)
+    return functools.partial(_STEPWISE[procedure], k=critical.k, values=critical._array)

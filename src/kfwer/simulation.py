@@ -42,14 +42,14 @@ ordinary size practically never meet; never by ``kfwer test`` or ``verify``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, LengthMismatchError, LocalTestFamily, PValueVector, _integer, _unvalidated, order_pvalues
+from .core import ConfigError, LengthMismatchError, PValueVector, _integer, _real, order_pvalues
 from .procedures import (
     CriticalValues,
     ProcedureResult,
@@ -69,8 +69,8 @@ class SimulationConfig:
 
     True nulls occupy positions 1..n_true; the remaining hypotheses are
     false nulls whose latent scores are shifted by ``delta``. ``rho`` is
-    the pairwise latent correlation (ignored when ``dependence`` is
-    "independent").
+    the pairwise latent correlation; it must be 0 when ``dependence`` is
+    "independent".
 
     This is the one statement of ``kfwer simulate``'s parameters and their
     defaults: each flag sets one field (``--true-nulls`` sets ``n_true``),
@@ -92,11 +92,8 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("n", "n_true", "k", "reps", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        # A string would fail the range checks below with TypeError, a bool pass.
         for name in ("alpha", "rho", "delta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.n_true <= self.n:
@@ -108,14 +105,12 @@ class SimulationConfig:
             raise ConfigError(f"unknown dependence {self.dependence!r}, expected one of {DEPENDENCE}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
+        if self.rho != 0.0 and self.dependence == "independent":
+            raise ConfigError(f"rho={self.rho} needs dependence 'equicorrelated'; dependence 'independent' takes rho=0")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ConfigError(f"delta must be a finite number >= 0, got {self.delta}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-
-    @property
-    def effective_rho(self) -> float:
-        return self.rho if self.dependence == "equicorrelated" else 0.0
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ def _scores(config: SimulationConfig, draws: np.ndarray) -> np.ndarray:
     rows of ``n + 1`` standard normals: sqrt(rho)*W + sqrt(1-rho)*E_i with
     W and E_i independent, plus delta for the false nulls. A score's
     p-value is its upper normal tail."""
-    rho = config.effective_rho
+    rho = config.rho
     z = math.sqrt(rho) * draws[:, :1] + math.sqrt(1.0 - rho) * draws[:, 1:]
     if config.n_true < config.n and config.delta != 0.0:
         z[:, config.n_true:] += config.delta
@@ -198,7 +193,9 @@ _REACH = 8.5
 _FLOOR = 0.5 * math.erfc(_REACH / _SQRT_2)
 _MU = 2.0**-30
 _CHECK = 2.0**-40
-_inverse_cdf = NormalDist().inv_cdf
+# NormalDist().inv_cdf, bound on first use: importing statistics, and with
+# it fractions and decimal, would cost every command, not just simulate.
+_inverse_cdf = None
 
 
 def _quantile(q: float) -> float:
@@ -207,6 +204,11 @@ def _quantile(q: float) -> float:
     The standard library's ``NormalDist.inv_cdf`` (Wichura's AS241, 1988)
     gives t; it met the check with a worst relative error of 4.2e-14 on
     4 * 10^5 values of q tried. A t that misses raises ArithmeticError."""
+    global _inverse_cdf
+    if _inverse_cdf is None:
+        from statistics import NormalDist
+
+        _inverse_cdf = NormalDist().inv_cdf
     t = _inverse_cdf(q)
     if abs(0.5 * math.erfc(t / -_SQRT_2) - q) <= _CHECK * q:
         return t
@@ -290,15 +292,10 @@ def _count_rejections(
     return c, np.count_nonzero(first & (order < n_true), axis=1)
 
 
-def _kernels(procedure: str, critical: CriticalValues) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-    """The batch kernel bound to the critical values, and to their strict
-    and loose thresholds in place of a schedule's, form's or table's values."""
-    form = getattr(critical, "_form", None)
-    values = critical._schedule if form else critical
-    mapped = [_unvalidated(type(values), k=values.k, n=values.n, _array=a) for a in _thresholds(values._array)]
-    if form:
-        mapped = [_unvalidated(LocalTestFamily, k=m.k, n=m.n, _schedule=m, _form=form) for m in mapped]
-    return tuple(bind_batch(procedure, c) for c in (critical, *mapped))
+def _kernels(procedure: str, critical: CriticalValues) -> tuple[functools.partial, ...]:
+    """The batch kernel, and it rebound to the strict and the loose thresholds."""
+    exact = bind_batch(procedure, critical)
+    return (exact, *(functools.partial(exact, values=a) for a in _thresholds(exact.keywords["values"])))
 
 
 def _screened_rejections(y: np.ndarray, kernels: tuple, n_true: int) -> tuple[np.ndarray, np.ndarray]:

@@ -239,7 +239,7 @@ def estimate_kfwer_oracle(config, table, normals=None):
     }[config.procedure]
     n, n_true, k, reps = config.n, config.n_true, config.k, config.reps
     n_false = n - n_true
-    rho = config.effective_rho
+    rho = config.rho
     exceed, power_sum = 0, 0.0
     for rep in range(reps):
         if normals is None:

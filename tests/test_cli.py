@@ -571,6 +571,14 @@ class TestFamilyFile:
         data = f'm,i,alpha\n1,1,"0.05\n"\n{row}\n'
         assert self.run(tmp_path, capsys, data) == (EXIT_BAD_DATA, "", f"error: PATH: {message}\n")
 
+    @pytest.mark.parametrize("data", [
+        family_csv(FAMILY_ROWS).replace("m,i,alpha", "m,i,a"),
+        family_csv(FAMILY_ROWS).split("\n", 1)[1],
+        "",
+    ], ids=["wrong-header", "no-header", "empty"])
+    def test_header_fault(self, data, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, data) == (EXIT_BAD_DATA, "", "error: PATH: expected CSV header 'm,i,alpha'\n")
+
     def test_quotes_crlf_and_blank_lines_read_as_the_plain_file(self, tmp_path, capsys):
         spelled = tmp_path / "spelled.csv"
         spelled.write_bytes(('\r\n"M"," i ",ALPHA \r\n\r\n' + "".join(
@@ -807,6 +815,13 @@ class TestCmdSimulate:
         )
         assert code == EXIT_BAD_FLAGS
 
+    def test_rho_without_equicorrelated_exits_3(self, capsys):
+        """Independent draws used to ignore --rho, running rho = 0."""
+        code, out, err = run_main(self.BASE + ["--rho", "0.5"], capsys)
+        assert (code, out) == (EXIT_BAD_FLAGS, "")
+        assert err == "error: rho=0.5 needs dependence 'equicorrelated'; dependence 'independent' takes rho=0\n"
+        assert run_main(self.BASE + ["--dependence", "independent", "--rho", "0"], capsys)[0] == EXIT_OK
+
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_3(self, delta, capsys):
         code, out, err = run_main(
@@ -891,6 +906,24 @@ class TestCmdVerify:
 
     def test_counterexample_exit_code_reserved(self):
         assert EXIT_COUNTEREXAMPLE == 1
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+@pytest.mark.parametrize("alpha, shown", [("0", "0.0"), ("1", "1.0"), ("-0.1", "-0.1"), ("nan", "nan"), ("inf", "inf")])
+def test_alpha_out_of_range_exits_3(command, alpha, shown, pfile, capsys):
+    argv = {"test": ["test", "--k", "1", "--procedure", "stepdown", "--schedule", "lehmann-romano", "--input", pfile],
+            "simulate": ["simulate", "--n", "4", "--true-nulls", "4", "--k", "1", "--reps", "10"]}[command]
+    code, out, err = run_main(argv + [f"--alpha={alpha}"], capsys)
+    assert (code, out, err) == (EXIT_BAD_FLAGS, "", f"error: alpha must lie strictly between 0 and 1, got {shown}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--true-nulls", "4", "--k", "1", "--alpha", "0.05", "--reps", "10"],
+    ["verify", "--theorem", "4.2", "--trials", "5"],
+], ids=["simulate", "verify"])
+def test_seed_env_that_is_not_an_integer_exits_3(argv, capsys, monkeypatch):
+    monkeypatch.setenv("KFWER_SEED", "abc")
+    assert run_main(argv, capsys) == (EXIT_BAD_FLAGS, "", "error: KFWER_SEED='abc' is not an integer\n")
 
 
 def test_one_parser_serves_every_call(pfile, capsys, monkeypatch):

@@ -217,15 +217,16 @@ def test_lehmann_romano_equals_the_formula_anywhere(kn, alpha):
 
 def test_test_and_verify_do_not_import_scipy(tmp_path):
     """Only ndtr needs scipy; importing the package, the CLI and the
-    verify harness leaves it unloaded, and so does a Romano-Shaikh
-    stepup call, whose d1 uses numpy.fft. So do the benchmark's four
-    simulate-small calls and two at n = 1,000, Romano-Shaikh stepup and
-    Hommel with the constant family, whose 999 critical values are mapped
-    to thresholds on the scores without scipy and whose rows the bracket
-    settles."""
+    verify harness leaves it unloaded, and so do a Romano-Shaikh stepup
+    call, whose d1 uses numpy.fft, and a verify call. So do the
+    benchmark's four simulate-small calls and two at n = 1,000,
+    Romano-Shaikh stepup and Hommel with the constant family, whose 999
+    critical values are mapped to thresholds on the scores without scipy
+    and whose rows the bracket settles. Only simulate maps thresholds, so
+    only it loads ``statistics`` (and with it fractions and decimal)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kfwer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, kfwer, kfwer.cli, kfwer.verify; sys.exit('scipy' in sys.modules)"
+    code = "import sys, kfwer, kfwer.cli, kfwer.verify; sys.exit(bool({'scipy', 'statistics'} & set(sys.modules)))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     n = 50
     base, pvalues, out = tmp_path / "base.txt", tmp_path / "p.txt", tmp_path / "out.json"
@@ -239,9 +240,11 @@ def test_test_and_verify_do_not_import_scipy(tmp_path):
                   "--schedule", schedule, "--reps", "300", "--dependence", "equicorrelated", "--rho", "0.5",
                   "--delta", "2", "--seed", "1", "--output", str(tmp_path / f"{proc}1000.json")]
                  for proc, schedule in (("stepup", "romano-shaikh"), ("hommel", "constant"))]
-    for argvs in ([argv], simulate):
+    verify = ["verify", "--theorem", "all", "--n-max", "6", "--trials", "20", "--seed", "1"]
+    for argvs, statistics in (([argv, verify], False), (simulate, True)):
         code = (f"import sys; from kfwer.cli import main; "
-                f"sys.exit(any(main(a) for a in {argvs!r}) or 10 * ('scipy' in sys.modules))")
+                f"sys.exit(any(main(a) for a in {argvs!r}) or 10 * ('scipy' in sys.modules) "
+                f"or 20 * (('statistics' in sys.modules) != {statistics}))")
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     assert out.exists()
     assert all(os.path.exists(op[op.index("--output") + 1]) for op in simulate)

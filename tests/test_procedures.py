@@ -4,8 +4,11 @@ exhaustive closed-testing engine."""
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -482,6 +485,43 @@ class TestScheduleConstructors:
             procedures.critical_values(procedure, schedule, 1, 4, 0.05, base=None)
 
 
+def resolved(procedure, schedule):
+    """critical_values for the pair at k = 2, n = 6, as a function of alpha."""
+    base = lambda: lehmann_romano_schedule(2, 6, 0.05)  # noqa: E731
+    return lambda alpha: procedures.critical_values(procedure, schedule, 2, 6, alpha, base=base)
+
+
+# Every constructor that takes alpha, named, and critical_values for every
+# procedure/schedule pair it resolves.
+ALPHA_TAKERS = {
+    "lehmann_romano_schedule": lambda a: lehmann_romano_schedule(2, 6, a),
+    "romano_shaikh_schedule": lambda a: romano_shaikh_schedule(lehmann_romano_schedule(2, 6, 0.05), a),
+    "constant_family": lambda a: constant_family(2, 6, a),
+    "simes_family": lambda a: simes_family(2, 6, a),
+    "scaled_family": lambda a: scaled_family(lehmann_romano_schedule(2, 6, 0.05), a),
+    **{f"critical_values-{procedure}-{schedule}": resolved(procedure, schedule)
+       for procedure in procedures.PROCEDURES for schedule in procedures.SCHEDULES
+       if not (procedure in FAMILY_PROCEDURES and schedule == "lehmann-romano")},
+}
+
+
+@pytest.mark.parametrize("name", ALPHA_TAKERS)
+@pytest.mark.parametrize("alpha", [np.float32(0.05), np.float64(0.3), Fraction(1, 20), Decimal("0.05"), "0.05", None,
+                                   True], ids=["float32", "float64", "Fraction", "Decimal", "str", "None", "bool"])
+def test_alpha_is_a_float_or_refused(name, alpha):
+    """A numpy float alpha builds the float64 values of float(alpha); a
+    Fraction, a Decimal, a string, None or a bool is refused, naming alpha.
+    A float32 alpha used to build a float32 schedule, a Fraction an object
+    array, and the others raised TypeError."""
+    build = ALPHA_TAKERS[name]
+    if not isinstance(alpha, np.floating):
+        with pytest.raises(ConfigError, match=re.escape(f"alpha must be a real number, got {alpha!r}")):
+            build(alpha)
+        return
+    got, want = build(alpha), build(float(alpha))
+    assert got._array.dtype == np.float64 and np.array_equal(got._array, want._array) and got == want
+
+
 class TestFamilyConstructors:
     def test_constant_family_small(self):
         fam = constant_family(1, 2, 0.05)
@@ -723,6 +763,17 @@ def test_family_eq_and_hash_follow_rows(data):
     assert not any("rows" in vars(fam) for fam in families if fam._form is not None)
     assert equal == [families[a].rows == families[b].rows for a, b in pairs]
     assert all(hashes[a] == hashes[b] for (a, b), e in zip(pairs, equal) if e)
+
+
+def test_family_eq_needs_the_same_class_and_size():
+    """A family never equals another type, and two tables with one array,
+    here the values of k = 1, n = 2 and of k = 2, n = 3, differ by size."""
+    fam = constant_family(1, 3, 0.05)
+    assert fam.__eq__(fam.rows) is NotImplemented and fam != fam.rows
+    assert fam.__eq__(lehmann_romano_schedule(1, 3, 0.05)) is NotImplemented
+    rows = [[0.05], [0.05, 0.05]]
+    small, shifted = validate_family(1, 2, rows), validate_family(2, 3, rows)
+    assert np.array_equal(small._array, shifted._array) and small != shifted
 
 
 def test_family_values_compare_and_hash_at_scale():

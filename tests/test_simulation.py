@@ -17,16 +17,19 @@ from kfwer import (
     SimulationConfig,
     closed_testing,
     constant_family,
+    core,
     estimate_kfwer,
     generate_pvalues,
     lehmann_romano_schedule,
     order_pvalues,
+    procedures,
     romano_shaikh_schedule,
     scaled_family,
     simes_family,
     simulation,
 )
-from kfwer.procedures import FAMILY_PROCEDURES, bind_procedure
+from kfwer.core import CriticalSchedule, LocalTestFamily
+from kfwer.procedures import FAMILY_PROCEDURES, PROCEDURES, SCHEDULES, bind_procedure
 from kfwer.simulation import (
     _FLOOR,
     _MU,
@@ -53,7 +56,7 @@ def config(**overrides):
 class TestConfigValidation:
     def test_accepts_valid(self):
         cfg = config(dependence="equicorrelated", rho=0.5, delta=1.0)
-        assert cfg.effective_rho == 0.5
+        assert cfg.rho == 0.5
 
     @pytest.mark.parametrize(
         "overrides",
@@ -90,6 +93,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{field} must be a real number, got {value!r}")):
             config(**{field: value})
 
+    def test_rejects_no_hypotheses(self):
+        with pytest.raises(ConfigError, match=re.escape("n must be >= 1, got 0")):
+            config(n=0, n_true=0)
+
+    def test_levels_are_stored_as_float(self):
+        cfg = config(alpha=np.float32(0.25), dependence="equicorrelated", rho=np.float64(0.5), delta=2)
+        assert [(type(v), v) for v in (cfg.alpha, cfg.rho, cfg.delta)] == [(float, 0.25), (float, 0.5), (float, 2.0)]
+        with pytest.raises(ConfigError, match="^delta must be a real number in the float range"):
+            config(delta=10**400)
+
     def test_numpy_integers_are_stored_as_int(self):
         cfg = config(n=np.int64(5), n_true=np.int32(3), k=np.int16(2), reps=np.uint64(50), seed=np.uint64(2**64 - 1))
         assert all(type(getattr(cfg, name)) is int for name in ("n", "n_true", "k", "reps", "seed"))
@@ -100,9 +113,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="delta"):
             config(delta=delta)
 
-    def test_rho_ignored_when_independent(self):
-        cfg = config(dependence="independent", rho=0.7)
-        assert cfg.effective_rho == 0.0
+    def test_rho_refused_when_independent(self):
+        """Independent draws used to drop a nonzero rho silently, so
+        ``--rho 0.5`` without ``--dependence equicorrelated`` ran rho = 0."""
+        for rho in (0.7, 1e-300):
+            with pytest.raises(ConfigError, match=re.escape(f"rho={rho} needs dependence 'equicorrelated'")):
+                config(dependence="independent", rho=rho)
+        assert config(dependence="independent", rho=0).rho == 0.0
 
     def test_family_procedures_need_family_schedule(self):
         with pytest.raises(ConfigError):
@@ -122,7 +139,7 @@ class TestGeneratePValues:
         assert generate_pvalues(config(seed=1), 0) != generate_pvalues(config(seed=2), 0)
 
     def test_independent_equals_rho_zero(self):
-        a = generate_pvalues(config(dependence="independent", rho=0.9), 3)
+        a = generate_pvalues(config(dependence="independent"), 3)
         b = generate_pvalues(config(dependence="equicorrelated", rho=0.0), 3)
         assert a == b
 
@@ -591,3 +608,42 @@ def test_a_table_family_is_bracketed_through_its_kernel(rho, monkeypatch):
     assert result == estimate_kfwer(cfg, procedure=build_procedure(cfg))
     assert result == estimate_kfwer_oracle(cfg, simes.rows)
     assert rho == 0.5 or fallback >= 1
+
+
+def test_simulate_builds_only_critical_values_in_the_unit_interval(monkeypatch):
+    """Every CriticalSchedule and LocalTestFamily made while estimate_kfwer
+    runs holds float64 values in [0, 1], as both types promise, for every
+    procedure and schedule and for Simes' table in place of the configured
+    family: the thresholds on the scores are bound to the kernels, not
+    dressed as schedules or families."""
+    made, unvalidated = [], core._unvalidated
+
+    def recorded(cls, **fields):
+        made.append(unvalidated(cls, **fields))
+        return made[-1]
+
+    def recording(init):
+        def checked(self, *args):
+            init(self, *args)
+            made.append(self)
+        return checked
+
+    for module in (core, procedures, simulation):
+        monkeypatch.setattr(module, "_unvalidated", recorded, raising=False)
+    for cls in (CriticalSchedule, LocalTestFamily):
+        monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
+    cases = [(procedure, schedule, None) for procedure in PROCEDURES for schedule in SCHEDULES
+             if not (procedure in FAMILY_PROCEDURES and schedule == "lehmann-romano")]
+    cases.append(("hommel", "constant", simes_family(2, 10, 0.3)))
+    for procedure, schedule, table in cases:
+        if table is not None:
+            monkeypatch.setattr(simulation, "_critical_values", lambda config: table)
+        made.clear()
+        cfg = config(n=10, n_true=5, k=2, alpha=0.3, procedure=procedure, schedule=schedule, reps=200, delta=2.0,
+                     dependence="equicorrelated", rho=0.5)
+        estimate_kfwer(cfg)
+        critical = [obj for obj in made if isinstance(obj, (CriticalSchedule, LocalTestFamily))]
+        assert critical or table is not None, (procedure, schedule)
+        for obj in critical:
+            values = obj._array
+            assert values.dtype == np.float64 and ((0.0 <= values) & (values <= 1.0)).all(), (procedure, schedule, obj)
